@@ -3,7 +3,9 @@
 // window scans, hash-index probes, and store maintenance.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "common/schema.hpp"
 #include "common/seq_ring.hpp"
 #include "llhj/store.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "stream/generator.hpp"
 #include "stream/message.hpp"
@@ -59,6 +62,59 @@ void BM_SpscCrossThreadHop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpscCrossThreadHop);
+
+// Cross-thread hop to a PARKED consumer: the consumer runs on a
+// ThreadedExecutor and has exhausted its spin/yield ladder and parked on
+// its doorbell before every push, so each hop pays one futex wake-up (the
+// idle-pipeline case of paced input, paper Fig. 19). Reports the hop's p50
+// and p99 in microseconds; bound by the host's wake-up path, so rows must
+// carry their host (vCPU count, shared or dedicated).
+void BM_SpscParkedConsumerHop(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  struct Sink : Steppable {
+    SpscQueue<int64_t>* in = nullptr;
+    std::atomic<uint64_t> received{0};
+    std::vector<int64_t> hops_ns;
+    bool Step() override {
+      int64_t sent = 0;
+      if (!in->TryPop(&sent)) return false;
+      hops_ns.push_back(Clock::now().time_since_epoch().count() - sent);
+      received.fetch_add(1, std::memory_order_release);
+      return true;
+    }
+  };
+  SpscQueue<int64_t> ring(64);
+  Sink sink;
+  sink.in = &ring;
+  sink.hops_ns.reserve(1 << 16);
+  ThreadedExecutor exec;
+  exec.Add(&sink);
+  exec.Start();
+  uint64_t sent = 0;
+  for (auto _ : state) {
+    // Wait for the consumer to park again after the previous delivery.
+    const uint64_t parks = exec.parks();
+    while (exec.parks() == parks) std::this_thread::yield();
+    ring.TryPush(Clock::now().time_since_epoch().count());
+    ++sent;
+    while (sink.received.load(std::memory_order_acquire) != sent) {
+      std::this_thread::yield();
+    }
+  }
+  exec.Stop();
+  std::vector<int64_t> hops = sink.hops_ns;
+  std::sort(hops.begin(), hops.end());
+  auto quantile_us = [&](double q) {
+    if (hops.empty()) return 0.0;
+    const auto i = static_cast<std::size_t>(
+        q * static_cast<double>(hops.size() - 1));
+    return static_cast<double>(hops[i]) / 1e3;
+  };
+  state.counters["hop_p50_us"] = quantile_us(0.50);
+  state.counters["hop_p99_us"] = quantile_us(0.99);
+  state.SetItemsProcessed(static_cast<int64_t>(sent));
+}
+BENCHMARK(BM_SpscParkedConsumerHop)->Iterations(3000)->UseRealTime();
 
 // -- SPSC transfer: single-message vs burst mode. ----------------------------
 //

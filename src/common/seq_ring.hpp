@@ -59,6 +59,9 @@ class SeqRing {
     return true;
   }
 
+  /// True when an entry with sequence number `seq` is live.
+  bool Contains(Seq seq) { return index_.Find(seq) != nullptr; }
+
   /// Visits live entries in insertion order.
   template <typename F>
   void ForEach(F&& f) const {

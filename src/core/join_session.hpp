@@ -110,8 +110,11 @@ struct JoinConfig {
   WindowSpec window_r = WindowSpec::Count(1024);
   WindowSpec window_s = WindowSpec::Count(1024);
 
-  /// Pipeline tuning. Capacities must be non-zero.
-  std::size_t channel_capacity = 1024;
+  /// Pipeline tuning. Capacities must be non-zero. Channels need to hold
+  /// about one driver batch plus a consumer's wake-up (DESIGN.md Sections
+  /// 5 and 16); deeper channels only add queueing delay once the pipeline
+  /// is the bottleneck.
+  std::size_t channel_capacity = 128;
   std::size_t result_capacity = 1 << 16;
   int msgs_per_step = 8;
   HomePolicy home_policy = HomePolicy::kRoundRobin;
@@ -357,6 +360,7 @@ class JoinSession {
       msg.arrival_wall_ns = NowNs();
       msg.payload = rs[i];
       left_stage_.push_back(msg);
+      NoteArrival(StreamSide::kR, seq);
       StageCountExpiry(StreamSide::kR, msg.seq, ts);
     }
     FlushStages();
@@ -389,6 +393,7 @@ class JoinSession {
       msg.arrival_wall_ns = NowNs();
       msg.payload = ss[i];
       right_stage_.push_back(msg);
+      NoteArrival(StreamSide::kS, seq);
       StageCountExpiry(StreamSide::kS, msg.seq, ts);
     }
     FlushStages();
@@ -562,6 +567,9 @@ class JoinSession {
 
   Algorithm algorithm() const { return config_.algorithm; }
   const JoinConfig& config() const { return config_; }
+  /// Placement plan the pipeline threads were pinned with (empty until a
+  /// threaded session starts).
+  const PlacementPlan& placement() const { return plan_; }
   bool started() const { return started_; }
 
   /// Epoch of the query set currently being installed into pushes: results
@@ -633,15 +641,24 @@ class JoinSession {
 
   /// Sits between the collector and the query router so the session can
   /// observe every result's end-to-end latency (feeding the admission
-  /// EWMA) without the router or the handlers knowing about it.
+  /// EWMA) without the router or the handlers knowing about it. Only an
+  /// enabled controller reads the EWMA (OverBudget), so with admission off
+  /// the observer neither reads the clock nor updates it; with admission
+  /// on it reads the clock once per burst.
   struct ResultObserver : OutputHandler<R, S> {
     JoinSession* session = nullptr;
-    void OnResult(const ResultMsg<R, S>& m) override {
-      const int64_t now = NowNs();
-      if (m.ready_wall_ns > 0) {
-        session->admission_.ObserveResult(now - m.ready_wall_ns, now);
+    void OnResult(const ResultMsg<R, S>& m) override { OnResultBurst(&m, 1); }
+    void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) override {
+      AdmissionController& admission = session->admission_;
+      if (admission.enabled()) {
+        const int64_t now = NowNs();
+        for (std::size_t i = 0; i < n; ++i) {
+          if (run[i].ready_wall_ns > 0) {
+            admission.ObserveResult(now - run[i].ready_wall_ns, now);
+          }
+        }
       }
-      session->router_.OnResult(m);
+      session->router_.OnResultBurst(run, n);
     }
     void OnPunctuation(Timestamp tp) override {
       session->router_.OnPunctuation(tp);
@@ -935,6 +952,7 @@ class JoinSession {
         msg.epoch = current_epoch_;
         msg.arrival_wall_ns = NowNs();
         msg.payload = event.r;
+        NoteArrival(StreamSide::kR, event.seq);
         PushBlocking(ports.left, msg);
         break;
       }
@@ -946,6 +964,7 @@ class JoinSession {
         msg.epoch = current_epoch_;
         msg.arrival_wall_ns = NowNs();
         msg.payload = event.s;
+        NoteArrival(StreamSide::kS, event.seq);
         PushBlocking(ports.right, msg);
         break;
       }
@@ -956,6 +975,7 @@ class JoinSession {
         msg.ref_side = StreamSide::kR;
         msg.seq = event.seq;
         msg.ts = event.ts;
+        SetExpiryHorizon(&msg, next_seq_s_);
         PushBlocking(ports.right, msg);
         break;
       }
@@ -966,6 +986,7 @@ class JoinSession {
         msg.ref_side = StreamSide::kS;
         msg.seq = event.seq;
         msg.ts = event.ts;
+        SetExpiryHorizon(&msg, next_seq_r_);
         PushBlocking(ports.left, msg);
         break;
       }
@@ -1099,6 +1120,13 @@ class JoinSession {
       if (pushed < run) AdvancePipeline(&backoff, "full channel");
     }
     stage->clear();
+  }
+
+  /// Records an arrival handed to the pipeline: expiries dispatched from
+  /// now on carry the per-side horizon past it (ExpiryHorizon).
+  void NoteArrival(StreamSide side, Seq seq) {
+    Seq& next = side == StreamSide::kR ? next_seq_r_ : next_seq_s_;
+    next = std::max(next, seq + 1);
   }
 
   /// Makes progress while batch delivery is blocked: threaded pipelines
@@ -1300,6 +1328,11 @@ class JoinSession {
 
   Seq r_seq_ = 0;
   Seq s_seq_ = 0;
+  // One past the highest arrival seq handed to the pipeline, per side (the
+  // expiry horizons; also correct for externally driven shards, which see
+  // a subset of the global seqs).
+  Seq next_seq_r_ = 0;
+  Seq next_seq_s_ = 0;
   Timestamp last_ts_ = kMinTimestamp;
   DriverMode driver_mode_ = DriverMode::kUnset;
   // Checked-contracts state (DESIGN.md Section 14): every ingestion entry

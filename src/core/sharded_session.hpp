@@ -355,6 +355,11 @@ class ShardedJoinSession {
     return merged;
   }
 
+  /// Placement plan shard `shard`'s pipeline threads were pinned with.
+  const PlacementPlan& shard_placement(int shard) const {
+    return shards_[static_cast<std::size_t>(shard)]->placement();
+  }
+
   /// Per-shard results delivered so far (load-balance introspection).
   uint64_t shard_results(int shard) const {
     return shard_hists_[static_cast<std::size_t>(shard)].count();
@@ -371,7 +376,10 @@ class ShardedJoinSession {
     ShardedJoinSession* owner = nullptr;
     int shard = 0;
     void OnResult(const ResultMsg<R, S>& m) override {
-      owner->OnShardResult(shard, m);
+      owner->OnShardResults(shard, &m, 1);
+    }
+    void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) override {
+      owner->OnShardResults(shard, run, n);
     }
     void OnPunctuation(Timestamp tp) override {
       owner->OnShardPunctuation(shard, tp);
@@ -404,10 +412,12 @@ class ShardedJoinSession {
 
   /// Builds the member sessions, spreading threaded shards over the NUMA
   /// nodes of the configured (or detected) topology round-robin: shard k
-  /// gets Topology::OnNode(node k mod nodes) as its whole machine model, so
-  /// its PlacementPlan pins pipeline, helpers and channel memory onto that
-  /// node alone. A single shard keeps the caller's topology untouched
-  /// (exact degeneration to the plain session).
+  /// runs on node k mod nodes, so its PlacementPlan pins pipeline, helpers
+  /// and channel memory onto that node alone. Shards sharing a node split
+  /// its cores between them (Topology::OnNode's slice form) instead of each
+  /// taking the whole node, where every shard's position 0 would land on
+  /// the node's first CPU. A single shard keeps the caller's topology
+  /// untouched (exact degeneration to the plain session).
   void BuildShards() {
     std::shared_ptr<const Topology> topo = config_.shard.topology;
     std::vector<int> nodes;
@@ -424,11 +434,16 @@ class ShardedJoinSession {
     shard_hists_.resize(static_cast<std::size_t>(config_.shards));
     shard_punct_.assign(static_cast<std::size_t>(config_.shards),
                         kMinTimestamp);
+    const int node_count = static_cast<int>(nodes.size());
     for (int k = 0; k < config_.shards; ++k) {
       JoinConfig shard_config = config_.shard;
       if (!nodes.empty()) {
-        Topology sub =
-            topo->OnNode(nodes[static_cast<std::size_t>(k) % nodes.size()]);
+        // Shards k, k + nodes, k + 2 * nodes, ... share node k mod nodes.
+        const int home = k % node_count;
+        const int sharing =
+            (config_.shards - home + node_count - 1) / node_count;
+        Topology sub = topo->OnNode(nodes[static_cast<std::size_t>(home)],
+                                    k / node_count, sharing);
         shard_config.topology =
             sub.cpu_count() > 0
                 ? std::make_shared<const Topology>(std::move(sub))
@@ -595,13 +610,19 @@ class ShardedJoinSession {
 
   // -- Merging collector -----------------------------------------------------
 
-  void OnShardResult(int shard, const ResultMsg<R, S>& m) {
-    if (m.ready_wall_ns > 0) {
-      const int64_t now = NowNs();
-      shard_hists_[static_cast<std::size_t>(shard)].Add(now - m.ready_wall_ns);
-      admission_.ObserveResult(now - m.ready_wall_ns, now);
+  /// One clock read per burst: every result of the run is stamped with the
+  /// time its burst reached the merge layer.
+  void OnShardResults(int shard, const ResultMsg<R, S>* run, std::size_t n) {
+    const int64_t now = NowNs();
+    LatencyHistogram& hist = shard_hists_[static_cast<std::size_t>(shard)];
+    const bool observe = admission_.enabled();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (run[i].ready_wall_ns <= 0) continue;
+      const int64_t latency = now - run[i].ready_wall_ns;
+      hist.Add(latency);
+      if (observe) admission_.ObserveResult(latency, now);
     }
-    merge_router_.OnResult(m);
+    merge_router_.OnResultBurst(run, n);
   }
 
   /// Punctuation merging: a timestamp is safe for the whole session only

@@ -15,12 +15,17 @@
 //    cross "in flight" between two neighbours.
 //  * Expiry messages enter at the stream's old end and hunt the resident
 //    copy. If the copy is relocating concurrently, the expiry *chases* it:
-//    window segments hold contiguous sequence ranges, so comparing the
-//    target seq against the local range tells which direction the tuple
-//    went; FIFO channel order guarantees the chase terminates (DESIGN.md,
-//    correctness refinement 2). An expiry passing a node also purges any
-//    matching in-flight IWS entry so arrivals behind the expiry cannot
-//    match the expired tuple.
+//    each side's tuples pass every node in seq order, so comparing the
+//    target seq with the highest seq this node received and passed on
+//    tells which direction the tuple went; FIFO channel order guarantees
+//    the chase terminates (DESIGN.md, correctness refinement 2).
+//  * Expiry horizons: an expiry carries the opposite stream's next seq at
+//    the moment the driver issued it. A node the expiry passes without
+//    finding its tuple remembers (seq, horizon): no pair of the tuple with
+//    a partner at or above the horizon — pushed after the expiry — is
+//    emitted here, a tuple still to come through does not rest here, and
+//    an in-flight IWS copy keeps meeting older partners until its ack
+//    (DESIGN.md Section 4, "HSJ expiry horizon").
 //  * Flush messages (end-of-stream support for finite traces): force all
 //    resident tuples to relocate to the pipeline end so pairs still
 //    separated inside the pipeline meet. Flushes cascade in FIFO order.
@@ -234,17 +239,29 @@ class HsjNode : public Steppable {
     }
     ScanBatchAgainstS(probe_r_.data(), k);
     for (std::size_t j = 0; j < k; ++j) {
-      if ((msgs[j].flags & kMsgDying) != 0) {
-        // Expired mid-traversal: keep travelling (scanning) but never
-        // rest again; discarded at the rightmost node.
+      const Seq seq = probe_r_[j].seq;
+      next_r_in_ = std::max(next_r_in_, seq + 1);
+      Kill* kill = FindKill(StreamSide::kR, seq);
+      const bool dying = (msgs[j].flags & kMsgDying) != 0;
+      if (dying || kill != nullptr) {
+        // Expired mid-traversal (or its expiry already passed here): keep
+        // travelling (scanning) but never rest again; discarded at the
+        // rightmost node.
         if (!IsRightmost()) {
           FlowMsg<R> fwd = MakeArrival(probe_r_[j]);
           fwd.flags |= kMsgRelocated | kMsgDying;
-          right_out_.Push(fwd);
+          ForwardR(fwd);
+        }
+        if (kill != nullptr && dying) {
+          EraseKill(StreamSide::kR, seq);  // its expiry ended the chase
+        } else if (kill != nullptr) {
+          kill->landed = true;  // its expiry is still chasing: wait for it
+          kill->acked = true;   // R keeps no in-flight copy
         }
       } else {
         wr_.Insert(probe_r_[j], /*expedited=*/false);
       }
+      PrunePendingKills(StreamSide::kR, seq);
     }
     RelocateROverflow();
     return k;
@@ -256,10 +273,14 @@ class HsjNode : public Steppable {
     switch (msg->kind) {
       case MsgKind::kAck: {
         EraseIws(msg->seq);
+        if (Kill* kill = FindKill(StreamSide::kS, msg->seq)) {
+          kill->acked = true;
+          if (kill->chased) EraseKill(StreamSide::kS, msg->seq);
+        }
         return true;
       }
       case MsgKind::kExpiry: {
-        HandleExpiry(msg->ref_side, msg->seq, msg->ts, msg->hops);
+        HandleExpiry(*msg);
         return true;
       }
       case MsgKind::kFlush: {
@@ -321,15 +342,26 @@ class HsjNode : public Steppable {
     bool rested = false;
     for (std::size_t j = 0; j < k; ++j) {
       const Stamped<S>& s = probe_s_[j];
-      if ((msgs[j].flags & kMsgDying) != 0) {
+      next_s_in_ = std::max(next_s_in_, s.seq + 1);
+      Kill* kill = FindKill(StreamSide::kS, s.seq);
+      const bool dying = (msgs[j].flags & kMsgDying) != 0;
+      if (dying || kill != nullptr) {
         if (!IsLeftmost()) {
           FlowMsg<S> fwd = MakeArrival(s);
           fwd.flags |= kMsgRelocated | kMsgDying;
-          left_out_.Push(fwd);
+          ForwardS(fwd);
           // Ack protocol still applies: the dying tuple stays virtually
           // present until the receiver confirms, so in-flight crossings
           // with R arrivals are detected.
           iws_.PushBack(s);
+        }
+        if (kill != nullptr) {
+          // The horizon must keep filtering the in-flight copy until the
+          // ack; a dying traveller's expiry has already ended its chase.
+          kill->landed = true;
+          kill->chased |= dying;
+          kill->acked = IsLeftmost();
+          if (kill->chased && kill->acked) EraseKill(StreamSide::kS, s.seq);
         }
       } else {
         ws_.Insert(s, /*expedited=*/false);
@@ -346,6 +378,7 @@ class HsjNode : public Steppable {
     if (!ack_buf_.empty()) {
       right_out_.PushBurst(std::span<const FlowMsg<R>>(ack_buf_));
     }
+    if (k > 0) PrunePendingKills(StreamSide::kS, probe_s_[k - 1].seq);
     if (rested) RelocateSOverflow();
     return k;
   }
@@ -354,7 +387,7 @@ class HsjNode : public Steppable {
   bool HandleRight(FlowMsg<S>* msg) {
     switch (msg->kind) {
       case MsgKind::kExpiry: {
-        HandleExpiry(msg->ref_side, msg->seq, msg->ts, msg->hops);
+        HandleExpiry(*msg);
         return true;
       }
       case MsgKind::kFlush: {
@@ -401,6 +434,9 @@ class HsjNode : public Steppable {
 
   /// Emits one result tagged with the session-wide query id that matched.
   void EmitResult(const Stamped<R>& r, const Stamped<S>& s, QueryId q) {
+    if ((!kills_r_.empty() || !kills_s_.empty()) && CrossedAfterExpiry(r, s)) {
+      return;
+    }
     ResultMsg<R, S> m = MakeResult(r, s, config_.id);
     m.query = q;
     sink_->Emit(m);
@@ -600,7 +636,7 @@ class HsjNode : public Steppable {
   void ForwardOldestR() {
     FlowMsg<R> msg = MakeArrival(wr_.Front().tuple);
     msg.flags |= kMsgRelocated;
-    right_out_.Push(msg);
+    ForwardR(msg);
     wr_.PopFront();
     ++counters_.relocated_r;
   }
@@ -625,7 +661,7 @@ class HsjNode : public Steppable {
     const Stamped<S> oldest = ws_.Front().tuple;
     FlowMsg<S> msg = MakeArrival(oldest);
     msg.flags |= kMsgRelocated;
-    left_out_.Push(msg);
+    ForwardS(msg);
     // The tuple stays virtually present (IWS) until the receiver acks.
     iws_.PushBack(oldest);
     ws_.PopFront();
@@ -652,7 +688,18 @@ class HsjNode : public Steppable {
 
   // -- Expiries with chase ----------------------------------------------------
 
-  void HandleExpiry(StreamSide side, Seq seq, Timestamp ts, uint16_t hops) {
+  template <typename T>
+  void HandleExpiry(const FlowMsg<T>& msg) {
+    const StreamSide side = msg.ref_side;
+    const Seq seq = msg.seq;
+    const Seq horizon = ExpiryHorizon(msg);
+    if (Kill* kill = FindKill(side, seq); kill != nullptr && kill->landed) {
+      // The tuple came through here after this expiry passed and left as a
+      // dying traveller: the chase is over.
+      kill->chased = true;
+      if (kill->acked) EraseKill(side, seq);
+      return;
+    }
     if (side == StreamSide::kS) {
       Stamped<S> victim;
       if (ws_.TakeSeq(seq, &victim)) {
@@ -662,16 +709,18 @@ class HsjNode : public Steppable {
         if (!IsLeftmost()) {
           FlowMsg<S> fwd = MakeArrival(victim);
           fwd.flags |= kMsgRelocated | kMsgDying;
-          left_out_.Push(fwd);
+          ForwardS(fwd);
           iws_.PushBack(victim);
+          NoteInFlightKill(seq, horizon);
         }
         return;
       }
-      // Purge any in-flight copy so arrivals behind this expiry cannot
-      // match it; the resident copy will materialize at the neighbour.
-      EraseIws(seq);
-      ForwardExpiry(side, seq, ts, hops,
-                    ChaseDirection(ws_, seq, /*older_is_left=*/true));
+      // An in-flight copy stays until its ack: R arrivals pushed before
+      // this expiry may still cross it, while the horizon keeps those
+      // pushed after it from matching. The resident copy will materialize
+      // at the neighbour.
+      if (iws_.Contains(seq)) NoteInFlightKill(seq, horizon);
+      ForwardExpiry(msg, ChaseDirection(side, seq), horizon);
       return;
     }
     Stamped<R> victim;
@@ -679,63 +728,147 @@ class HsjNode : public Steppable {
       if (!IsRightmost()) {
         FlowMsg<R> fwd = MakeArrival(victim);
         fwd.flags |= kMsgRelocated | kMsgDying;
-        right_out_.Push(fwd);
+        ForwardR(fwd);
       }
       return;
     }
-    ForwardExpiry(side, seq, ts, hops,
-                  ChaseDirection(wr_, seq, /*older_is_left=*/false));
+    ForwardExpiry(msg, ChaseDirection(side, seq), horizon);
   }
 
-  /// Direction the missing tuple must be in: -1 = left, +1 = right, 0 = give
-  /// up (already gone). Segments hold contiguous seq ranges ordered along
-  /// the pipeline (S: oldest at node 0; R: oldest at node n-1).
-  template <typename T>
-  int ChaseDirection(const VectorStore<T>& window, Seq seq,
-                     bool older_is_left) const {
-    if (window.size() > 0) {
-      if (seq < window.FrontSeq()) return older_is_left ? -1 : +1;
-      if (seq > window.BackSeq()) return older_is_left ? +1 : -1;
-      return 0;  // in range but missing: already erased elsewhere
+  /// Direction of a tuple that is not resident here: -1 = left, +1 =
+  /// right, 0 = gone (DESIGN.md Section 4). Each side's tuples reach and
+  /// leave every node in seq order (R rightward, S leftward), so a tuple
+  /// at or below the highest seq passed on is downstream, one above the
+  /// highest seq received is still upstream, and anything between was
+  /// expired here already.
+  int ChaseDirection(StreamSide side, Seq seq) const {
+    if (side == StreamSide::kR) {
+      if (seq < next_r_out_) return +1;
+      return seq < next_r_in_ ? 0 : -1;
     }
-    // Empty segment: the tuple can only be in flight from the newer side.
-    return older_is_left ? +1 : -1;
+    if (seq < next_s_out_) return -1;
+    return seq < next_s_in_ ? 0 : +1;
   }
 
-  void ForwardExpiry(StreamSide side, Seq seq, Timestamp ts, uint16_t hops,
-                     int dir) {
+  /// Passes an R tuple (relocated or dying) on to the right neighbour.
+  void ForwardR(const FlowMsg<R>& msg) {
+    next_r_out_ = std::max(next_r_out_, msg.seq + 1);
+    right_out_.Push(msg);
+  }
+
+  /// Passes an S tuple (relocated or dying) on to the left neighbour.
+  void ForwardS(const FlowMsg<S>& msg) {
+    next_s_out_ = std::max(next_s_out_, msg.seq + 1);
+    left_out_.Push(msg);
+  }
+
+  /// Sends a chasing expiry on toward `dir` (0: the tuple is already gone).
+  /// When the tuple is still upstream it has to come through this node, so
+  /// the expiry is remembered here.
+  template <typename T>
+  void ForwardExpiry(const FlowMsg<T>& expiry, int dir, Seq horizon) {
     if (dir == 0) return;
+    const uint16_t hops = expiry.hops;
     if (hops >= config_.max_expiry_hops) {
       ++counters_.anomalies;
       return;
     }
     if (hops >= 1) ++counters_.expiry_bounces;
-    if (dir > 0) {
-      if (IsRightmost()) {
-        // Nothing to the right; the FIFO argument makes this unreachable.
-        ++counters_.anomalies;
-        return;
-      }
-      FlowMsg<R> msg;
-      msg.kind = MsgKind::kExpiry;
-      msg.ref_side = side;
-      msg.seq = seq;
-      msg.ts = ts;
-      msg.hops = static_cast<uint16_t>(hops + 1);
-      right_out_.Push(msg);
-    } else {
-      if (IsLeftmost()) {
-        ++counters_.anomalies;
-        return;
-      }
-      FlowMsg<S> msg;
-      msg.kind = MsgKind::kExpiry;
-      msg.ref_side = side;
-      msg.seq = seq;
-      msg.ts = ts;
-      msg.hops = static_cast<uint16_t>(hops + 1);
-      left_out_.Push(msg);
+    if ((dir > 0 && IsRightmost()) || (dir < 0 && IsLeftmost())) {
+      // Nothing beyond the pipeline end; the FIFO argument makes this
+      // unreachable.
+      ++counters_.anomalies;
+      return;
     }
+    const bool upstream =
+        expiry.ref_side == StreamSide::kR ? dir < 0 : dir > 0;
+    if (upstream) NoteKill(expiry.ref_side, Kill{expiry.seq, horizon});
+    if (dir > 0) {
+      right_out_.Push(ChaseMsg<R>(expiry, horizon));
+    } else {
+      left_out_.Push(ChaseMsg<S>(expiry, horizon));
+    }
+  }
+
+  template <typename To, typename From>
+  static FlowMsg<To> ChaseMsg(const FlowMsg<From>& expiry, Seq horizon) {
+    FlowMsg<To> msg;
+    msg.kind = MsgKind::kExpiry;
+    msg.ref_side = expiry.ref_side;
+    msg.seq = expiry.seq;
+    msg.ts = expiry.ts;
+    msg.hops = static_cast<uint16_t>(expiry.hops + 1);
+    if (horizon != kNoExpiryHorizon) SetExpiryHorizon(&msg, horizon);
+    return msg;
+  }
+
+  // -- Expiry horizons (DESIGN.md Section 4) ---------------------------------
+
+  /// An expiry that passed this node without finding its tuple.
+  struct Kill {
+    Seq seq = 0;
+    Seq horizon = kNoExpiryHorizon;  ///< first opposite seq pushed after it
+    bool landed = false;  ///< the tuple came through here since
+    bool chased = false;  ///< the expiry's chase has ended
+    bool acked = false;   ///< no in-flight copy of the tuple remains here
+  };
+
+  /// Bound on remembered expiries per side (a safety net: entries retire
+  /// as their tuples pass, and expiries only wait here while chasing).
+  static constexpr std::size_t kMaxKills = 64;
+
+  std::vector<Kill>& Kills(StreamSide side) {
+    return side == StreamSide::kR ? kills_r_ : kills_s_;
+  }
+
+  Kill* FindKill(StreamSide side, Seq seq) {
+    for (Kill& kill : Kills(side)) {
+      if (kill.seq == seq) return &kill;
+    }
+    return nullptr;
+  }
+
+  void NoteKill(StreamSide side, const Kill& kill) {
+    if (FindKill(side, kill.seq) != nullptr) return;  // a bounce revisiting
+    std::vector<Kill>& kills = Kills(side);
+    if (kills.size() >= kMaxKills) kills.erase(kills.begin());
+    kills.push_back(kill);
+  }
+
+  /// S only: the expired tuple's in-flight (IWS) copy is still here while
+  /// the chase moves on; the entry retires with the copy's ack.
+  void NoteInFlightKill(Seq seq, Seq horizon) {
+    NoteKill(StreamSide::kS, Kill{seq, horizon, /*landed=*/true,
+                                  /*chased=*/true});
+  }
+
+  void EraseKill(StreamSide side, Seq seq) {
+    std::vector<Kill>& kills = Kills(side);
+    for (std::size_t i = 0; i < kills.size(); ++i) {
+      if (kills[i].seq == seq) {
+        kills.erase(kills.begin() + static_cast<std::ptrdiff_t>(i));
+        return;
+      }
+    }
+  }
+
+  /// A side's tuples reach a node in seq order, so once `seq` came through
+  /// no older tuple can still arrive: its pending entries are moot.
+  void PrunePendingKills(StreamSide side, Seq seq) {
+    std::vector<Kill>& kills = Kills(side);
+    std::erase_if(kills,
+                  [&](const Kill& k) { return !k.landed && k.seq < seq; });
+  }
+
+  /// True when one tuple of the pair expired before the other was pushed.
+  bool CrossedAfterExpiry(const Stamped<R>& r, const Stamped<S>& s) const {
+    for (const Kill& kill : kills_r_) {
+      if (kill.seq == r.seq) return s.seq >= kill.horizon;
+    }
+    for (const Kill& kill : kills_s_) {
+      if (kill.seq == s.seq) return r.seq >= kill.horizon;
+    }
+    return false;
   }
 
   bool EraseIws(Seq seq) { return iws_.Erase(seq); }
@@ -761,6 +894,13 @@ class HsjNode : public Steppable {
   VectorStore<R> wr_;        // front = oldest (ring store with SoA lanes)
   VectorStore<S> ws_;
   SeqRing<Stamped<S>> iws_;  // forwarded to the left, not yet acked
+  std::vector<Kill> kills_r_;  // expiries that passed without their tuple
+  std::vector<Kill> kills_s_;
+  // One past the highest seq received / passed on per side (ChaseDirection).
+  Seq next_r_in_ = 0;
+  Seq next_r_out_ = 0;
+  Seq next_s_in_ = 0;
+  Seq next_s_out_ = 0;
 
   // Scratch buffers of the batch arrival paths (reused across steps).
   std::vector<Stamped<R>> probe_r_;

@@ -89,6 +89,12 @@ class LlhjNode : public Steppable {
     HomeAssigner home_r;
     HomeAssigner home_s;
     int msgs_per_step = 8;
+    /// The collector punctuates (Section 6.1.3): a tuple's expedition
+    /// completing promises that all its results are queued, so an arrival
+    /// batch is probed before it is passed on. Otherwise it is passed on
+    /// first, which is what keeps the expedition latency low (Fig. 13/14
+    /// line 7).
+    bool punctuate = false;
   };
 
   struct Counters {
@@ -217,9 +223,12 @@ class LlhjNode : public Steppable {
       }
     }
     // Fig 13 line 7: expedite the whole run first to minimize latency.
-    if (!IsRightmost()) {
-      right_out_.PushBurst(std::span<const FlowMsg<R>>(msgs, k));
-    }
+    const auto expedite = [&] {
+      if (!IsRightmost()) {
+        right_out_.PushBurst(std::span<const FlowMsg<R>>(msgs, k));
+      }
+    };
+    if (!config_.punctuate) expedite();
     // Fig 13 line 8: match against stored copies and in-flight S — one
     // traversal for the whole batch.
     probe_r_.clear();
@@ -228,6 +237,7 @@ class LlhjNode : public Steppable {
                                     msgs[j].arrival_wall_ns, msgs[j].epoch});
     }
     ScanBatchAgainstS(probe_r_.data(), k);
+    if (config_.punctuate) expedite();
     // Fig 13 lines 9-12 per tuple, in flow order: store at the home node
     // (flagged expedited), then end the expedition at the rightmost node —
     // the marker is injected at exactly this position of the S flow.
@@ -336,10 +346,13 @@ class LlhjNode : public Steppable {
         msgs[j].home = config_.home_s.Of(msgs[j].seq);
       }
     }
-    // Fig 14 line 7: expedite first.
-    if (!IsLeftmost()) {
-      left_out_.PushBurst(std::span<const FlowMsg<S>>(msgs, k));
-    }
+    // Fig 14 line 7: expedite first (after the probe when punctuating).
+    const auto expedite = [&] {
+      if (!IsLeftmost()) {
+        left_out_.PushBurst(std::span<const FlowMsg<S>>(msgs, k));
+      }
+    };
+    if (!config_.punctuate) expedite();
     // Fig 14 line 8: one traversal of the R store for the whole batch;
     // only non-expedited entries participate (stored/stored dedup).
     probe_s_.clear();
@@ -348,6 +361,7 @@ class LlhjNode : public Steppable {
                                     msgs[j].arrival_wall_ns, msgs[j].epoch});
     }
     ScanBatchAgainstR(probe_s_.data(), k);
+    if (config_.punctuate) expedite();
     ack_buf_.clear();
     for (std::size_t j = 0; j < k; ++j) {
       const NodeId home = msgs[j].home;

@@ -2,6 +2,12 @@
 // paper had 48 cores, one per pipeline stage; this reproduction typically
 // oversubscribes a small machine, so spin loops must yield quickly instead
 // of burning the timeslice of the thread they are waiting for.
+//
+// This header holds the runtime's only timed sleep (lint rule
+// hot-path-sleep). Executor threads never reach it: once their ladder is
+// exhausted they park on a futex doorbell that pushes ring
+// (runtime/doorbell.hpp). The sleep rung serves the waits no push can end —
+// the session caller's full-channel and expiry-gate waits, start barriers.
 #pragma once
 
 #include <chrono>
@@ -15,6 +21,14 @@ inline void CpuRelax() { __builtin_ia32_pause(); }
 inline void CpuRelax() {}
 #endif
 
+/// Length of the ladder's last rung.
+inline constexpr std::chrono::microseconds kBackoffSleep{50};
+
+/// Sleeps the calling thread for about `duration`.
+inline void SleepBriefly(std::chrono::microseconds duration) {
+  std::this_thread::sleep_for(duration);
+}
+
 /// Escalating wait: pause -> yield -> short sleep. Reset() after progress.
 class Backoff {
  public:
@@ -24,7 +38,7 @@ class Backoff {
     } else if (attempt_ < kYieldLimit) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      SleepBriefly(kBackoffSleep);
     }
     ++attempt_;
   }
@@ -32,6 +46,10 @@ class Backoff {
   void Reset() { attempt_ = 0; }
 
   int attempts() const { return attempt_; }
+
+  /// True once the spin and yield rungs are used up: the next Pause()
+  /// would sleep. Executor threads park on their doorbell instead.
+  bool Exhausted() const { return attempt_ >= kYieldLimit; }
 
  private:
   static constexpr int kSpinLimit = 16;

@@ -43,15 +43,19 @@ void ThreadedExecutor::Start() {
   }
   const std::size_t count = entries_.size();
   threads_.reserve(count);
-  for (auto& entry : entries_) {
-    Entry resolved = entry;
+  while (doorbells_.size() < count) {
+    doorbells_.push_back(std::make_unique<Doorbell>());
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    Entry resolved = entries_[i];
     if (resolved.cpu_hint < 0) {
       resolved.cpu_hint = resolved.helper
                               ? plan_.CpuForHelper(resolved.ordinal)
                               : plan_.CpuForPosition(resolved.ordinal);
     }
-    threads_.emplace_back([this, resolved, count] {
-      ThreadMain(resolved, count);
+    Doorbell* bell = doorbells_[i].get();
+    threads_.emplace_back([this, resolved, bell, count] {
+      ThreadMain(resolved, bell, count);
     });
   }
   // Start barrier, caller side: once this clears, every thread has pinned
@@ -64,6 +68,8 @@ void ThreadedExecutor::Start() {
 void ThreadedExecutor::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stop_.store(true, std::memory_order_release);
+  // Parked threads see the flag through the doorbell's fence pairing.
+  for (auto& bell : doorbells_) bell->Ring();
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
@@ -74,9 +80,10 @@ void ThreadedExecutor::Stop() {
   contracts::AdvanceGeneration();
 }
 
-void ThreadedExecutor::ThreadMain(const Entry& entry,
+void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
                                   std::size_t thread_count) {
   PinThisThread(entry.cpu_hint);
+  bell->BindToThisThread();
   entry.steppable->OnThreadStart();
   ready_.fetch_add(1, std::memory_order_acq_rel);
   // Start barrier, thread side: no Step (production!) before every
@@ -90,10 +97,23 @@ void ThreadedExecutor::ThreadMain(const Entry& entry,
   while (!stop_.load(std::memory_order_acquire)) {
     if (entry.steppable->Step()) {
       backoff.Reset();
-    } else {
-      backoff.Pause();
+      continue;
     }
+    if (!backoff.Exhausted()) {
+      backoff.Pause();
+      continue;
+    }
+    // Park: arm the doorbell, then look once more — a push that raced the
+    // arming is seen here or rings the doorbell (runtime/doorbell.hpp).
+    bell->Arm();
+    if (stop_.load(std::memory_order_acquire) || entry.steppable->Step()) {
+      bell->Disarm();
+      backoff.Reset();
+      continue;
+    }
+    bell->Wait();
   }
+  bell->Release();
 }
 
 }  // namespace sjoin

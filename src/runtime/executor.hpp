@@ -8,9 +8,10 @@
 //    drive nodes in explicit (including adversarial) orders.
 //  * ThreadedExecutor — one thread per steppable, placed via a
 //    PlacementPlan (pipeline positions on neighbouring cores, helpers on
-//    leftover cores — see runtime/placement.hpp), with progressive backoff
-//    when idle. This is the deployment configuration and what all
-//    benchmarks use.
+//    leftover cores — see runtime/placement.hpp). An idle thread spins and
+//    yields through the Backoff ladder, then parks on its futex doorbell
+//    until a push into one of its rings wakes it (runtime/doorbell.hpp).
+//    This is the deployment configuration and what all benchmarks use.
 //
 // Thread-start protocol (ThreadedExecutor): every thread pins itself, runs
 // its steppable's OnThreadStart() hook, and then waits on a start barrier
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "runtime/backoff.hpp"
+#include "runtime/doorbell.hpp"
 #include "runtime/placement.hpp"
 #include "runtime/topology.hpp"
 
@@ -105,10 +107,19 @@ class ThreadedExecutor {
   /// Start() returns, callers may push into consumer-prefaulted channels.
   void Start();
 
-  /// Signals all threads to finish their current Step and joins them.
+  /// Signals all threads to finish their current Step (waking parked ones)
+  /// and joins them.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
+
+  /// Times this executor's threads have parked on their doorbells so far
+  /// (diagnostics: an idle thread parks once per timed fallback).
+  uint64_t parks() const {
+    uint64_t n = 0;
+    for (const auto& bell : doorbells_) n += bell->parks();
+    return n;
+  }
 
   /// The plan threads were placed with (valid after Start()).
   const PlacementPlan& plan() const { return plan_; }
@@ -121,7 +132,8 @@ class ThreadedExecutor {
     int ordinal;  ///< pipeline position or helper index
   };
 
-  void ThreadMain(const Entry& entry, std::size_t thread_count);
+  void ThreadMain(const Entry& entry, Doorbell* bell,
+                  std::size_t thread_count);
 
   Topology topology_{Topology::Synthetic(0)};
   PlacementPolicy policy_ = PlacementPolicy::kAuto;
@@ -131,6 +143,9 @@ class ThreadedExecutor {
   int helpers_ = 0;
   std::vector<Entry> entries_;
   std::vector<std::thread> threads_;
+  // One per entry, alive until the executor is destroyed: a producer may
+  // still hold a doorbell pointer it loaded just before the thread exited.
+  std::vector<std::unique_ptr<Doorbell>> doorbells_;
   std::atomic<std::size_t> ready_{0};  ///< start-barrier arrival count
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};

@@ -17,6 +17,7 @@
 
 #include "common/contracts.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/doorbell.hpp"
 #include "runtime/mempolicy.hpp"
 
 namespace sjoin {
@@ -73,6 +74,11 @@ constexpr const char* ToString(ChannelPlacement p) {
 ///      first-touch; only for trivially copyable+destructible T);
 ///   3. move_pages migration from the consumer thread;
 ///   4. portable fallback: a consumer-side warming pass.
+///
+/// Wake-on-push (runtime/doorbell.hpp): the first time an executor thread
+/// finds the ring empty it registers its doorbell with the ring, and every
+/// TryPush/TryPushBurst rings that doorbell after its release store, so a
+/// parked consumer wakes on the push instead of at its timed fallback.
 template <typename T>
 class SpscQueue {
   // Slot construction may be deferred to the consumer thread only for
@@ -192,6 +198,7 @@ class SpscQueue {
     }
     slots_[tail & mask_] = item;
     tail_->store(tail + 1, std::memory_order_release);
+    consumer_bell_.Notify();
     return true;
   }
 
@@ -219,6 +226,7 @@ class SpscQueue {
     std::copy_n(items, first, slots_ + idx);
     std::copy_n(items + first, n - first, slots_);
     tail_->store(tail + n, std::memory_order_release);
+    consumer_bell_.Notify();
     return n;
   }
 
@@ -236,7 +244,10 @@ class SpscQueue {
     const std::size_t head = head_->load(std::memory_order_relaxed);
     if (head == cached_tail_) {
       cached_tail_ = tail_->load(std::memory_order_acquire);
-      if (head == cached_tail_) return nullptr;
+      if (head == cached_tail_) {
+        consumer_bell_.BindConsumer();
+        return nullptr;
+      }
     }
     return &slots_[head & mask_];
   }
@@ -259,7 +270,10 @@ class SpscQueue {
     const std::size_t head = head_->load(std::memory_order_relaxed);
     if (head == cached_tail_) {
       cached_tail_ = tail_->load(std::memory_order_acquire);
-      if (head == cached_tail_) return 0;
+      if (head == cached_tail_) {
+        consumer_bell_.BindConsumer();
+        return 0;
+      }
     }
     const std::size_t idx = head & mask_;
     const std::size_t queued = cached_tail_ - head;
@@ -334,6 +348,9 @@ class SpscQueue {
   // Producer side.
   CachePadded<std::atomic<std::size_t>> tail_{};
   std::size_t cached_head_ = 0;  // producer's cache of head_
+  // Read by the producer on every push, written by the consumer once per
+  // registration: shares the producer's line, not the consumer's.
+  DoorbellSlot consumer_bell_;
 
   // Consumer side.
   CachePadded<std::atomic<std::size_t>> head_{};

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -367,12 +368,41 @@ std::vector<int> Topology::CpusOnNode(int node) const {
   return out;
 }
 
-Topology Topology::OnNode(int node) const {
+Topology Topology::OnNode(int node, int slice, int slices) const {
   std::vector<TopoCpu> subset;
   for (const TopoCpu& c : cpus_) {
     if (c.node == node) subset.push_back(c);
   }
-  return Topology(std::move(subset));
+  if (slices <= 1 || subset.empty()) return Topology(std::move(subset));
+  slice = ((slice % slices) + slices) % slices;
+  // Cores in placement order (first siblings come first, so a core's
+  // position is set by its first sibling).
+  std::vector<std::pair<int, int>> cores;
+  for (const TopoCpu& c : subset) {
+    const std::pair<int, int> id{c.package, c.core};
+    if (std::find(cores.begin(), cores.end(), id) == cores.end()) {
+      cores.push_back(id);
+    }
+  }
+  const std::size_t k = static_cast<std::size_t>(slices);
+  const std::size_t s = static_cast<std::size_t>(slice);
+  std::vector<TopoCpu> mine;
+  if (cores.size() >= k) {
+    for (const TopoCpu& c : subset) {
+      const std::size_t core = static_cast<std::size_t>(
+          std::find(cores.begin(), cores.end(),
+                    std::pair<int, int>{c.package, c.core}) -
+          cores.begin());
+      if (core * k / cores.size() == s) mine.push_back(c);
+    }
+  } else if (subset.size() >= k) {
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      if (i * k / subset.size() == s) mine.push_back(subset[i]);
+    }
+  } else {
+    mine.push_back(subset[s % subset.size()]);
+  }
+  return Topology(std::move(mine));
 }
 
 int Topology::CpuForNode(int node, int total_nodes) const {

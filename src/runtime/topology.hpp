@@ -109,7 +109,13 @@ class Topology {
   /// empty when the node is not part of this topology). Sharded sessions
   /// build per-shard placement plans from these subsets so every shard's
   /// pipeline, channels and helper threads stay on its own node.
-  Topology OnNode(int node) const;
+  ///
+  /// With `slices` > 1 the node is split among that many co-located users
+  /// and slice `slice` is returned: whole cores (SMT siblings together) in
+  /// contiguous placement-order runs while there are at least `slices`
+  /// cores, single CPUs while there are at least `slices` CPUs, and CPU
+  /// `slice` mod count (shared) beyond that.
+  Topology OnNode(int node, int slice = 0, int slices = 1) const;
 
   /// CPU for pipeline node `node` of a pipeline with `total_nodes` nodes
   /// (helper threads such as feeder and collector are registered after the

@@ -39,7 +39,9 @@ class Collector : public Steppable {
 
   /// One vacuum round. Returns the number of results forwarded. Queues are
   /// drained in bursts (one consumer-index update per run, not per result),
-  /// mirroring the burst transport of the pipeline channels. Epoch markers
+  /// mirroring the burst transport of the pipeline channels, and the results
+  /// between markers reach the handler as OnResultBurst runs in FIFO order.
+  /// Epoch markers
   /// (kEpochMarkQuery, see stream/message.hpp) are aggregated instead of
   /// forwarded: once every queue has yielded the marker of epoch E, FIFO
   /// order guarantees no result of an epoch < E is still queued, and the
@@ -54,21 +56,25 @@ class Collector : public Steppable {
         ResultMsg<R, S>* run = nullptr;
         const std::size_t n = queue->PeekBurst(&run);
         if (n == 0) break;
+        std::size_t results = 0;  // start of the pending result run
         for (std::size_t i = 0; i < n; ++i) {
-          if (IsEpochMark(run[i])) {
+          const bool epoch_mark = IsEpochMark(run[i]);
+          if (!epoch_mark && !IsLossMark(run[i])) continue;
+          // A marker ends the pending run: deliver it first (FIFO).
+          drained += Deliver(run + results, i - results);
+          results = i + 1;
+          if (epoch_mark) {
             OnEpochMark(run[i].epoch);
-          } else if (IsLossMark(run[i])) {
+          } else {
             // Overload-control loss bound (exactly one per shed gap, from
             // the pipeline entry node): translate, don't forward.
             const LossBound bound = DecodeLossMark(run[i]);
             (bound.side == StreamSide::kR ? lost_r_ : lost_s_) += bound.count;
             ++loss_bounds_;
             handler_->OnLoss(bound.side, bound.first_seq, bound.count);
-          } else {
-            handler_->OnResult(run[i]);
-            ++drained;
           }
         }
+        drained += Deliver(run + results, n - results);
         queue->ConsumeBurst(n);
       }
     }
@@ -109,6 +115,11 @@ class Collector : public Steppable {
   Epoch drained_epoch() const { return drained_epoch_; }
 
  private:
+  std::size_t Deliver(const ResultMsg<R, S>* run, std::size_t n) {
+    if (n != 0) handler_->OnResultBurst(run, n);
+    return n;
+  }
+
   /// Counts the per-node epoch markers. Nodes emit markers in increasing
   /// epoch order into FIFO queues, so completion is monotone: when the
   /// count for E reaches the queue count, every result of an epoch < E has

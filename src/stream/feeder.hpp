@@ -193,6 +193,7 @@ class Feeder : public Steppable {
         r_arrival_order_.AssertAdvance(static_cast<long long>(event.seq),
                                        "Feeder", "R arrival seq",
                                        /*strict=*/true);
+        next_seq_r_ = event.seq + 1;
         if (ShedsArrival(StreamSide::kR, event.seq, wall, &left_pending_)) {
           break;  // consumed its seq, never reaches a channel
         }
@@ -211,6 +212,7 @@ class Feeder : public Steppable {
         s_arrival_order_.AssertAdvance(static_cast<long long>(event.seq),
                                        "Feeder", "S arrival seq",
                                        /*strict=*/true);
+        next_seq_s_ = event.seq + 1;
         if (ShedsArrival(StreamSide::kS, event.seq, wall, &right_pending_)) {
           break;
         }
@@ -236,6 +238,7 @@ class Feeder : public Steppable {
         msg.ref_side = StreamSide::kR;
         msg.seq = event.seq;
         msg.ts = event.ts;
+        SetExpiryHorizon(&msg, next_seq_s_);
         right_pending_.push_back(msg);
         break;
       }
@@ -249,6 +252,7 @@ class Feeder : public Steppable {
         msg.ref_side = StreamSide::kS;
         msg.seq = event.seq;
         msg.ts = event.ts;
+        SetExpiryHorizon(&msg, next_seq_r_);
         left_pending_.push_back(msg);
         break;
       }
@@ -504,6 +508,10 @@ class Feeder : public Steppable {
   [[no_unique_address]] contracts::Monotone s_expiry_order_;
   [[no_unique_address]] contracts::Monotone r_shed_order_;
   [[no_unique_address]] contracts::Monotone s_shed_order_;
+
+  // One past the last arrival seq routed per side: the expiry horizons.
+  Seq next_seq_r_ = 0;
+  Seq next_seq_s_ = 0;
 
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> finished_{false};

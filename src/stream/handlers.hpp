@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -23,6 +24,17 @@ class OutputHandler {
  public:
   virtual ~OutputHandler() = default;
   virtual void OnResult(const ResultMsg<R, S>& result) = 0;
+
+  /// Delivers `n` consecutive results of the stream, in stream order
+  /// (DESIGN.md Section 16). The collector hands over whole runs between
+  /// markers; a handler may override this to pay per-burst costs (a clock
+  /// read, a virtual hop) once per run. An override must behave exactly as
+  /// OnResult on each element in order would — callers may split the stream
+  /// into runs anywhere. `run` is valid only for the duration of the call.
+  /// Default: OnResult on each element.
+  virtual void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) OnResult(run[i]);
+  }
   virtual void OnPunctuation(Timestamp tp) {}
 
   /// Every result of a query epoch below the argument has been delivered
@@ -191,13 +203,7 @@ class QueryRouter : public OutputHandler<R, S> {
   }
 
   void OnResult(const ResultMsg<R, S>& result) override {
-    // Must stay routable: query registered, epoch declared, query a member
-    // of that epoch. Anything else counts as misrouted (pipeline bug).
-    if (result.query >= handlers_.size() ||
-        (!epochs_.empty() &&
-         (result.epoch >= epochs_.size() ||
-          result.query >= epochs_[result.epoch].member.size() ||
-          epochs_[result.epoch].member[result.query] == 0))) {
+    if (!Routable(result)) {
       ++misrouted_;
       return;
     }
@@ -205,6 +211,27 @@ class QueryRouter : public OutputHandler<R, S> {
     ++total_;
     OutputHandler<R, S>* handler = handlers_[result.query];
     if (handler != nullptr) handler->OnResult(result);
+  }
+
+  /// Membership is checked per result; each maximal run of routable
+  /// results of one query goes to its handler as one burst.
+  void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) override {
+    std::size_t i = 0;
+    while (i < n) {
+      if (!Routable(run[i])) {
+        ++misrouted_;
+        ++i;
+        continue;
+      }
+      const QueryId q = run[i].query;
+      std::size_t end = i + 1;
+      while (end < n && run[end].query == q && Routable(run[end])) ++end;
+      counts_[q] += end - i;
+      total_ += end - i;
+      OutputHandler<R, S>* handler = handlers_[q];
+      if (handler != nullptr) handler->OnResultBurst(run + i, end - i);
+      i = end;
+    }
   }
 
   /// Broadcast with exactly-once-per-handler delivery: each OnPunctuation
@@ -281,6 +308,16 @@ class QueryRouter : public OutputHandler<R, S> {
     std::vector<uint8_t> member;   ///< by QueryId: live in this epoch?
     std::vector<QueryId> removed;  ///< removed at this epoch's install
   };
+
+  /// Query registered, epoch declared, query a member of that epoch.
+  /// Anything else is misrouted (a pipeline bug).
+  bool Routable(const ResultMsg<R, S>& result) const {
+    if (result.query >= handlers_.size()) return false;
+    if (epochs_.empty()) return true;
+    return result.epoch < epochs_.size() &&
+           result.query < epochs_[result.epoch].member.size() &&
+           epochs_[result.epoch].member[result.query] != 0;
+  }
 
   void Retire(QueryId q) {
     if (q >= handlers_.size() || retired_[q] != 0) return;

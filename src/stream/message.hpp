@@ -103,6 +103,24 @@ FlowMsg<T> MakeArrival(const Stamped<T>& t) {
 /// type of the flow the message rides (R-side losses ride the left flow,
 /// S-side losses the right flow — the direction their arrivals would have
 /// travelled).
+/// Expiry horizon of an HSJ expiry (field reuse, kExpiry only): every
+/// opposite-stream tuple with a sequence number at or above the horizon
+/// was pushed after the expiry, so it must never match the expired tuple
+/// (DESIGN.md Section 4, "HSJ expiry horizon"). `arrival_wall_ns`, unused
+/// by expiries, carries horizon + 1; 0 means unknown (no filtering).
+inline constexpr Seq kNoExpiryHorizon = ~Seq{0};
+
+template <typename T>
+void SetExpiryHorizon(FlowMsg<T>* msg, Seq next_opposite_seq) {
+  msg->arrival_wall_ns = static_cast<int64_t>(next_opposite_seq) + 1;
+}
+
+template <typename T>
+constexpr Seq ExpiryHorizon(const FlowMsg<T>& m) {
+  return m.arrival_wall_ns > 0 ? static_cast<Seq>(m.arrival_wall_ns - 1)
+                               : kNoExpiryHorizon;
+}
+
 template <typename T>
 FlowMsg<T> MakeLossPunct(StreamSide side, Seq first_seq, uint64_t count) {
   FlowMsg<T> msg;

@@ -245,5 +245,60 @@ TEST(Hsj, ResidentTuplesRespectExpiries) {
   EXPECT_EQ(pipeline.total_anomalies(), 0u);
 }
 
+// An expiry can reach a node before its tuple does: the tuple is still
+// being relocated toward that node. A partner pushed after the expiry that
+// rests there must not meet the tuple when it lands, and the chase must end
+// without an anomaly (DESIGN.md Section 4, HSJ expiry horizon).
+TEST(Hsj, ExpiryOvertakingARelocationFiltersLaterPartners) {
+  typename HsjPipeline<TR, TS, KeyEq>::Options options;
+  options.nodes = 2;
+  options.channel_capacity = 16;
+  HsjPipeline<TR, TS, KeyEq> pipeline(options);
+  CollectingHandler<TR, TS> handler;
+  auto collector = pipeline.MakeCollector(&handler);
+  const PipelinePorts<TR, TS> ports = pipeline.ports();
+  const std::vector<Steppable*> nodes = pipeline.nodes();
+
+  auto arrival = [](auto tuple, Seq seq) {
+    FlowMsg<decltype(tuple)> msg;
+    msg.seq = seq;
+    msg.ts = static_cast<Timestamp>(seq);
+    msg.payload = tuple;
+    return msg;
+  };
+  // Driver order with an R count window of 1: r0, r1, the expiry of r0
+  // (issued by r1's arrival, before any S), then s0. All share key 1, so
+  // the only legal pair is (r1, s0).
+  ASSERT_TRUE(ports.left->TryPush(arrival(TR{1, 0}, 0)));
+  ASSERT_TRUE(ports.left->TryPush(arrival(TR{1, 1}, 1)));
+  FlowMsg<TS> expiry;
+  expiry.kind = MsgKind::kExpiry;
+  expiry.ref_side = StreamSide::kR;
+  expiry.seq = 0;
+  SetExpiryHorizon(&expiry, /*next_opposite_seq=*/0);
+  ASSERT_TRUE(ports.right->TryPush(expiry));
+  ASSERT_TRUE(ports.right->TryPush(arrival(TS{1, 0}, 0)));
+
+  nodes[1]->Step();  // the expiry passes node 1 ahead of r0; s0 rests there
+  nodes[0]->Step();  // r0 relocates toward node 1; the chase turns back
+  nodes[1]->Step();  // r0 lands where s0 rests, then the expiry returns
+
+  FlowMsg<TR> flush_r;
+  flush_r.kind = MsgKind::kFlush;
+  ASSERT_TRUE(ports.left->TryPush(flush_r));
+  FlowMsg<TS> flush_s;
+  flush_s.kind = MsgKind::kFlush;
+  ASSERT_TRUE(ports.right->TryPush(flush_s));
+  SequentialExecutor exec;
+  for (Steppable* node : nodes) exec.Add(node);
+  exec.Add(collector.get());
+  exec.RunUntilQuiescent();
+
+  ASSERT_EQ(handler.results().size(), 1u);
+  EXPECT_EQ(handler.results()[0].r_seq, 1u);
+  EXPECT_EQ(handler.results()[0].s_seq, 0u);
+  EXPECT_EQ(pipeline.total_anomalies(), 0u);
+}
+
 }  // namespace
 }  // namespace sjoin

@@ -1,8 +1,12 @@
 // Tests for the punctuation machinery (paper Section 6): high-water marks,
 // the collector's read-marks-then-vacuum protocol, and the punctuation
 // invariant — no result emitted after <t_p> may carry a timestamp < t_p.
+// Also the burst result-delivery contract (OutputHandler::OnResultBurst):
+// the collector's runs end at markers, the router's burst path matches its
+// per-result path, and per-result handlers still see every result.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "llhj/llhj_pipeline.hpp"
@@ -291,6 +295,130 @@ TEST(Collector, TotalCollectedCounts) {
 
   EXPECT_EQ(collector->total_collected(), 1u);
   EXPECT_EQ(handler.results().size(), 1u);
+}
+
+// -- Burst result delivery (OutputHandler::OnResultBurst) ---------------------
+
+ResultMsg<TR, TS> Result(Seq r_seq, QueryId query = 0, Epoch epoch = 0) {
+  ResultMsg<TR, TS> m;
+  m.r_seq = r_seq;
+  m.query = query;
+  m.epoch = epoch;
+  return m;
+}
+
+/// Logs every callback in order; bursts as "b<r_seq,...>".
+class BurstLog : public OutputHandler<TR, TS> {
+ public:
+  void OnResult(const ResultMsg<TR, TS>& m) override {
+    events.push_back("r" + std::to_string(m.r_seq));
+    seqs.push_back(m.r_seq);
+  }
+  void OnResultBurst(const ResultMsg<TR, TS>* run, std::size_t n) override {
+    std::string e = "b";
+    for (std::size_t i = 0; i < n; ++i) {
+      e += (i == 0 ? "" : ",") + std::to_string(run[i].r_seq);
+      seqs.push_back(run[i].r_seq);
+    }
+    events.push_back(e);
+  }
+  void OnLoss(StreamSide, Seq first_seq, uint64_t) override {
+    events.push_back("loss" + std::to_string(first_seq));
+  }
+  void OnEpochDrained(Epoch epoch) override {
+    events.push_back("drained" + std::to_string(epoch));
+  }
+  std::vector<std::string> events;
+  std::vector<Seq> seqs;
+};
+
+TEST(Collector, BurstsEndAtEpochAndLossMarkersInFifoOrder) {
+  SpscQueue<ResultMsg<TR, TS>> queue(32);
+  ResultMsg<TR, TS> epoch_mark;
+  epoch_mark.query = kEpochMarkQuery;
+  epoch_mark.epoch = 1;
+  const std::vector<ResultMsg<TR, TS>> stream = {
+      Result(0), Result(1), MakeLossMark<TR, TS>(StreamSide::kR, 7, 2, 0),
+      Result(2), epoch_mark, epoch_mark, Result(3), Result(4)};
+  ASSERT_EQ(queue.TryPushBurst(stream.data(), stream.size()), stream.size());
+  BurstLog log;
+  Collector<TR, TS> collector({&queue}, &log);
+  EXPECT_EQ(collector.VacuumOnce(), 5u);
+  const std::vector<std::string> want = {"b0,1", "loss7", "b2", "drained1",
+                                         "b3,4"};
+  EXPECT_EQ(log.events, want);
+  EXPECT_EQ(collector.total_collected(), 5u);
+  EXPECT_EQ(collector.loss_bounds(), 1u);
+}
+
+// The router's burst path must be indistinguishable from feeding the same
+// stream through OnResult one result at a time: counts, misroutes and every
+// handler's own order — across runs that mix queries, a handler registered
+// twice, a count-only (null) query, and misrouted results mid-run.
+TEST(QueryRouter, BurstPathMatchesPerResultPath) {
+  auto make = [](QueryRouter<TR, TS>* router, BurstLog* a, BurstLog* b) {
+    router->Register(a);        // q0
+    router->Register(b);        // q1
+    router->Register(a);        // q2: same handler again
+    router->Register(nullptr);  // q3: count-only
+    router->BeginEpoch(0, {0, 1, 2, 3});
+    router->BeginEpoch(1, {0, 2, 3}, /*removed=*/{1});
+  };
+  const std::vector<ResultMsg<TR, TS>> stream = {
+      Result(0, 0), Result(1, 0), Result(2, 1),
+      Result(3, 1, 1),  // q1 is not a member of epoch 1: misrouted
+      Result(4, 1), Result(5, 0, 1), Result(6, 2), Result(7, 2, 1),
+      Result(8, 3), Result(9, 9),  // unregistered query: misrouted
+      Result(10, 0, 2),            // undeclared epoch: misrouted
+      Result(11, 0), Result(12, 0), Result(13, 1)};
+
+  QueryRouter<TR, TS> per_result;
+  BurstLog a1, b1;
+  make(&per_result, &a1, &b1);
+  for (const auto& m : stream) per_result.OnResult(m);
+
+  QueryRouter<TR, TS> burst;
+  BurstLog a2, b2;
+  make(&burst, &a2, &b2);
+  burst.OnResultBurst(stream.data(), stream.size());
+
+  EXPECT_EQ(burst.misrouted(), 3u);
+  EXPECT_EQ(burst.misrouted(), per_result.misrouted());
+  EXPECT_EQ(burst.total_collected(), per_result.total_collected());
+  for (QueryId q = 0; q < 4; ++q) {
+    EXPECT_EQ(burst.collected(q), per_result.collected(q)) << "query " << q;
+  }
+  EXPECT_EQ(a2.seqs, a1.seqs);
+  EXPECT_EQ(b2.seqs, b1.seqs);
+  // Runs that share a query reach its handler as one burst.
+  const std::vector<std::string> want_a = {"b0,1", "b5", "b6,7", "b11,12"};
+  EXPECT_EQ(a2.events, want_a);
+  const std::vector<std::string> want_b = {"b2", "b4", "b13"};
+  EXPECT_EQ(b2.events, want_b);
+}
+
+// A handler written against the per-result interface keeps working: the
+// default OnResultBurst feeds it every result, in order.
+TEST(OutputHandler, PerResultHandlerSeesEveryResultOfABurst) {
+  class PerResult : public OutputHandler<TR, TS> {
+   public:
+    void OnResult(const ResultMsg<TR, TS>& m) override {
+      seqs.push_back(m.r_seq);
+    }
+    std::vector<Seq> seqs;
+  } handler;
+  SpscQueue<ResultMsg<TR, TS>> queue(8);  // wraps: two runs per vacuum
+  Collector<TR, TS> collector({&queue}, &handler);
+  std::vector<Seq> want;
+  for (Seq next = 0; next < 40;) {
+    for (int i = 0; i < 5; ++i, ++next) {
+      ASSERT_TRUE(queue.TryPush(Result(next)));
+      want.push_back(next);
+    }
+    collector.VacuumOnce();
+  }
+  EXPECT_EQ(handler.seqs, want);
+  EXPECT_EQ(collector.total_collected(), 40u);
 }
 
 }  // namespace

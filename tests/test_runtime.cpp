@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 
 #include "runtime/affinity.hpp"
 #include "runtime/backoff.hpp"
+#include "runtime/doorbell.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/mempolicy.hpp"
 #include "runtime/placement.hpp"
@@ -396,6 +399,45 @@ TEST(Topology, NegativeNodeIsInvalid) {
   EXPECT_EQ(topo.CpuForNode(-1, 4), -1);
 }
 
+// Co-located shards split a node (ShardedJoinSession): slices are whole
+// cores with their SMT siblings while there are enough cores, cover the
+// node exactly once, and degrade to shared single CPUs beyond the supply.
+TEST(Topology, OnNodeSlicesSplitWholeCores) {
+  Topology::SyntheticShape shape;
+  shape.cores_per_node = 4;
+  shape.smt_per_core = 2;
+  const Topology topo = Topology::Synthetic(shape);
+  for (int slices : {2, 3, 4}) {
+    std::set<int> covered;
+    for (int slice = 0; slice < slices; ++slice) {
+      const Topology part = topo.OnNode(0, slice, slices);
+      ASSERT_GT(part.cpu_count(), 0) << slice << "/" << slices;
+      std::set<int> cores;
+      for (const TopoCpu& c : part.entries()) {
+        EXPECT_TRUE(covered.insert(c.cpu).second)
+            << "cpu " << c.cpu << " in two slices of " << slices;
+        cores.insert(c.core);
+      }
+      // Every core of the slice brings both of its siblings.
+      EXPECT_EQ(part.cpu_count(), 2 * static_cast<int>(cores.size()));
+    }
+    EXPECT_EQ(static_cast<int>(covered.size()), topo.cpu_count());
+  }
+  // Five slices of four cores: the eight CPUs are split one by one...
+  std::set<int> split;
+  for (int slice = 0; slice < 5; ++slice) {
+    const Topology part = topo.OnNode(0, slice, 5);
+    ASSERT_GT(part.cpu_count(), 0);
+    for (int cpu : part.cpus()) EXPECT_TRUE(split.insert(cpu).second);
+  }
+  EXPECT_EQ(static_cast<int>(split.size()), topo.cpu_count());
+  // ...and beyond the CPU supply slices share CPUs rather than go empty.
+  const Topology flat = Topology::Synthetic(2);
+  EXPECT_EQ(flat.OnNode(0, 2, 3).cpus(), flat.OnNode(0, 0, 3).cpus());
+  EXPECT_EQ(topo.OnNode(0).cpu_count(), topo.cpu_count());
+  EXPECT_EQ(topo.OnNode(1, 0, 2).cpu_count(), 0);
+}
+
 // Regression: on an affinity mask smaller than total_nodes + 2 the old
 // round-robin wrapped the helper threads (feeder and collector are
 // registered after the pipeline nodes) onto the SAME cpus as pipeline
@@ -678,6 +720,153 @@ TEST(ThreadedExecutor, IdleSteppableBacksOffWithoutSpinningHot) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   exec.Stop();
   SUCCEED();
+}
+
+// -- Doorbells: wake-on-push for parked executor threads ----------------------
+
+/// Drains a ring on an executor thread, recording when each item arrived.
+class StampedSink : public Steppable {
+ public:
+  explicit StampedSink(SpscQueue<int64_t>* in) : in_(in) {}
+  bool Step() override {
+    int64_t sent_ns = 0;
+    if (!in_->TryPop(&sent_ns)) return false;
+    last_hop_ns.store(SteadyNs() - sent_ns, std::memory_order_relaxed);
+    received.fetch_add(1, std::memory_order_release);
+    return true;
+  }
+  static int64_t SteadyNs() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+  std::atomic<uint64_t> received{0};
+  std::atomic<int64_t> last_hop_ns{0};
+
+ private:
+  SpscQueue<int64_t>* in_;
+};
+
+template <typename Pred>
+bool WaitFor(Pred done, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(Doorbell, ParkedConsumerSeesSinglePush) {
+  SpscQueue<int64_t> ring(64);
+  StampedSink sink(&ring);
+  ThreadedExecutor exec(Topology::Synthetic(1));
+  exec.Add(&sink);
+  exec.Start();
+  // Long enough for the spin and yield rungs to run out: the consumer is
+  // parked on its doorbell (or between timed waits) when the push lands.
+  ASSERT_TRUE(WaitFor([&] { return exec.parks() > 0; },
+                      std::chrono::seconds(10)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(ring.TryPush(StampedSink::SteadyNs()));
+  ASSERT_TRUE(WaitFor([&] { return sink.received.load() == 1; },
+                      std::chrono::seconds(10)));
+  // Generous: a wake takes microseconds, the timed fallback 50 us plus
+  // timer slack; the bound only has to rule out a lost wake-up on a loaded
+  // or sanitized host.
+  EXPECT_LT(sink.last_hop_ns.load(), 250'000'000);
+  exec.Stop();
+}
+
+/// Forwards every item of `in` to `out` (the echo half of a ping-pong).
+class Echo : public Steppable {
+ public:
+  Echo(SpscQueue<uint64_t>* in, SpscQueue<uint64_t>* out)
+      : in_(in), out_(out) {}
+  bool Step() override {
+    uint64_t v = 0;
+    if (!in_->TryPop(&v)) return false;
+    while (!out_->TryPush(v)) {
+    }
+    return true;
+  }
+
+ private:
+  SpscQueue<uint64_t>* in_;
+  SpscQueue<uint64_t>* out_;
+};
+
+/// Checks the items of `in` arrive as 0, 1, 2, ...
+class OrderedSink : public Steppable {
+ public:
+  explicit OrderedSink(SpscQueue<uint64_t>* in) : in_(in) {}
+  bool Step() override {
+    uint64_t v = 0;
+    if (!in_->TryPop(&v)) return false;
+    const uint64_t n = received.load(std::memory_order_relaxed);
+    if (v != n) out_of_order.fetch_add(1, std::memory_order_relaxed);
+    received.store(n + 1, std::memory_order_release);
+    return true;
+  }
+  std::atomic<uint64_t> received{0};
+  std::atomic<uint64_t> out_of_order{0};
+
+ private:
+  SpscQueue<uint64_t>* in_;
+};
+
+// Two parked hops per message (caller -> echo thread -> sink thread), with
+// random idle gaps so pushes land at every point of the park protocol:
+// spinning, yielding, arming, parked, timing out.
+TEST(Doorbell, PingPongWithRandomGapsDeliversInOrder) {
+  constexpr uint64_t kMessages = 10'000;
+  SpscQueue<uint64_t> ping(16);
+  SpscQueue<uint64_t> pong(16);
+  Echo echo(&ping, &pong);
+  OrderedSink sink(&pong);
+  ThreadedExecutor exec(Topology::Synthetic(2));
+  exec.Add(&echo);
+  exec.Add(&sink);
+  exec.Start();
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> gap_us(0, 200);
+  for (uint64_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(ping.TryPush(i));
+    ASSERT_TRUE(WaitFor([&] { return sink.received.load() == i + 1; },
+                        std::chrono::seconds(10)))
+        << "message " << i << " not delivered (lost wake-up?)";
+    const int gap = gap_us(rng);
+    if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
+  }
+  exec.Stop();
+  EXPECT_EQ(sink.received.load(), kMessages);
+  EXPECT_EQ(sink.out_of_order.load(), 0u);
+}
+
+// A ring keeps no pointer to a doorbell whose thread has exited: pushes
+// after Stop() and after the executor is destroyed must not touch the
+// executor's memory (ASan leg).
+TEST(Doorbell, PushAfterStopAndAfterExecutorDestroyedIsSafe) {
+  SpscQueue<int64_t> ring(64);
+  StampedSink sink(&ring);
+  {
+    auto exec = std::make_unique<ThreadedExecutor>(Topology::Synthetic(1));
+    exec->Add(&sink);
+    exec->Start();
+    // The consumer registers its doorbell on finding the ring empty.
+    ASSERT_TRUE(ring.TryPush(StampedSink::SteadyNs()));
+    ASSERT_TRUE(WaitFor([&] { return sink.received.load() == 1; },
+                        std::chrono::seconds(10)));
+    ASSERT_TRUE(WaitFor([&] { return exec->parks() > 0; },
+                        std::chrono::seconds(10)));
+    exec->Stop();
+    EXPECT_TRUE(ring.TryPush(1));  // consumer gone: nobody to wake
+    exec->Start();                 // a second generation re-registers
+    ASSERT_TRUE(WaitFor([&] { return sink.received.load() == 2; },
+                        std::chrono::seconds(10)));
+  }
+  EXPECT_TRUE(ring.TryPush(2));  // executor destroyed
+  EXPECT_EQ(ring.SizeApprox(), 1u);
 }
 
 }  // namespace

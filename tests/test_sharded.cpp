@@ -14,7 +14,8 @@
 //  * sharding-level loss accounting (forced sheds) matching the plain
 //    session under the identical shed schedule,
 //  * merged latency histograms and min-merged punctuations,
-//  * internal/external driver-mode mixing rejected.
+//  * internal/external driver-mode mixing rejected,
+//  * shards sharing a NUMA node pinned to disjoint CPUs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -637,6 +638,45 @@ TEST(Sharded, MergesLatencyHistogramsAndPunctuations) {
     EXPECT_GE(handler.punctuations()[i], handler.punctuations()[i - 1]);
   }
   EXPECT_EQ(sharded.pipeline_anomalies(), 0u);
+}
+
+// -- Placement ---------------------------------------------------------------
+
+// Shards that share a NUMA node split its cores. Each shard used to take the
+// whole node as its machine model, so on a single-node host compact
+// placement pinned every shard's position 0 to the node's first CPU.
+TEST(ShardedPlacement, ShardsOnOneNodePinDisjointCpus) {
+  Topology::SyntheticShape shape;
+  shape.cores_per_node = 4;  // 1 node x 4 CPUs
+  for (int shards : {2, 4}) {
+    ShardedJoinConfig config =
+        ShardedFor(Algorithm::kLowLatency, WindowSpec::Count(16),
+                   WindowSpec::Count(16), /*threaded=*/true, shards,
+                   PartitionPolicy::kHashKey);
+    config.shard.topology =
+        std::make_shared<const Topology>(Topology::Synthetic(shape));
+    config.shard.parallelism = 4 / shards;
+    config.shard.placement = PlacementPolicy::kCompact;
+    CollectingHandler<TR, TS> handler;
+    ShardedJoinSession<TR, TS, KeyEq> sharded(config);
+    sharded.AddQuery(KeyEq{}, &handler);
+    sharded.PushR(TR{1, 0}, 0);  // starts every shard
+    std::set<int> pinned;
+    for (int k = 0; k < shards; ++k) {
+      const PlacementPlan& plan = sharded.shard_placement(k);
+      ASSERT_EQ(plan.positions(), config.shard.parallelism);
+      for (int pos = 0; pos < plan.positions(); ++pos) {
+        const int cpu = plan.CpuForPosition(pos);
+        ASSERT_GE(cpu, 0) << "shard " << k << " position " << pos;
+        EXPECT_TRUE(pinned.insert(cpu).second)
+            << shards << " shards: cpu " << cpu << " pinned twice (shard "
+            << k << ", position " << pos << ")";
+      }
+    }
+    sharded.PushS(TS{1, 1}, 1);
+    sharded.FinishInput();
+    EXPECT_EQ(handler.results().size(), 1u);
+  }
 }
 
 // -- Driver-mode guard -------------------------------------------------------

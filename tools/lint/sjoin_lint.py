@@ -26,6 +26,11 @@ checks for:
                        src/common/thread_annotations.hpp — locks must be
                        the AnnotatedMutex/MutexLock wrappers so clang's
                        -Wthread-safety analysis can see them.
+  hot-path-sleep       no sleep_for / usleep / nanosleep in the hot-path
+                       dirs outside src/runtime/backoff.hpp — idle engine
+                       threads park on their futex doorbell and wake on
+                       push (src/runtime/doorbell.hpp); a timed sleep
+                       there would quietly bring back sleep-polling.
 
 Scope: files under src/ reachable from compile_commands.json (headers
 discovered transitively through #include "..." of in-repo paths). Pure
@@ -60,6 +65,7 @@ OPERATOR_NEW = re.compile(r"::\s*operator\s+(new|delete)\b")
 RAW_DELETE = re.compile(r"(?<![\w_])delete\s*(\[\s*\])?\s*[A-Za-z_:(*]")
 RAW_MUTEX = re.compile(r"\bstd\s*::\s*(mutex|lock_guard|unique_lock|"
                        r"scoped_lock|shared_mutex|recursive_mutex)\b")
+SLEEP_CALL = re.compile(r"(?<![\w])(sleep_for|usleep|nanosleep)\s*\(")
 SWITCH_KIND = re.compile(r"\bswitch\s*\(")
 DEFAULT_LABEL = re.compile(r"(?<![\w_])default\s*:")
 LINT_AS = re.compile(r"//\s*LINT_AS:\s*(\S+)")
@@ -200,6 +206,14 @@ class Linter:
                     "hot-path-container", rel, line_of(code, m2.start()),
                     f"std::{m2.group(1)} in a hot-path dir; use "
                     "sjoin::VecDeque, flat_hash, or a sorted vector")
+
+        if hot and rel != "src/runtime/backoff.hpp":
+            for m2 in SLEEP_CALL.finditer(code):
+                self.report(
+                    "hot-path-sleep", rel, line_of(code, m2.start()),
+                    f"{m2.group(1)} in a hot-path dir; idle engine threads "
+                    "park on their doorbell (src/runtime/doorbell.hpp), and "
+                    "the one timed wait lives in src/runtime/backoff.hpp")
 
         if in_src and rel != "src/common/env.hpp":
             for m2 in GETENV.finditer(code):
