@@ -813,10 +813,6 @@ class HsjNode : public Steppable {
     bool acked = false;   ///< no in-flight copy of the tuple remains here
   };
 
-  /// Bound on remembered expiries per side (a safety net: entries retire
-  /// as their tuples pass, and expiries only wait here while chasing).
-  static constexpr std::size_t kMaxKills = 64;
-
   std::vector<Kill>& Kills(StreamSide side) {
     return side == StreamSide::kR ? kills_r_ : kills_s_;
   }
@@ -828,11 +824,15 @@ class HsjNode : public Steppable {
     return nullptr;
   }
 
+  /// Remembers an expiry until its tuple has come through and its chase
+  /// and in-flight copy are done. No entry is ever dropped early: a
+  /// forgotten entry would let the tuple meet partners pushed after its
+  /// expiry. The lists stay short without a cap, since an entry waits only
+  /// for a tuple that is still upstream (in a channel or an upstream
+  /// segment) or for one ack.
   void NoteKill(StreamSide side, const Kill& kill) {
     if (FindKill(side, kill.seq) != nullptr) return;  // a bounce revisiting
-    std::vector<Kill>& kills = Kills(side);
-    if (kills.size() >= kMaxKills) kills.erase(kills.begin());
-    kills.push_back(kill);
+    Kills(side).push_back(kill);
   }
 
   /// S only: the expired tuple's in-flight (IWS) copy is still here while

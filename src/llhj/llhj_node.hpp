@@ -89,12 +89,6 @@ class LlhjNode : public Steppable {
     HomeAssigner home_r;
     HomeAssigner home_s;
     int msgs_per_step = 8;
-    /// The collector punctuates (Section 6.1.3): a tuple's expedition
-    /// completing promises that all its results are queued, so an arrival
-    /// batch is probed before it is passed on. Otherwise it is passed on
-    /// first, which is what keeps the expedition latency low (Fig. 13/14
-    /// line 7).
-    bool punctuate = false;
   };
 
   struct Counters {
@@ -199,9 +193,9 @@ class LlhjNode : public Steppable {
 
   // -- Left input (Figure 13): R arrivals, acks of S, expiries of S. ---------
 
-  /// Consumes a run of left-input R arrivals as one batch: burst-forward,
-  /// one store traversal for all k probes (and all registered queries),
-  /// then per-tuple home bookkeeping in flow order. Returns the number
+  /// Consumes a run of left-input R arrivals as one batch: one store
+  /// traversal for all k probes (and all registered queries), a
+  /// burst-forward, then per-tuple home bookkeeping in flow order. Returns the number
   /// consumed; less than `run` (possibly 0) when outbound backpressure caps
   /// the batch — the rest stays at the channel front.
   //
@@ -222,22 +216,20 @@ class LlhjNode : public Steppable {
         msgs[j].home = config_.home_r.Of(msgs[j].seq);
       }
     }
-    // Fig 13 line 7: expedite the whole run first to minimize latency.
-    const auto expedite = [&] {
-      if (!IsRightmost()) {
-        right_out_.PushBurst(std::span<const FlowMsg<R>>(msgs, k));
-      }
-    };
-    if (!config_.punctuate) expedite();
     // Fig 13 line 8: match against stored copies and in-flight S — one
-    // traversal for the whole batch.
+    // traversal for the whole batch. The probe runs before the expedition
+    // (line 7) so that a completed expedition promises every result of the
+    // tuple is queued (punctuations, DESIGN.md Section 4).
     probe_r_.clear();
     for (std::size_t j = 0; j < k; ++j) {
       probe_r_.push_back(Stamped<R>{msgs[j].payload, msgs[j].seq, msgs[j].ts,
                                     msgs[j].arrival_wall_ns, msgs[j].epoch});
     }
     ScanBatchAgainstS(probe_r_.data(), k);
-    if (config_.punctuate) expedite();
+    // Fig 13 line 7: expedite the whole run as one burst.
+    if (!IsRightmost()) {
+      right_out_.PushBurst(std::span<const FlowMsg<R>>(msgs, k));
+    }
     // Fig 13 lines 9-12 per tuple, in flow order: store at the home node
     // (flagged expedited), then end the expedition at the rightmost node —
     // the marker is injected at exactly this position of the S flow.
@@ -346,22 +338,19 @@ class LlhjNode : public Steppable {
         msgs[j].home = config_.home_s.Of(msgs[j].seq);
       }
     }
-    // Fig 14 line 7: expedite first (after the probe when punctuating).
-    const auto expedite = [&] {
-      if (!IsLeftmost()) {
-        left_out_.PushBurst(std::span<const FlowMsg<S>>(msgs, k));
-      }
-    };
-    if (!config_.punctuate) expedite();
     // Fig 14 line 8: one traversal of the R store for the whole batch;
-    // only non-expedited entries participate (stored/stored dedup).
+    // only non-expedited entries participate (stored/stored dedup). Probed
+    // before the expedition, as in HandleLeftArrivals.
     probe_s_.clear();
     for (std::size_t j = 0; j < k; ++j) {
       probe_s_.push_back(Stamped<S>{msgs[j].payload, msgs[j].seq, msgs[j].ts,
                                     msgs[j].arrival_wall_ns, msgs[j].epoch});
     }
     ScanBatchAgainstR(probe_s_.data(), k);
-    if (config_.punctuate) expedite();
+    // Fig 14 line 7: expedite the whole run as one burst.
+    if (!IsLeftmost()) {
+      left_out_.PushBurst(std::span<const FlowMsg<S>>(msgs, k));
+    }
     ack_buf_.clear();
     for (std::size_t j = 0; j < k; ++j) {
       const NodeId home = msgs[j].home;

@@ -94,7 +94,6 @@ class LlhjPipeline {
       config.home_r = home_r;
       config.home_s = home_s;
       config.msgs_per_step = options_.msgs_per_step;
-      config.punctuate = options_.punctuate;
       nodes_.push_back(std::make_unique<Node>(
           config, &registry_, sinks_[static_cast<std::size_t>(k)].get(),
           /*left_in=*/l2r_[static_cast<std::size_t>(k)].get(),

@@ -4,8 +4,9 @@
 // of burning the timeslice of the thread they are waiting for.
 //
 // This header holds the runtime's only timed sleep (lint rule
-// hot-path-sleep). Executor threads never reach it: once their ladder is
-// exhausted they park on a futex doorbell that pushes ring
+// hot-path-sleep; the one marked exception is the doorbell's fallback on
+// hosts without futexes). Executor threads never reach it: once their
+// ladder is exhausted they park on a futex doorbell that pushes ring
 // (runtime/doorbell.hpp). The sleep rung serves the waits no push can end —
 // the session caller's full-channel and expiry-gate waits, start barriers.
 #pragma once
@@ -24,11 +25,6 @@ inline void CpuRelax() {}
 /// Length of the ladder's last rung.
 inline constexpr std::chrono::microseconds kBackoffSleep{50};
 
-/// Sleeps the calling thread for about `duration`.
-inline void SleepBriefly(std::chrono::microseconds duration) {
-  std::this_thread::sleep_for(duration);
-}
-
 /// Escalating wait: pause -> yield -> short sleep. Reset() after progress.
 class Backoff {
  public:
@@ -38,7 +34,7 @@ class Backoff {
     } else if (attempt_ < kYieldLimit) {
       std::this_thread::yield();
     } else {
-      SleepBriefly(kBackoffSleep);
+      std::this_thread::sleep_for(kBackoffSleep);
     }
     ++attempt_;
   }

@@ -45,6 +45,8 @@
 #include <unistd.h>
 
 #include <ctime>
+#else
+#include <thread>
 #endif
 
 #include "runtime/backoff.hpp"
@@ -90,7 +92,8 @@ class Doorbell {
     syscall(SYS_futex, Word(), FUTEX_WAIT_PRIVATE, kParked, &timeout, nullptr,
             0);
 #else
-    SleepBriefly(kParkTimeout);
+    // No futex: the timed fallback alone.
+    std::this_thread::sleep_for(kParkTimeout);  // NOLINT(hot-path-sleep)
 #endif
     Disarm();
   }
@@ -102,6 +105,7 @@ class Doorbell {
     if (state_.load(std::memory_order_relaxed) != kParked) return;
     // Only the ringer that disarms pays for the wake system call.
     if (state_.exchange(kAwake, std::memory_order_relaxed) != kParked) return;
+    wakes_.fetch_add(1, std::memory_order_relaxed);
 #if defined(__linux__)
     syscall(SYS_futex, Word(), FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
 #endif
@@ -122,6 +126,10 @@ class Doorbell {
 
   /// Number of Wait calls so far (readable from any thread).
   uint64_t parks() const { return parks_.load(std::memory_order_relaxed); }
+
+  /// Number of Ring calls that woke the owner from an armed or parked
+  /// state (readable from any thread).
+  uint64_t wakes() const { return wakes_.load(std::memory_order_relaxed); }
 
  private:
   friend class DoorbellSlot;
@@ -147,6 +155,7 @@ class Doorbell {
   // Written by ringers on any thread: keep it off the owner's other data.
   alignas(kCacheLineSize) std::atomic<uint32_t> state_{kAwake};
   std::atomic<uint64_t> parks_{0};
+  std::atomic<uint64_t> wakes_{0};
   std::vector<std::atomic<Doorbell*>*> slots_;  // owner thread only
 
   static inline constinit thread_local Doorbell* current_ = nullptr;

@@ -121,6 +121,14 @@ class ThreadedExecutor {
     return n;
   }
 
+  /// Times a push (or Stop()) has woken one of this executor's threads
+  /// from its doorbell so far (diagnostics).
+  uint64_t wakes() const {
+    uint64_t n = 0;
+    for (const auto& bell : doorbells_) n += bell->wakes();
+    return n;
+  }
+
   /// The plan threads were placed with (valid after Start()).
   const PlacementPlan& plan() const { return plan_; }
 

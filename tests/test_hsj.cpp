@@ -300,5 +300,65 @@ TEST(Hsj, ExpiryOvertakingARelocationFiltersLaterPartners) {
   EXPECT_EQ(pipeline.total_anomalies(), 0u);
 }
 
+// Many expiries can wait at one node for tuples that are still upstream.
+// None of them may be forgotten: a tuple whose expiry entry was dropped
+// would meet the partners pushed after its expiry when it lands.
+TEST(Hsj, ManyExpiriesOvertakingTheirTuplesFilterLaterPartners) {
+  constexpr Seq kExpired = 200;
+  typename HsjPipeline<TR, TS, KeyEq>::Options options;
+  options.nodes = 2;
+  options.channel_capacity = 512;
+  HsjPipeline<TR, TS, KeyEq> pipeline(options);
+  CollectingHandler<TR, TS> handler;
+  auto collector = pipeline.MakeCollector(&handler);
+  const PipelinePorts<TR, TS> ports = pipeline.ports();
+  const std::vector<Steppable*> nodes = pipeline.nodes();
+
+  auto arrival = [](auto tuple, Seq seq) {
+    FlowMsg<decltype(tuple)> msg;
+    msg.seq = seq;
+    msg.ts = static_cast<Timestamp>(seq);
+    msg.payload = tuple;
+    return msg;
+  };
+  // Driver order: r0..r200, the expiries of r0..r199 (all before any S),
+  // then s0. All share key 1, so the only legal pair is (r200, s0).
+  for (Seq seq = 0; seq <= kExpired; ++seq) {
+    ASSERT_TRUE(ports.left->TryPush(arrival(TR{1, 0}, seq)));
+  }
+  for (Seq seq = 0; seq < kExpired; ++seq) {
+    FlowMsg<TS> expiry;
+    expiry.kind = MsgKind::kExpiry;
+    expiry.ref_side = StreamSide::kR;
+    expiry.seq = seq;
+    SetExpiryHorizon(&expiry, /*next_opposite_seq=*/0);
+    ASSERT_TRUE(ports.right->TryPush(expiry));
+  }
+  ASSERT_TRUE(ports.right->TryPush(arrival(TS{1, 0}, 0)));
+
+  // Only node 1 runs: every expiry passes it ahead of its tuple, and s0
+  // comes to rest there.
+  for (int i = 0; i < 1000 && ports.right->SizeApprox() > 0; ++i) {
+    nodes[1]->Step();
+  }
+  ASSERT_EQ(ports.right->SizeApprox(), 0u);
+
+  FlowMsg<TR> flush_r;
+  flush_r.kind = MsgKind::kFlush;
+  ASSERT_TRUE(ports.left->TryPush(flush_r));
+  FlowMsg<TS> flush_s;
+  flush_s.kind = MsgKind::kFlush;
+  ASSERT_TRUE(ports.right->TryPush(flush_s));
+  SequentialExecutor exec;
+  for (Steppable* node : nodes) exec.Add(node);
+  exec.Add(collector.get());
+  exec.RunUntilQuiescent();
+
+  ASSERT_EQ(handler.results().size(), 1u);
+  EXPECT_EQ(handler.results()[0].r_seq, kExpired);
+  EXPECT_EQ(handler.results()[0].s_seq, 0u);
+  EXPECT_EQ(pipeline.total_anomalies(), 0u);
+}
+
 }  // namespace
 }  // namespace sjoin

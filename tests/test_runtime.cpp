@@ -778,6 +778,32 @@ TEST(Doorbell, ParkedConsumerSeesSinglePush) {
   exec.Stop();
 }
 
+// The timed fallback alone would also deliver every push, so this checks
+// the mechanism itself: a push into the ring of a parked consumer rings
+// its doorbell. A push can land in the microsecond between two timed
+// waits and be seen without a wake, so most pushes, not all, must wake.
+TEST(Doorbell, PushesIntoParkedRingWakeTheConsumer) {
+  constexpr uint64_t kPushes = 200;
+  SpscQueue<int64_t> ring(64);
+  StampedSink sink(&ring);
+  ThreadedExecutor exec(Topology::Synthetic(1));
+  exec.Add(&sink);
+  exec.Start();
+  for (uint64_t i = 0; i < kPushes; ++i) {
+    // Wait for a park that starts after the previous item was taken.
+    const uint64_t parked = exec.parks();
+    ASSERT_TRUE(WaitFor([&] { return exec.parks() > parked; },
+                        std::chrono::seconds(10)));
+    ASSERT_TRUE(ring.TryPush(StampedSink::SteadyNs()));
+    ASSERT_TRUE(WaitFor([&] { return sink.received.load() == i + 1; },
+                        std::chrono::seconds(10)));
+  }
+  const uint64_t wakes = exec.wakes();
+  exec.Stop();
+  EXPECT_GE(wakes, kPushes / 2) << "pushes did not ring the doorbell";
+  EXPECT_LE(wakes, kPushes);
+}
+
 /// Forwards every item of `in` to `out` (the echo half of a ping-pong).
 class Echo : public Steppable {
  public:
@@ -838,6 +864,8 @@ TEST(Doorbell, PingPongWithRandomGapsDeliversInOrder) {
     const int gap = gap_us(rng);
     if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
   }
+  // The gaps let both threads park: some pushes must have woken them.
+  EXPECT_GT(exec.wakes(), 0u);
   exec.Stop();
   EXPECT_EQ(sink.received.load(), kMessages);
   EXPECT_EQ(sink.out_of_order.load(), 0u);
