@@ -1,7 +1,7 @@
 // Ablation: multi-query sharing. Q concurrent band queries over the paper's
 // band-join workload, run two ways:
 //
-//   independent — Q classic StreamJoiners, each owning its own pipeline,
+//   independent — Q single-query JoinSessions, each owning its own pipeline,
 //     windows and transport, each ingesting the full stream through the
 //     per-tuple Push API (the pre-session deployment: one operator per
 //     query);
@@ -96,18 +96,20 @@ struct ModeStats {
 // different streams and legitimately differ at window boundaries). The
 // modes differ only in API: spans vs a per-tuple loop over the chunks.
 
-/// Q independent per-tuple StreamJoiners, fed round-robin per chunk so the
-/// Q windows advance together (as Q separate operator deployments would).
+/// Q independent per-tuple single-query sessions, fed round-robin per chunk
+/// so the Q windows advance together (as Q separate operator deployments
+/// would).
 ModeStats RunIndependent(const Config& c, int q, const Streams& in) {
   const auto preds = MakeQueries(q);
   std::vector<std::unique_ptr<CountingHandler<RTuple, STuple>>> handlers;
-  std::vector<std::unique_ptr<StreamJoiner<RTuple, STuple, BandPredicate>>>
+  std::vector<std::unique_ptr<JoinSession<RTuple, STuple, BandPredicate>>>
       joiners;
   for (int i = 0; i < q; ++i) {
     handlers.push_back(std::make_unique<CountingHandler<RTuple, STuple>>());
     joiners.push_back(
-        std::make_unique<StreamJoiner<RTuple, STuple, BandPredicate>>(
-            SessionConfig(c), handlers.back().get(), preds[i]));
+        std::make_unique<JoinSession<RTuple, STuple, BandPredicate>>(
+            SessionConfig(c)));
+    joiners.back()->AddQuery(preds[i], handlers.back().get());
   }
   const std::size_t chunk = static_cast<std::size_t>(c.batch);
   const int64_t start = NowNs();

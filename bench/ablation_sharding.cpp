@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/sharded_session.hpp"
+#include "core/join_session.hpp"
 
 using namespace sjoin;
 using namespace sjoin::bench;

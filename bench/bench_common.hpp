@@ -27,7 +27,7 @@
 
 #include "common/clock.hpp"
 #include "common/schema.hpp"
-#include "core/stream_joiner.hpp"
+#include "core/join_session.hpp"
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
 #include "runtime/executor.hpp"

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/stream_joiner.hpp"
+#include "core/join_session.hpp"
 #include "common/rng.hpp"
 #include "stream/sorter.hpp"
 
@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   config.window_s = WindowSpec::Count(512);
   config.punctuate = true;   // high-water-mark punctuations (Section 6.1)
   config.threaded = false;
-  StreamJoiner<Order, Shipment, SameItem> join(config, &sorter);
+  JoinSession<Order, Shipment, SameItem> join(config);
+  join.AddQuery(SameItem{}, &sorter);
 
   Rng rng(5);
   for (int i = 0; i < events; ++i) {

@@ -1,12 +1,12 @@
 // Quickstart: join two small streams with the low-latency handshake join
-// through the public StreamJoiner API.
+// through the public JoinSession API.
 //
 //   $ ./quickstart
 //
 // Demonstrates: configuring windows, pushing tuples, polling results.
 #include <cstdio>
 
-#include "core/stream_joiner.hpp"
+#include "core/join_session.hpp"
 
 using namespace sjoin;
 
@@ -42,7 +42,8 @@ int main() {
   config.window_s = WindowSpec::Time(5'000'000);  // last 5 s of ad clicks
   config.threaded = false;  // advance on this thread; flip for real threads
 
-  StreamJoiner<PageView, AdClick, SameUser> join(config, &results);
+  JoinSession<PageView, AdClick, SameUser> join(config);
+  join.AddQuery(SameUser{}, &results);
 
   // Interleaved stream: timestamps in microseconds, non-decreasing.
   join.PushR(PageView{/*user=*/1, /*page=*/10}, 0);

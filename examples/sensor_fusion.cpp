@@ -3,7 +3,7 @@
 // accelerated LLHJ pipeline directly (paper Section 7.6 / Table 2 — the
 // "looking forward: index acceleration" configuration).
 //
-// This example uses the pipeline layer rather than the StreamJoiner facade
+// This example uses the pipeline layer rather than the JoinSession API
 // to show how the pieces compose: pipeline + feeder + collector + executor.
 //
 //   $ ./sensor_fusion [readings-per-stream]

@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "common/clock.hpp"
-#include "core/stream_joiner.hpp"
+#include "core/join_session.hpp"
 #include "common/rng.hpp"
 #include "stream/stats.hpp"
 
@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
   config.window_r = WindowSpec::Time(2'000'000);  // trades: last 2 s
   config.window_s = WindowSpec::Time(2'000'000);  // quotes: last 2 s
   config.threaded = true;  // pipeline nodes on their own threads
-  StreamJoiner<Trade, Quote, TradeThrough> join(config, &alerts);
+  JoinSession<Trade, Quote, TradeThrough> join(config);
+  join.AddQuery(TradeThrough{}, &alerts);
 
   std::printf("surveillance on %d symbols, %.0f trades+quotes/s each side, "
               "%.1f s...\n\n",

@@ -1,20 +1,34 @@
 // Multi-query, batch-first session API — the public operator of this
-// library. One JoinSession owns the complete operator state: the external
-// driver (window bookkeeping, expiry generation), the join engine, the
-// transport channels and the result collector. N queries (predicates of one
-// type, e.g. band predicates with different bounds) share all of it:
+// library. One JoinSession is ONE driver over N >= 1 engine-only shards
+// (DESIGN.md Sections 8 and 13):
+//
+//   driver — everything that exists once per session: sequence numbering,
+//     monotonic timestamps, window bookkeeping (one ExpiryTracker over the
+//     global arrival order), admission and its loss gaps, query ids and
+//     epochs, one QueryRouter, the partitioner and the expiry routes.
+//   shards — a JoinShard owns only its engine, channels, collector and
+//     executor; it takes the driver's messages as staged flows.
 //
 //   JoinConfig config;
 //   config.algorithm = Algorithm::kLowLatency;
 //   config.window_r = WindowSpec::Time(5'000'000);
 //   config.window_s = WindowSpec::Time(5'000'000);
-//   JoinSession<RTuple, STuple, BandPredicate> session(config);
+//   JoinSession<RTuple, STuple, BandPredicate> session(config);  // N = 1
 //   auto q0 = session.AddQuery(BandPredicate{10, 10.f}, &tight_handler);
 //   auto q1 = session.AddQuery(BandPredicate{50, 50.f}, &wide_handler);
-//   session.PushR(r, ts);                  // per-tuple ingestion
+//   session.PushR(r, ts);                          // a span of one
 //   session.PushR(std::span(rs), std::span(tss));  // batch-first ingestion
 //   session.Poll();
 //   session.FinishInput();
+//
+// A ShardedJoinConfig{shard, shards, partition} builds N shards behind the
+// same API. Every arrival is routed by the resolved PartitionPolicy
+// (stream/partitioner.hpp): equi-joins hash both sides on the join key;
+// band/range predicates replicate one side and split the other. Expiries
+// follow their tuple to exactly the shards that received it. Restricting
+// the global driver order to one shard's subset preserves relative order,
+// so the result multiset is exactly the single-shard one (proven per engine
+// by tests/test_sharded.cpp).
 //
 // Every window crossing evaluates all registered predicates in a single
 // store traversal; each result is tagged with the QueryId that produced it
@@ -31,28 +45,30 @@
 // `ResultMsg::epoch` tag); an added query starts matching pairs whose later
 // input is pushed after the install, a removed query stops at exactly that
 // boundary and its handler receives a final punctuation (OnQueryRetired)
-// once its last result has drained — never a post-removal result.
+// once its last result has drained on every shard — never a post-removal
+// result.
 //
 // Rules:
 //  * At least one query must be live before the first Push.
 //  * Timestamps must be non-decreasing across both Push sides (stream
-//    order); batch pushes are equivalent to the per-tuple loop over their
-//    span, and a batch is ordered internally by span index.
+//    order); a span push is equivalent to the per-tuple loop over its span.
 //  * Baseline engines (Kang, CellJoin) support multi-query through a union
 //    predicate plus per-match fan-out at the sink — same semantics, no
 //    shared-traversal speedup (they exist as oracles, not deployments).
-//    Being synchronous, their epoch installs take effect (and drain)
-//    immediately at the call.
+//    Being synchronous, they apply every message at once, and their epoch
+//    installs take effect (and drain) immediately at the call.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "baseline/cell_join.hpp"
@@ -60,6 +76,7 @@
 #include "common/clock.hpp"
 #include "common/contracts.hpp"
 #include "common/types.hpp"
+#include "common/vec_deque.hpp"
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/home_policy.hpp"
 #include "llhj/llhj_pipeline.hpp"
@@ -71,9 +88,11 @@
 #include "stream/collector.hpp"
 #include "stream/handlers.hpp"
 #include "stream/message.hpp"
+#include "stream/partitioner.hpp"
 #include "stream/ports.hpp"
 #include "stream/query_set.hpp"
 #include "stream/script.hpp"
+#include "stream/stats.hpp"
 #include "stream/window.hpp"
 
 namespace sjoin {
@@ -153,7 +172,8 @@ struct JoinConfig {
   /// never mid-window — and every gap is announced in-band to the handlers
   /// via OutputHandler::OnLoss with exact per-side (first_seq, count)
   /// bounds. 0 + kNone (the default) disables admission entirely; bounded
-  /// queues then provide lossless backpressure as before.
+  /// queues then provide lossless backpressure as before. One budget
+  /// governs the whole session, however many shards it has.
   int64_t latency_budget_us = 0;
   OverloadPolicy overload_policy = OverloadPolicy::kNone;
 };
@@ -223,324 +243,334 @@ inline void ValidateJoinConfig(const JoinConfig& config) {
   }
 }
 
+/// The N >= 1 form of a session's configuration. A JoinConfig builds the
+/// same session with shards = 1.
+struct ShardedJoinConfig {
+  /// Per-shard engine configuration (engine, windows, parallelism,
+  /// threading, placement, admission...). `shard.topology` is the machine
+  /// model the shards are spread over: shard k is placed on the k-th NUMA
+  /// node (round-robin) via Topology::OnNode.
+  JoinConfig shard;
+
+  /// Number of independent pipeline shards. Must be >= 1.
+  int shards = 2;
+
+  /// How the two input streams are split (stream/partitioner.hpp). kAuto
+  /// resolves from the predicate type's metadata.
+  PartitionPolicy partition = PartitionPolicy::kAuto;
+};
+
+/// Rejects shard counts and policies the predicate set cannot support.
+/// Throws std::invalid_argument naming the offending field AND value.
 template <typename R, typename S, typename Pred>
-class JoinSession {
+void ValidateShardedJoinConfig(const ShardedJoinConfig& config) {
+  ValidateJoinConfig(config.shard);
+  if (config.shards < 1) {
+    throw std::invalid_argument(
+        "ShardedJoinConfig: shards must be >= 1, got " +
+        std::to_string(config.shards));
+  }
+  // Resolution throws when the requested policy is infeasible for the
+  // predicate type (kHashKey without ShardKeyTraits).
+  const PartitionPolicy resolved =
+      ResolvePartitionPolicy<Pred, R, S>(config.partition);
+  // Chase-convergence envelope for the handshake join: HSJ's expiry chase
+  // (hsj_node.hpp) converges only while each shard's live window stays
+  // comfortably above the pipeline length — with near-empty segments the
+  // chase flip-flops against self-balancing relocations until it exhausts
+  // its hop budget and leaks the tuple. Partitioning thins a side's stream
+  // by the shard count, so the PER-SHARD window is what must clear the
+  // floor. Reject configs below it instead of racing.
+  if (config.shard.algorithm == Algorithm::kHandshake && config.shards > 1) {
+    const int64_t floor = std::max<int64_t>(
+        8, 2 * static_cast<int64_t>(config.shard.parallelism));
+    auto check_side = [&](const char* side, const WindowSpec& w) {
+      const int64_t global_tuples =
+          w.is_count() ? w.size : config.shard.hsj_window_tuples_hint;
+      const int64_t per_shard = global_tuples / config.shards;
+      if (per_shard < floor) {
+        throw std::invalid_argument(
+            std::string("ShardedJoinConfig: handshake join needs a per-shard "
+                        "live window of at least ") +
+            std::to_string(floor) + " tuples (max(8, 2 * parallelism " +
+            std::to_string(config.shard.parallelism) + ")) on every " +
+            "partitioned side for its expiry chase to converge; side " + side +
+            " has " + std::to_string(global_tuples) + " / " +
+            std::to_string(config.shards) + " shards = " +
+            std::to_string(per_shard) +
+            ". Use fewer shards, a larger window, or another engine.");
+      }
+    };
+    if (SidePartitioned(resolved, StreamSide::kR)) {
+      check_side("R", config.shard.window_r);
+    }
+    if (SidePartitioned(resolved, StreamSide::kS)) {
+      check_side("S", config.shard.window_s);
+    }
+  }
+}
+
+/// One engine-only shard of a session: the join engine, its channels,
+/// collector and executor. The session's driver hands it messages in driver
+/// order (StageArrival/StageExpiry/StageLoss/StageEpoch/StageFlush);
+/// pipelined engines stage them into the two flows until Deliver, the
+/// synchronous baselines (Kang, CellJoin) apply each one at once. Everything
+/// the engine delivers — results, punctuations, loss bounds, epoch drains —
+/// goes to the one OutputHandler given at construction.
+template <typename R, typename S, typename Pred>
+class JoinShard {
  public:
-  /// Identifies a registered query; results of query `id` are routed to the
-  /// handler passed to the AddQuery call that returned this handle.
-  struct QueryHandle {
-    QueryId id = 0;
-  };
+  template <StreamSide kSide>
+  using Tuple = std::conditional_t<kSide == StreamSide::kR, R, S>;
 
-  explicit JoinSession(const JoinConfig& config)
-      : config_(config), tracker_(config.window_r, config.window_s) {
-    ValidateJoinConfig(config_);
-  }
+  JoinShard(const JoinConfig& config, OutputHandler<R, S>* out)
+      : config_(config), out_(out) {}
 
-  ~JoinSession() { Stop(); }
+  ~JoinShard() { Stop(); }
 
-  JoinSession(const JoinSession&) = delete;
-  JoinSession& operator=(const JoinSession&) = delete;
+  JoinShard(const JoinShard&) = delete;
+  JoinShard& operator=(const JoinShard&) = delete;
 
-  /// Registers a query: `pred` is evaluated at every window crossing,
-  /// matches are delivered to `handler` (null = count only). May be called
-  /// before the first Push (part of epoch 0) or on a live session — then a
-  /// new epoch is staged and installed at the current driver-order
-  /// boundary, and the query matches every pair whose later input is pushed
-  /// from here on.
-  QueryHandle AddQuery(Pred pred, OutputHandler<R, S>* handler) {
-    const QueryId id = static_cast<QueryId>(preds_.size());
-    preds_.push_back(pred);
-    live_.push_back(1);
-    const QueryId routed = router_.Register(handler);
-    if (routed != id) {
-      throw std::logic_error("JoinSession: query id/router id diverged");
+  /// Builds the engine with `set` (session ids `ids`) as epoch 0.
+  void Start(QuerySet<Pred> set, std::vector<QueryId> ids) {
+    switch (config_.algorithm) {
+      case Algorithm::kKang:
+        SetUpBaselineEpoch(std::move(set), std::move(ids));
+        kang_ = std::make_unique<KangJoin<R, S, UnionPred, FanOutSink>>(
+            &fan_out_, UnionPred{this});
+        break;
+      case Algorithm::kCellJoin: {
+        SetUpBaselineEpoch(std::move(set), std::move(ids));
+        typename CellJoin<R, S, UnionPred, FanOutSink>::Options options;
+        options.workers = config_.parallelism - 1;
+        cell_ = std::make_unique<CellJoin<R, S, UnionPred, FanOutSink>>(
+            &fan_out_, UnionPred{this}, options);
+        break;
+      }
+      case Algorithm::kHandshake: {
+        typename HsjPipeline<R, S, Pred>::Options options;
+        options.nodes = config_.parallelism;
+        options.result_capacity = config_.result_capacity;
+        options.msgs_per_step = config_.msgs_per_step;
+        const int64_t window_tuples = HsjWindowTuples();
+        // Segments self-balance (capacity 0), adapting to the live window.
+        // HSJ correctness requires the driver's lead over the pipeline to
+        // stay well below the window (DESIGN.md, bounded-lag regime): cap
+        // the entry channels, and additionally gate deliveries on the total
+        // pipeline backlog (see DeliverFlow) since thread starvation can
+        // build backlog in interior channels too.
+        options.channel_capacity = std::min<std::size_t>(
+            config_.channel_capacity,
+            std::max<std::size_t>(
+                8, static_cast<std::size_t>(window_tuples / 4)));
+        hsj_lag_budget_ = std::max<std::size_t>(
+            16, static_cast<std::size_t>(window_tuples / 2));
+        options.placement = Placement();
+        hsj_ = std::make_unique<HsjPipeline<R, S, Pred>>(options, set,
+                                                         std::move(ids));
+        registry_ = hsj_->registry();
+        collector_ = hsj_->MakeCollector(out_);
+        SetUpExecutor(hsj_->nodes());
+        break;
+      }
+      case Algorithm::kLowLatency: {
+        typename LlhjPipeline<R, S, Pred>::Options options;
+        options.nodes = config_.parallelism;
+        options.channel_capacity = config_.channel_capacity;
+        options.result_capacity = config_.result_capacity;
+        options.msgs_per_step = config_.msgs_per_step;
+        options.home_policy = config_.home_policy;
+        options.punctuate = config_.punctuate;
+        options.placement = Placement();
+        llhj_ = std::make_unique<LlhjPipeline<R, S, Pred>>(options, set,
+                                                           std::move(ids));
+        registry_ = llhj_->registry();
+        collector_ = llhj_->MakeCollector(out_);
+        SetUpExecutor(llhj_->nodes());
+        break;
+      }
     }
-    if (started_) InstallEpoch({});
-    return QueryHandle{id};
   }
 
-  /// Removes a live query at the current driver-order boundary: it matches
-  /// no pair whose later input is pushed after this call. Its handler stays
-  /// registered until every in-flight result of older epochs has drained,
-  /// then receives the final punctuation (OnQueryRetired). Returns false
-  /// when the handle is unknown or already removed.
-  bool RemoveQuery(QueryHandle handle) {
-    const QueryId id = handle.id;
-    if (id >= live_.size() || live_[id] == 0) return false;
-    live_[id] = 0;
-    if (started_) {
-      InstallEpoch({id});
-    } else {
-      pre_start_removed_.push_back(id);  // retired at start (never ran)
-    }
-    return true;
-  }
-
-  /// Number of live (registered and not removed) queries.
-  std::size_t query_count() const { return LiveCount(); }
-
-  /// True while `id` is registered and not removed.
-  bool query_live(QueryId id) const {
-    return id < live_.size() && live_[id] != 0;
-  }
-
-  // -- Per-tuple ingestion ---------------------------------------------------
-
-  void PushR(const R& r, Timestamp ts) {
-    BindDriver(DriverMode::kInternal, "PushR");
-    EnsureStarted();
-    ts = Monotonic(ts);
-    EmitTimeExpiries(ts);
-    const Seq seq = r_seq_++;
-    if (ShedAtIngest(StreamSide::kR, seq)) return;  // tracker never sees it
-    EmitPendingLoss(StreamSide::kR);
-    DriverEvent<R, S> event;
-    event.op = DriverOp::kArriveR;
-    event.seq = seq;
-    event.ts = ts;
-    event.r = r;
-    Dispatch(event);
-    EmitCountExpiry(StreamSide::kR, event.seq, ts);
-    DrainIfSynchronous();
-  }
-
-  void PushS(const S& s, Timestamp ts) {
-    BindDriver(DriverMode::kInternal, "PushS");
-    EnsureStarted();
-    ts = Monotonic(ts);
-    EmitTimeExpiries(ts);
-    const Seq seq = s_seq_++;
-    if (ShedAtIngest(StreamSide::kS, seq)) return;
-    EmitPendingLoss(StreamSide::kS);
-    DriverEvent<R, S> event;
-    event.op = DriverOp::kArriveS;
-    event.seq = seq;
-    event.ts = ts;
-    event.s = s;
-    Dispatch(event);
-    EmitCountExpiry(StreamSide::kS, event.seq, ts);
-    DrainIfSynchronous();
-  }
-
-  // -- Batch-first ingestion -------------------------------------------------
+  // -- Staging (driver order) ------------------------------------------------
   //
-  // Semantically identical to the per-tuple loop over the spans, but whole
-  // arrival runs are staged as FlowMsgs and handed to the pipeline's burst
-  // transport in one blocking burst push — one channel index update per
-  // run instead of per tuple, and the nodes' batch-aware matching then
-  // probes the run against each window store in a single pass. Window
-  // expiries triggered inside the span are staged *into* the same flow at
-  // their exact position, so flow order (the correctness anchor of both
-  // handshake protocols) is preserved.
+  // Per-side seqs reach a shard in strictly advancing order, arrivals and
+  // expiries alike: the driver numbers them, and routing only thins the
+  // sequence. A regression here is a routing bug (checked-contracts builds
+  // abort naming it).
 
-  void PushR(std::span<const R> rs, std::span<const Timestamp> tss) {
-    if (rs.size() != tss.size()) {
-      throw std::invalid_argument(
-          "JoinSession::PushR: tuple and timestamp spans differ in size");
-    }
-    BindDriver(DriverMode::kInternal, "PushR");
-    EnsureStarted();
-    if (!Pipelined()) {  // baseline engines: synchronous, nothing to batch
-      for (std::size_t i = 0; i < rs.size(); ++i) PushR(rs[i], tss[i]);
-      return;
-    }
-    batch_side_ = StreamSide::kR;
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      const Timestamp ts = Monotonic(tss[i]);
-      StageTimeExpiries(ts);
-      const Seq seq = r_seq_++;
-      if (ShedAtIngest(StreamSide::kR, seq)) continue;
-      StagePendingLoss(StreamSide::kR);
-      FlowMsg<R> msg;
-      msg.kind = MsgKind::kArrival;
-      msg.seq = seq;
-      msg.ts = ts;
-      msg.epoch = current_epoch_;
-      msg.arrival_wall_ns = NowNs();
-      msg.payload = rs[i];
-      left_stage_.push_back(msg);
-      NoteArrival(StreamSide::kR, seq);
-      StageCountExpiry(StreamSide::kR, msg.seq, ts);
-    }
-    FlushStages();
-    DrainIfSynchronous();
-  }
-
-  void PushS(std::span<const S> ss, std::span<const Timestamp> tss) {
-    if (ss.size() != tss.size()) {
-      throw std::invalid_argument(
-          "JoinSession::PushS: tuple and timestamp spans differ in size");
-    }
-    BindDriver(DriverMode::kInternal, "PushS");
-    EnsureStarted();
+  /// Stages one arrival of `kSide`, pushed under query epoch `epoch`.
+  template <StreamSide kSide>
+  void StageArrival(const Tuple<kSide>& tuple, Seq seq, Timestamp ts,
+                    Epoch epoch) {
+    constexpr bool kIsR = kSide == StreamSide::kR;
+    (kIsR ? r_arrival_order_ : s_arrival_order_)
+        .AssertAdvance(static_cast<long long>(seq), "JoinShard",
+                       kIsR ? "R arrival seq" : "S arrival seq",
+                       /*strict=*/true);
     if (!Pipelined()) {
-      for (std::size_t i = 0; i < ss.size(); ++i) PushS(ss[i], tss[i]);
+      DriverEvent<R, S> event;
+      event.seq = seq;
+      event.ts = ts;
+      if constexpr (kIsR) {
+        event.op = DriverOp::kArriveR;
+        event.r = tuple;
+      } else {
+        event.op = DriverOp::kArriveS;
+        event.s = tuple;
+      }
+      Apply(event);
       return;
     }
-    batch_side_ = StreamSide::kS;
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      const Timestamp ts = Monotonic(tss[i]);
-      StageTimeExpiries(ts);
-      const Seq seq = s_seq_++;
-      if (ShedAtIngest(StreamSide::kS, seq)) continue;
-      StagePendingLoss(StreamSide::kS);
-      FlowMsg<S> msg;
-      msg.kind = MsgKind::kArrival;
-      msg.seq = seq;
-      msg.ts = ts;
-      msg.epoch = current_epoch_;
-      msg.arrival_wall_ns = NowNs();
-      msg.payload = ss[i];
-      right_stage_.push_back(msg);
-      NoteArrival(StreamSide::kS, seq);
-      StageCountExpiry(StreamSide::kS, msg.seq, ts);
+    FlowMsg<Tuple<kSide>> msg;
+    msg.kind = MsgKind::kArrival;
+    msg.seq = seq;
+    msg.ts = ts;
+    msg.epoch = epoch;
+    msg.arrival_wall_ns = NowNs();
+    msg.payload = tuple;
+    if constexpr (kIsR) {
+      left_.push_back(msg);
+      next_seq_r_ = std::max(next_seq_r_, seq + 1);
+    } else {
+      right_.push_back(msg);
+      next_seq_s_ = std::max(next_seq_s_, seq + 1);
     }
-    FlushStages();
-    DrainIfSynchronous();
+    Seq& first = first_staged_[static_cast<int>(kSide)];
+    first = std::min(first, seq);
+    staged_side_ = kSide;
   }
 
-  // -- External-driver ingestion (sharding) ----------------------------------
-  //
-  // A ShardedJoinSession (core/sharded_session.hpp) owns ONE global driver —
-  // window bookkeeping, sequence numbering, monotonic timestamps, admission —
-  // and feeds N member sessions pre-driven events: arrivals with their
-  // already-assigned global seq, explicit expiries, and in-band loss bounds.
-  // These entry points therefore bypass this session's tracker, seq counters
-  // and admission entirely; they exist for that owner, and mixing them with
-  // the internal PushR/PushS driver on one session is a programming error
-  // (two drivers would double-book windows) — rejected by BindDriver.
-
-  /// Builds the engine without pushing anything: a sharded owner needs all
-  /// member sessions live before the first tuple is partitioned.
-  void Start() { EnsureStarted(); }
-
-  /// Delivers one R arrival carrying an externally assigned sequence number
-  /// and an already-monotonic timestamp.
-  void PushRAt(const R& r, Timestamp ts, Seq seq) {
-    BindDriver(DriverMode::kExternal, "PushRAt");
-    ext_r_arrival_order_.AssertAdvance(static_cast<long long>(seq),
-                                       "JoinSession", "external R arrival seq",
-                                       /*strict=*/true);
-    EnsureStarted();
-    DriverEvent<R, S> event;
-    event.op = DriverOp::kArriveR;
-    event.seq = seq;
-    event.ts = ts;
-    event.r = r;
-    Dispatch(event);
-    DrainIfSynchronous();
-  }
-
-  /// Delivers one S arrival (see PushRAt).
-  void PushSAt(const S& s, Timestamp ts, Seq seq) {
-    BindDriver(DriverMode::kExternal, "PushSAt");
-    ext_s_arrival_order_.AssertAdvance(static_cast<long long>(seq),
-                                       "JoinSession", "external S arrival seq",
-                                       /*strict=*/true);
-    EnsureStarted();
-    DriverEvent<R, S> event;
-    event.op = DriverOp::kArriveS;
-    event.seq = seq;
-    event.ts = ts;
-    event.s = s;
-    Dispatch(event);
-    DrainIfSynchronous();
-  }
-
-  /// Delivers the window expiry of tuple `seq` of `expired_side`, which must
-  /// have been delivered to THIS session earlier (an expiry for a tuple the
-  /// session never saw would tombstone-leak in LLHJ and stall its
-  /// completion gate).
-  void PushExpiry(StreamSide expired_side, Seq seq, Timestamp ts) {
-    BindDriver(DriverMode::kExternal, "PushExpiry");
-    (expired_side == StreamSide::kR ? ext_r_expiry_order_
-                                    : ext_s_expiry_order_)
-        .AssertAdvance(static_cast<long long>(seq), "JoinSession",
-                       "external expiry seq", /*strict=*/true);
-    EnsureStarted();
-    // HSJ has no per-tuple completion notion to gate an expiry on (cf.
-    // WaitTupleCompleted for LLHJ). The internal driver relies on the
-    // bounded-lag regime: a count-window expiry trails its tuple's arrival
-    // by a full window of pushes, far more than the lag budget. An
-    // external (sharding) driver thins each stream and may push the next
-    // arrival right behind the expiry, so two races open up that the lag
-    // budget cannot close: (a) the expiry overtaking its tuple's arrival
-    // mid-channel, and (b) a trailing opposite-side arrival crossing the
-    // victim while the expiry chase is bounced off a concurrent segment
+  /// Stages the window expiry of tuple `seq` of `side`, which this shard
+  /// received earlier. `thinned`: this shard sees only part of the side's
+  /// stream (N > 1, partitioned side).
+  void StageExpiry(StreamSide side, Seq seq, Timestamp ts, bool thinned) {
+    (side == StreamSide::kR ? r_expiry_order_ : s_expiry_order_)
+        .AssertAdvance(static_cast<long long>(seq), "JoinShard",
+                       side == StreamSide::kR ? "R expiry seq"
+                                              : "S expiry seq",
+                       /*strict=*/true);
+    if (!Pipelined()) {
+      DriverEvent<R, S> event;
+      event.op = side == StreamSide::kR ? DriverOp::kExpireR
+                                        : DriverOp::kExpireS;
+      event.seq = seq;
+      event.ts = ts;
+      Apply(event);
+      return;
+    }
+    // HSJ has no per-tuple completion notion to gate an expiry on (cf. the
+    // LLHJ gate in DeliverFlow), so the staged messages enter first and the
+    // expiry is delivered alone. On a whole stream (N = 1, or a replicated
+    // side) the bounded-lag regime covers it: a count-window expiry trails
+    // its tuple's arrival by a full window of pushes. A thinned stream may
+    // put the next arrival right behind the expiry, which opens two races
+    // the lag budget cannot close: (a) the expiry overtaking its tuple's
+    // arrival mid-channel, and (b) a trailing opposite-side arrival crossing
+    // the victim while the expiry chase is bounced off a concurrent segment
     // relocation. Close (a) by draining the channels before the expiry
-    // enters (every prior arrival stored), and (b) by letting the pipeline
-    // settle afterwards, so the chase has fully resolved before any later
-    // message enters.
-    const bool hsj_threaded = hsj_ != nullptr && config_.threaded;
-    if (hsj_threaded) {
+    // enters, and (b) by letting the pipeline settle afterwards.
+    const bool hsj_guard = hsj_ != nullptr && thinned && config_.threaded;
+    if (hsj_ != nullptr) {
+      Deliver();
       Backoff backoff;
-      while (hsj_->ApproxChannelBacklog() > 0) backoff.Pause();
+      while (hsj_guard && hsj_->ApproxChannelBacklog() > 0) backoff.Pause();
     }
-    DriverEvent<R, S> event;
-    event.op = expired_side == StreamSide::kR ? DriverOp::kExpireR
-                                              : DriverOp::kExpireS;
-    event.seq = seq;
-    event.ts = ts;
-    Dispatch(event);
-    if (hsj_threaded) AwaitHsjSettled();
-    DrainIfSynchronous();
+    if (side == StreamSide::kR) {
+      right_.push_back(MakeExpiry<S>(side, seq, ts, next_seq_s_));
+    } else {
+      left_.push_back(MakeExpiry<R>(side, seq, ts, next_seq_r_));
+    }
+    if (seq >= first_staged_[static_cast<int>(side)]) gated_ = true;
+    if (hsj_ != nullptr) {
+      Deliver();
+      if (hsj_guard) AwaitHsjSettled();
+    }
   }
 
-  /// Delivers an externally accounted loss bound at the current stream
-  /// position: in-band on the flow the shed arrivals would have taken
-  /// (pipelined engines), or straight to the router (synchronous
-  /// baselines). The sharded owner injects each gap into exactly one
-  /// member session — exactly-once accounting per gap.
-  void InjectLoss(StreamSide side, Seq first_seq, uint64_t count) {
-    BindDriver(DriverMode::kExternal, "InjectLoss");
-    EnsureStarted();
-    if (Pipelined()) {
+  /// Stages a loss bound at the current stream position: in-band on the
+  /// flow the shed arrivals would have taken (pipelined engines), or
+  /// straight to the output (synchronous baselines).
+  void StageLoss(StreamSide side, Seq first_seq, uint64_t count) {
+    if (!Pipelined()) {
+      out_->OnLoss(side, first_seq, count);
+    } else if (side == StreamSide::kR) {
+      left_.push_back(MakeLossPunct<R>(side, first_seq, count));
+    } else {
+      right_.push_back(MakeLossPunct<S>(side, first_seq, count));
+    }
+  }
+
+  /// Installs the next query epoch at the current stream position:
+  /// pipelined engines get the in-band kEpochChange punctuation on both
+  /// flows; synchronous baselines switch (and drain) immediately.
+  void StageEpoch(QuerySet<Pred> set, std::vector<QueryId> ids) {
+    const Epoch e = registry_->Install(std::move(set), std::move(ids));
+    if (!Pipelined()) {
+      active_snap_ = registry_->Get(e);
+      // Synchronous engines have already delivered every pre-boundary
+      // result; the install point is a drained boundary by construction.
+      out_->OnEpochDrained(e);
+      return;
+    }
+    FlowMsg<R> left;
+    left.kind = MsgKind::kEpochChange;
+    left.epoch = e;
+    left_.push_back(left);
+    FlowMsg<S> right;
+    right.kind = MsgKind::kEpochChange;
+    right.epoch = e;
+    right_.push_back(right);
+  }
+
+  /// End of input: the handshake join flushes its pipeline so pairs still
+  /// separated inside it meet.
+  void StageFlush() {
+    if (hsj_ == nullptr) return;
+    FlowMsg<R> left;
+    left.kind = MsgKind::kFlush;
+    left_.push_back(left);
+    FlowMsg<S> right;
+    right.kind = MsgKind::kFlush;
+    right_.push_back(right);
+  }
+
+  /// Delivers the staged run. The opposite flow of the staged arrivals goes
+  /// first — the per-tuple wake order, expiries before the arrival — unless
+  /// it holds an expiry gated on an arrival that is still staged; then the
+  /// arrival flow goes first (DESIGN.md Section 8). A non-threaded pipeline
+  /// is then run until quiescent, so the driver never runs ahead of it.
+  void Deliver() {
+    if (!left_.empty() || !right_.empty()) {
       PipelinePorts<R, S> ports =
           hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
-      if (side == StreamSide::kR) {
-        PushBlocking(ports.left, MakeLossPunct<R>(side, first_seq, count));
+      if (gated_ == (staged_side_ == StreamSide::kR)) {
+        DeliverFlow(&left_, ports.left);
+        DeliverFlow(&right_, ports.right);
       } else {
-        PushBlocking(ports.right, MakeLossPunct<S>(side, first_seq, count));
+        DeliverFlow(&right_, ports.right);
+        DeliverFlow(&left_, ports.left);
       }
-      DrainIfSynchronous();
-      return;
+      first_staged_[0] = first_staged_[1] = kNoSeq;
+      gated_ = false;
     }
-    router_.OnLoss(side, first_seq, count);
+    if (collector_ != nullptr && !config_.threaded) {
+      sequential_.RunUntilQuiescent();
+    }
   }
-
-  /// Driver-visible backlog (messages queued in the pipeline's channels;
-  /// result queues excluded). The sharded owner sums this across member
-  /// sessions to feed its own admission projection.
-  std::size_t ingest_backlog() const { return ApproxIngestBacklog(); }
 
   // -- Output ----------------------------------------------------------------
 
-  /// Delivers pending results (and punctuations) to the per-query handlers.
-  /// For non-threaded pipelines this also advances the pipeline.
+  /// Delivers pending results to the output; non-threaded pipelines are
+  /// advanced first.
   void Poll() {
     if (collector_ == nullptr) return;  // Kang/Cell deliver synchronously
     if (!config_.threaded) sequential_.RunUntilQuiescent();
     collector_->VacuumOnce();
   }
 
-  /// Ends the input: flushes the handshake-join pipeline (so pairs still
-  /// separated inside it meet) and drains everything to the handlers.
-  void FinishInput() {
-    if (!started_ || finished_) return;
-    finished_ = true;
-    // Close out any still-open loss gaps: there is no next admitted tuple
-    // to carry them, and the accounting must be complete before the drain.
-    EmitPendingLoss(StreamSide::kR);
-    EmitPendingLoss(StreamSide::kS);
-    if (hsj_ != nullptr) {
-      DriverEvent<R, S> flush_r;
-      flush_r.op = DriverOp::kFlushR;
-      Dispatch(flush_r);
-      DriverEvent<R, S> flush_s;
-      flush_s.op = DriverOp::kFlushS;
-      Dispatch(flush_s);
-    }
+  /// Drains everything delivered so far to the output (end of input).
+  void Finish() {
     if (collector_ == nullptr) return;
     if (!config_.threaded) {
       sequential_.RunUntilQuiescent();
@@ -557,291 +587,86 @@ class JoinSession {
 
   // -- Introspection ---------------------------------------------------------
 
-  uint64_t results_collected() const {
-    return collector_ != nullptr ? collector_->total_collected()
-                                 : router_.total_collected();
+  /// Messages queued in the pipeline's channels (result queues excluded —
+  /// their occupancy is the application's polling cadence, not pipeline
+  /// pressure). Baselines are synchronous: nothing queues.
+  std::size_t backlog() const {
+    if (hsj_ != nullptr) return hsj_->ApproxChannelBacklog();
+    if (llhj_ != nullptr) return llhj_->ApproxChannelBacklog();
+    return 0;
   }
 
-  /// Results routed to query `q` so far (any engine).
-  uint64_t results_collected(QueryId q) const { return router_.collected(q); }
+  uint64_t anomalies() const {
+    if (hsj_ != nullptr) return hsj_->total_anomalies();
+    if (llhj_ != nullptr) return llhj_->total_anomalies();
+    return 0;
+  }
 
-  Algorithm algorithm() const { return config_.algorithm; }
-  const JoinConfig& config() const { return config_; }
   /// Placement plan the pipeline threads were pinned with (empty until a
-  /// threaded session starts).
+  /// threaded shard starts).
   const PlacementPlan& placement() const { return plan_; }
-  bool started() const { return started_; }
-
-  /// Epoch of the query set currently being installed into pushes: results
-  /// of pairs whose later input is pushed now carry this epoch.
-  Epoch current_epoch() const { return current_epoch_; }
-
-  /// Highest epoch known fully drained: every result of an older epoch has
-  /// been delivered, and queries removed at or before that boundary have
-  /// received their final punctuation. Advanced by Poll/FinishInput as the
-  /// per-node epoch markers arrive (baseline engines drain synchronously).
-  Epoch drained_epoch() const { return router_.drained_epoch(); }
-
-  /// Diagnostics for tests: anomaly counters (and misrouted results) must
-  /// stay zero.
-  uint64_t pipeline_anomalies() const {
-    uint64_t n = router_.misrouted();
-    if (hsj_ != nullptr) n += hsj_->total_anomalies();
-    if (llhj_ != nullptr) n += llhj_->total_anomalies();
-    return n;
-  }
-
-  /// Overload-control introspection. `admission()` is mutable so tests can
-  /// install the deterministic force-shed hook before the first Push.
-  AdmissionController& admission() { return admission_; }
-  const AdmissionController& admission() const { return admission_; }
-
-  /// Ground truth: tuples shed at ingest per side.
-  uint64_t tuples_shed(StreamSide side) const {
-    return admission_.shed_count(side);
-  }
-
-  /// Tuples reported lost to the handlers so far (sum of all delivered
-  /// OnLoss bounds). Equals tuples_shed once the stream has drained — the
-  /// exact-accounting invariant.
-  uint64_t tuples_lost_reported(StreamSide side) const {
-    return router_.lost(side);
-  }
 
  private:
   using Snapshot = QueryEpochSnapshot<Pred>;
+  static constexpr Seq kNoSeq = std::numeric_limits<Seq>::max();
 
   /// Baseline engines evaluate the union of the ACTIVE epoch's predicates
   /// while scanning; the sink then fans each match out to the queries that
   /// actually satisfied it (per-query re-evaluation only on the hit path).
-  /// Both read the session's active snapshot at call time, so a live epoch
+  /// Both read the shard's active snapshot at call time, so an epoch
   /// install (which swaps the snapshot between driver events) takes effect
   /// at exactly the next event.
   struct UnionPred {
-    const JoinSession* session = nullptr;
+    const JoinShard* shard = nullptr;
     bool operator()(const R& r, const S& s) const {
-      return session->active_snap_->set.AnyMatch(r, s);
+      return shard->active_snap_->set.AnyMatch(r, s);
     }
   };
 
   struct FanOutSink {
-    JoinSession* session = nullptr;
+    JoinShard* shard = nullptr;
     void Emit(const ResultMsg<R, S>& m) {
-      const Snapshot& snap = *session->active_snap_;
+      const Snapshot& snap = *shard->active_snap_;
       snap.set.Match(m.r, m.s, [&](QueryId lane) {
         ResultMsg<R, S> tagged = m;
         tagged.query = snap.GlobalId(lane);
         // Baselines evaluate at the later input's push; the active epoch
         // IS that input's epoch.
         tagged.epoch = snap.epoch;
-        session->router_.OnResult(tagged);
+        shard->out_->OnResult(tagged);
       });
     }
   };
 
-  /// Sits between the collector and the query router so the session can
-  /// observe every result's end-to-end latency (feeding the admission
-  /// EWMA) without the router or the handlers knowing about it. Only an
-  /// enabled controller reads the EWMA (OverBudget), so with admission off
-  /// the observer neither reads the clock nor updates it; with admission
-  /// on it reads the clock once per burst.
-  struct ResultObserver : OutputHandler<R, S> {
-    JoinSession* session = nullptr;
-    void OnResult(const ResultMsg<R, S>& m) override { OnResultBurst(&m, 1); }
-    void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) override {
-      AdmissionController& admission = session->admission_;
-      if (admission.enabled()) {
-        const int64_t now = NowNs();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (run[i].ready_wall_ns > 0) {
-            admission.ObserveResult(now - run[i].ready_wall_ns, now);
-          }
-        }
-      }
-      session->router_.OnResultBurst(run, n);
-    }
-    void OnPunctuation(Timestamp tp) override {
-      session->router_.OnPunctuation(tp);
-    }
-    void OnLoss(StreamSide side, Seq first_seq, uint64_t count) override {
-      session->router_.OnLoss(side, first_seq, count);
-    }
-    void OnEpochDrained(Epoch epoch) override {
-      session->router_.OnEpochDrained(epoch);
-    }
-    void OnQueryRetired(QueryId query) override {
-      session->router_.OnQueryRetired(query);
-    }
-  };
+  template <typename T>
+  static FlowMsg<T> MakeExpiry(StreamSide side, Seq seq, Timestamp ts,
+                               Seq horizon) {
+    FlowMsg<T> msg;
+    msg.kind = MsgKind::kExpiry;
+    msg.ref_side = side;
+    msg.seq = seq;
+    msg.ts = ts;
+    SetExpiryHorizon(&msg, horizon);
+    return msg;
+  }
 
   bool Pipelined() const { return hsj_ != nullptr || llhj_ != nullptr; }
 
-  /// Which driver owns this session's windows: the internal one (PushR/
-  /// PushS run tracker, seq counters and admission) or an external sharding
-  /// driver (PushRAt/PushSAt/PushExpiry/InjectLoss deliver pre-driven
-  /// events). The first ingestion call binds the mode; mixing modes would
-  /// double-book the windows and is rejected as a programming error.
-  enum class DriverMode : uint8_t { kUnset, kInternal, kExternal };
-
-  void BindDriver(DriverMode mode, const char* method) {
-    driver_role_.AssertHeld("JoinSession", "driver");
-    if (driver_mode_ == DriverMode::kUnset) driver_mode_ = mode;
-    if (driver_mode_ != mode) {
-      throw std::logic_error(
-          std::string("JoinSession::") + method +
-          ": cannot mix internal (PushR/PushS) and external (PushRAt/"
-          "PushSAt/PushExpiry/InjectLoss) driver modes on one session; "
-          "this session is already driven " +
-          (driver_mode_ == DriverMode::kInternal ? "internally"
-                                                 : "externally"));
+  void Apply(const DriverEvent<R, S>& event) {
+    if (kang_ != nullptr) {
+      kang_->OnEvent(event);
+    } else {
+      cell_->OnEvent(event);
     }
   }
 
-  std::size_t LiveCount() const {
-    std::size_t n = 0;
-    for (uint8_t alive : live_) n += alive;
-    return n;
-  }
-
-  std::vector<QueryId> LiveIds() const {
-    std::vector<QueryId> ids;
-    for (QueryId q = 0; q < live_.size(); ++q) {
-      if (live_[q] != 0) ids.push_back(q);
-    }
-    return ids;
-  }
-
-  QuerySet<Pred> LiveSet() const {
-    std::vector<Pred> preds;
-    for (QueryId q = 0; q < live_.size(); ++q) {
-      if (live_[q] != 0) preds.push_back(preds_[q]);
-    }
-    return QuerySet<Pred>(std::move(preds));
-  }
-
-  /// Builds the engine on the first Push; the live set becomes epoch 0.
-  void EnsureStarted() {
-    if (started_) return;
-    if (LiveCount() == 0) {
-      // Self-diagnosing like ValidateJoinConfig: name the state observed.
-      throw std::logic_error(
-          "JoinSession: cannot start ingestion with 0 live queries "
-          "(session state: not started, " + std::to_string(preds_.size()) +
-          " registered, " + std::to_string(pre_start_removed_.size()) +
-          " removed before start); register at least one query via "
-          "AddQuery before the first Push");
-    }
-    started_ = true;
-    {
-      AdmissionController::Options adm;
-      adm.budget_ns = config_.latency_budget_us * 1000;
-      adm.policy = config_.overload_policy;
-      admission_.Configure(adm);  // preserves a pre-installed force hook
-    }
-    observer_.session = this;
-    QuerySet<Pred> initial = LiveSet();
-    std::vector<QueryId> ids = LiveIds();
-    router_.BeginEpoch(0, ids, pre_start_removed_);
-    switch (config_.algorithm) {
-      case Algorithm::kKang:
-        SetUpBaselineEpoch(std::move(initial), std::move(ids));
-        fan_out_ = FanOutSink{this};
-        kang_ = std::make_unique<KangJoin<R, S, UnionPred, FanOutSink>>(
-            &fan_out_, UnionPred{this});
-        break;
-      case Algorithm::kCellJoin: {
-        SetUpBaselineEpoch(std::move(initial), std::move(ids));
-        fan_out_ = FanOutSink{this};
-        typename CellJoin<R, S, UnionPred, FanOutSink>::Options options;
-        options.workers = config_.parallelism - 1;
-        cell_ = std::make_unique<CellJoin<R, S, UnionPred, FanOutSink>>(
-            &fan_out_, UnionPred{this}, options);
-        break;
-      }
-      case Algorithm::kHandshake: {
-        typename HsjPipeline<R, S, Pred>::Options options;
-        options.nodes = config_.parallelism;
-        options.result_capacity = config_.result_capacity;
-        options.msgs_per_step = config_.msgs_per_step;
-        const int64_t window_tuples = HsjWindowTuples();
-        // Segments self-balance (capacity 0), adapting to the live window.
-        // HSJ correctness requires the driver's lead over the pipeline to
-        // stay well below the window (DESIGN.md, bounded-lag regime): cap
-        // the entry channels, and additionally gate pushes on the total
-        // pipeline backlog (see Dispatch) since thread starvation can build
-        // backlog in interior channels too.
-        options.channel_capacity = std::min<std::size_t>(
-            config_.channel_capacity,
-            std::max<std::size_t>(
-                8, static_cast<std::size_t>(window_tuples / 4)));
-        hsj_lag_budget_ = std::max<std::size_t>(
-            16, static_cast<std::size_t>(window_tuples / 2));
-        options.placement = SessionPlacement();
-        hsj_ = std::make_unique<HsjPipeline<R, S, Pred>>(options, initial,
-                                                         std::move(ids));
-        registry_ = hsj_->registry();
-        collector_ = hsj_->MakeCollector(&observer_);
-        SetUpExecutor(hsj_->nodes());
-        break;
-      }
-      case Algorithm::kLowLatency: {
-        typename LlhjPipeline<R, S, Pred>::Options options;
-        options.nodes = config_.parallelism;
-        options.channel_capacity = config_.channel_capacity;
-        options.result_capacity = config_.result_capacity;
-        options.msgs_per_step = config_.msgs_per_step;
-        options.home_policy = config_.home_policy;
-        options.punctuate = config_.punctuate;
-        options.placement = SessionPlacement();
-        llhj_ = std::make_unique<LlhjPipeline<R, S, Pred>>(options, initial,
-                                                           std::move(ids));
-        registry_ = llhj_->registry();
-        collector_ = llhj_->MakeCollector(&observer_);
-        SetUpExecutor(llhj_->nodes());
-        break;
-      }
-    }
-    // Nothing precedes epoch 0, so it is drained by definition — this also
-    // retires queries that were removed before the session ever started.
-    router_.OnEpochDrained(0);
-  }
-
-  /// Baselines keep their epochs in a session-owned registry (no pipeline
+  /// Baselines keep their epochs in a shard-owned registry (no pipeline
   /// to own one); active_snap_ is the one the union predicate reads.
   void SetUpBaselineEpoch(QuerySet<Pred> set, std::vector<QueryId> ids) {
     own_registry_ = std::make_unique<QueryEpochRegistry<Pred>>();
     registry_ = own_registry_.get();
     registry_->Install(std::move(set), std::move(ids));
     active_snap_ = registry_->Get(0);
-  }
-
-  /// Installs the current live membership as a new epoch at this
-  /// driver-order boundary. Pipelined engines get the in-band kEpochChange
-  /// punctuation on both flows; synchronous baselines switch (and drain)
-  /// immediately.
-  void InstallEpoch(std::vector<QueryId> removed) {
-    std::vector<QueryId> ids = LiveIds();
-    const Epoch e = registry_->Install(LiveSet(), ids);
-    router_.BeginEpoch(e, ids, std::move(removed));
-    current_epoch_ = e;
-    if (Pipelined()) {
-      PipelinePorts<R, S> ports =
-          hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
-      FlowMsg<R> left;
-      left.kind = MsgKind::kEpochChange;
-      left.epoch = e;
-      PushBlocking(ports.left, left);
-      FlowMsg<S> right;
-      right.kind = MsgKind::kEpochChange;
-      right.epoch = e;
-      PushBlocking(ports.right, right);
-      DrainIfSynchronous();
-    } else {
-      active_snap_ = registry_->Get(e);
-      // Synchronous engines have already delivered every pre-boundary
-      // result; the install point is a drained boundary by construction.
-      router_.OnEpochDrained(e);
-    }
   }
 
   int64_t HsjWindowTuples() const {
@@ -853,11 +678,11 @@ class JoinSession {
     return config_.hsj_window_tuples_hint;
   }
 
-  /// The session's placement plan, built once from the configured (or
-  /// once-detected, then cached) topology and reused for the session's
+  /// The shard's placement plan, built once from the configured (or
+  /// once-detected, then cached) topology and reused for the shard's
   /// whole lifetime — the pipeline homes its channel memory with the SAME
   /// plan the executor pins the node threads with.
-  const PlacementPlan& SessionPlacement() {
+  const PlacementPlan& Placement() {
     if (!placement_built_) {
       placement_built_ = true;
       if (config_.threaded) {
@@ -868,7 +693,7 @@ class JoinSession {
         plan_ = PlacementPlan::Build(*config_.topology, config_.placement,
                                      config_.parallelism, kHelperCount);
       }
-      // Non-threaded sessions keep the empty plan: everything runs on the
+      // Non-threaded shards keep the empty plan: everything runs on the
       // caller's thread, so there is nothing to pin or bind.
     }
     return plan_;
@@ -881,200 +706,11 @@ class JoinSession {
     // now (before the node threads can produce).
     collector_->PrefaultQueues();
     if (config_.threaded) {
-      executor_ = std::make_unique<ThreadedExecutor>(SessionPlacement());
+      executor_ = std::make_unique<ThreadedExecutor>(Placement());
       for (Steppable* node : nodes) executor_->Add(node);
       executor_->Start();
     } else {
       for (Steppable* node : nodes) sequential_.Add(node);
-    }
-  }
-
-  Timestamp Monotonic(Timestamp ts) {
-    if (ts < last_ts_) ts = last_ts_;
-    last_ts_ = ts;
-    return ts;
-  }
-
-  // -- Scalar driver path (identical to the classic StreamJoiner) -----------
-
-  void EmitTimeExpiries(Timestamp ts) {
-    StreamSide side;
-    Seq seq;
-    Timestamp expired_ts;
-    while (tracker_.PopTimeExpiry(ts, &side, &seq, &expired_ts)) {
-      DriverEvent<R, S> event;
-      event.op = side == StreamSide::kR ? DriverOp::kExpireR
-                                        : DriverOp::kExpireS;
-      event.seq = seq;
-      event.ts = expired_ts;
-      Dispatch(event);
-    }
-  }
-
-  void EmitCountExpiry(StreamSide side, Seq seq, Timestamp ts) {
-    Seq expired_seq;
-    Timestamp expired_ts;
-    if (tracker_.OnArrival(side, seq, ts, &expired_seq, &expired_ts)) {
-      DriverEvent<R, S> event;
-      event.op = side == StreamSide::kR ? DriverOp::kExpireR
-                                        : DriverOp::kExpireS;
-      event.seq = expired_seq;
-      event.ts = expired_ts;
-      Dispatch(event);
-    }
-  }
-
-  void Dispatch(const DriverEvent<R, S>& event) {
-    if (kang_ != nullptr) {
-      kang_->OnEvent(event);
-      return;
-    }
-    if (cell_ != nullptr) {
-      cell_->OnEvent(event);
-      return;
-    }
-    // Bounded-lag enforcement for the handshake join: do not let the driver
-    // run more than ~half a window ahead of the pipeline, wherever the
-    // backlog sits (entry or interior channels). Result queues are
-    // excluded — their occupancy is the application's polling cadence.
-    if (hsj_ != nullptr && config_.threaded) {
-      Backoff backoff;
-      while (hsj_->ApproxChannelBacklog() > hsj_lag_budget_) backoff.Pause();
-    }
-    PipelinePorts<R, S> ports =
-        hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
-    switch (event.op) {
-      case DriverOp::kArriveR: {
-        FlowMsg<R> msg;
-        msg.kind = MsgKind::kArrival;
-        msg.seq = event.seq;
-        msg.ts = event.ts;
-        msg.epoch = current_epoch_;
-        msg.arrival_wall_ns = NowNs();
-        msg.payload = event.r;
-        NoteArrival(StreamSide::kR, event.seq);
-        PushBlocking(ports.left, msg);
-        break;
-      }
-      case DriverOp::kArriveS: {
-        FlowMsg<S> msg;
-        msg.kind = MsgKind::kArrival;
-        msg.seq = event.seq;
-        msg.ts = event.ts;
-        msg.epoch = current_epoch_;
-        msg.arrival_wall_ns = NowNs();
-        msg.payload = event.s;
-        NoteArrival(StreamSide::kS, event.seq);
-        PushBlocking(ports.right, msg);
-        break;
-      }
-      case DriverOp::kExpireR: {
-        WaitTupleCompleted(StreamSide::kR, event.seq);
-        FlowMsg<S> msg;
-        msg.kind = MsgKind::kExpiry;
-        msg.ref_side = StreamSide::kR;
-        msg.seq = event.seq;
-        msg.ts = event.ts;
-        SetExpiryHorizon(&msg, next_seq_s_);
-        PushBlocking(ports.right, msg);
-        break;
-      }
-      case DriverOp::kExpireS: {
-        WaitTupleCompleted(StreamSide::kS, event.seq);
-        FlowMsg<R> msg;
-        msg.kind = MsgKind::kExpiry;
-        msg.ref_side = StreamSide::kS;
-        msg.seq = event.seq;
-        msg.ts = event.ts;
-        SetExpiryHorizon(&msg, next_seq_r_);
-        PushBlocking(ports.left, msg);
-        break;
-      }
-      case DriverOp::kFlushR: {
-        FlowMsg<R> msg;
-        msg.kind = MsgKind::kFlush;
-        PushBlocking(ports.left, msg);
-        break;
-      }
-      case DriverOp::kFlushS: {
-        FlowMsg<S> msg;
-        msg.kind = MsgKind::kFlush;
-        PushBlocking(ports.right, msg);
-        break;
-      }
-    }
-  }
-
-  // -- Batch driver path -----------------------------------------------------
-
-  void StageTimeExpiries(Timestamp ts) {
-    StreamSide side;
-    Seq seq;
-    Timestamp expired_ts;
-    while (tracker_.PopTimeExpiry(ts, &side, &seq, &expired_ts)) {
-      StageExpiry(side, seq, expired_ts);
-    }
-  }
-
-  void StageCountExpiry(StreamSide side, Seq seq, Timestamp ts) {
-    Seq expired_seq;
-    Timestamp expired_ts;
-    if (tracker_.OnArrival(side, seq, ts, &expired_seq, &expired_ts)) {
-      StageExpiry(side, expired_seq, expired_ts);
-    }
-  }
-
-  /// LLHJ: expiries join the staged flow at their exact position — the
-  /// driver-side completion gate (see DeliverStage) replaces the scalar
-  /// WaitTupleCompleted. HSJ has no completion notion, so staged arrivals
-  /// are flushed first and the expiry takes the scalar bounded-lag path.
-  void StageExpiry(StreamSide expired_side, Seq seq, Timestamp ts) {
-    if (llhj_ != nullptr) {
-      if (expired_side == StreamSide::kR) {
-        FlowMsg<S> msg;
-        msg.kind = MsgKind::kExpiry;
-        msg.ref_side = StreamSide::kR;
-        msg.seq = seq;
-        msg.ts = ts;
-        right_stage_.push_back(msg);
-      } else {
-        FlowMsg<R> msg;
-        msg.kind = MsgKind::kExpiry;
-        msg.ref_side = StreamSide::kS;
-        msg.seq = seq;
-        msg.ts = ts;
-        left_stage_.push_back(msg);
-      }
-      return;
-    }
-    FlushStages();
-    DriverEvent<R, S> event;
-    event.op = expired_side == StreamSide::kR ? DriverOp::kExpireR
-                                              : DriverOp::kExpireS;
-    event.seq = seq;
-    event.ts = ts;
-    Dispatch(event);
-    // Non-threaded HSJ exactness holds for ANY window size only because the
-    // scalar path drains after every push — the driver never runs ahead of
-    // the pipeline when an expiry enters. Batch staging defers that drain,
-    // and the entry channels are floored at 8 slots, so a count window
-    // smaller than the floor would let the driver lead by a full window.
-    // Restore the scalar invariant at each expiry boundary.
-    DrainIfSynchronous();
-  }
-
-  /// Delivers both staged flows, arrival side first: an expiry staged in
-  /// the opposite flow may be gated on the completion of an arrival from
-  /// this very batch, so the arrivals must reach the pipeline first.
-  void FlushStages() {
-    PipelinePorts<R, S> ports =
-        hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
-    if (batch_side_ == StreamSide::kR) {
-      DeliverStage(&left_stage_, ports.left);
-      DeliverStage(&right_stage_, ports.right);
-    } else {
-      DeliverStage(&right_stage_, ports.right);
-      DeliverStage(&left_stage_, ports.left);
     }
   }
 
@@ -1083,12 +719,15 @@ class JoinSession {
   /// SpscQueue::TryPushBurst; while the channel is full or the front expiry
   /// is gated, the pipeline is advanced (threaded: it advances itself).
   template <typename T>
-  void DeliverStage(std::vector<FlowMsg<T>>* stage,
-                    SpscQueue<FlowMsg<T>>* port) {
+  void DeliverFlow(std::vector<FlowMsg<T>>* stage,
+                   SpscQueue<FlowMsg<T>>* port) {
     if (stage->empty()) return;
     std::size_t head = 0;
     Backoff backoff;
     while (head < stage->size()) {
+      // Bounded-lag enforcement for the handshake join: do not let the
+      // driver run more than ~half a window ahead of the pipeline, wherever
+      // the backlog sits (entry or interior channels).
       if (hsj_ != nullptr && config_.threaded) {
         while (hsj_->ApproxChannelBacklog() > hsj_lag_budget_) {
           backoff.Pause();
@@ -1096,6 +735,8 @@ class JoinSession {
       }
       std::size_t run = stage->size() - head;
       if (llhj_ != nullptr) {
+        // LLHJ expiry gate (see Feeder::Options::expiry_gate): an expiry
+        // enters the pipeline only after its tuple finished travelling.
         // Longest deliverable prefix: stop at the first expiry whose tuple
         // has not completed its expedition yet (messages behind a gated
         // expiry wait with it — flow order preserved).
@@ -1122,15 +763,8 @@ class JoinSession {
     stage->clear();
   }
 
-  /// Records an arrival handed to the pipeline: expiries dispatched from
-  /// now on carry the per-side horizon past it (ExpiryHorizon).
-  void NoteArrival(StreamSide side, Seq seq) {
-    Seq& next = side == StreamSide::kR ? next_seq_r_ : next_seq_s_;
-    next = std::max(next, seq + 1);
-  }
-
-  /// Makes progress while batch delivery is blocked: threaded pipelines
-  /// advance on their own (back off); non-threaded ones are stepped here.
+  /// Makes progress while delivery is blocked: threaded pipelines advance
+  /// on their own (back off); non-threaded ones are stepped here.
   void AdvancePipeline(Backoff* backoff, const char* why) {
     if (config_.threaded) {
       backoff->Pause();
@@ -1138,135 +772,23 @@ class JoinSession {
     }
     if (!sequential_.StepOnce()) {
       throw std::runtime_error(
-          std::string("pipeline stalled during batch ingestion (") + why +
-          ")");
+          std::string("pipeline stalled during delivery (") + why + ")");
     }
-    if (collector_ != nullptr) collector_->VacuumOnce();
-  }
-
-  // -- Overload control (DESIGN.md Section 12) -------------------------------
-
-  /// Admission decision for one arrival whose seq is already consumed.
-  /// Returns true when the tuple is shed: the caller must then skip BOTH
-  /// the dispatch and the expiry-tracker update — a shed tuple never
-  /// reaches a window store, so no expiry may ever reference it (an expiry
-  /// for an absent tuple would tombstone-leak in LLHJ and stall the
-  /// completion gate forever). The session has no ingest-side holding
-  /// buffer (every admitted push is delivered immediately), so kDropOldest
-  /// has no victim to displace here and degrades to dropping the incoming
-  /// tuple; the Feeder path implements the full victim semantics.
-  bool ShedAtIngest(StreamSide side, Seq seq) {
-    if (!admission_.enabled() && !admission_.has_force_shed()) return false;
-    const int64_t now = NowNs();
-    // The push call IS the arrival (waited = 0); overload pressure shows up
-    // through the latency EWMA and the channel backlog instead.
-    if (!admission_.ShouldShed(side, seq, now, now, ApproxIngestBacklog())) {
-      return false;
-    }
-    admission_.RecordShed(side, seq);
-    return true;
-  }
-
-  /// Delivers recorded loss gaps of `side` at the current stream position:
-  /// in-band on the flow the shed arrivals would have taken (pipelined
-  /// engines), or straight to the router (synchronous baselines, which have
-  /// no in-flight results to order against).
-  void EmitPendingLoss(StreamSide side) {
-    if (!admission_.HasGap(side)) return;
-    LossBound gap;
-    if (Pipelined()) {
-      PipelinePorts<R, S> ports =
-          hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
-      while (admission_.TakeGap(side, &gap)) {
-        if (side == StreamSide::kR) {
-          PushBlocking(ports.left,
-                       MakeLossPunct<R>(side, gap.first_seq, gap.count));
-        } else {
-          PushBlocking(ports.right,
-                       MakeLossPunct<S>(side, gap.first_seq, gap.count));
-        }
-      }
-      return;
-    }
-    while (admission_.TakeGap(side, &gap)) {
-      router_.OnLoss(gap.side, gap.first_seq, gap.count);
-    }
-  }
-
-  /// Batch-path variant: the loss punctuation joins the staged flow at its
-  /// exact position (only ever called on pipelined engines — baselines take
-  /// the scalar loop).
-  void StagePendingLoss(StreamSide side) {
-    if (!admission_.HasGap(side)) return;
-    LossBound gap;
-    while (admission_.TakeGap(side, &gap)) {
-      if (side == StreamSide::kR) {
-        left_stage_.push_back(MakeLossPunct<R>(side, gap.first_seq, gap.count));
-      } else {
-        right_stage_.push_back(
-            MakeLossPunct<S>(side, gap.first_seq, gap.count));
-      }
-    }
-  }
-
-  /// Driver-visible backlog for the admission projection: messages queued
-  /// in the pipeline's channels (result queues excluded — their occupancy
-  /// is the application's polling cadence, not pipeline pressure).
-  std::size_t ApproxIngestBacklog() const {
-    if (hsj_ != nullptr) return hsj_->ApproxChannelBacklog();
-    if (llhj_ != nullptr) return llhj_->ApproxChannelBacklog();
-    return 0;  // baselines are synchronous: nothing queues
-  }
-
-  // -- Shared driver helpers -------------------------------------------------
-
-  /// Keeps the single-threaded pipeline fully drained between pushes so
-  /// the driver never runs ahead of it (exactness for any window size).
-  void DrainIfSynchronous() {
-    if (collector_ != nullptr && !config_.threaded) {
-      sequential_.RunUntilQuiescent();
-    }
-  }
-
-  /// LLHJ expiry gate (see Feeder::Options::expiry_gate): an expiry enters
-  /// the pipeline only after its tuple finished travelling.
-  void WaitTupleCompleted(StreamSide side, Seq seq) {
-    if (llhj_ == nullptr) return;
-    Backoff backoff;
-    while (llhj_->hwm().CompletedSeq(side) < static_cast<int64_t>(seq)) {
-      if (config_.threaded) {
-        backoff.Pause();
-      } else if (!sequential_.StepOnce()) {
-        throw std::runtime_error("pipeline stalled before tuple completion");
-      }
-    }
-  }
-
-  template <typename T>
-  void PushBlocking(SpscQueue<FlowMsg<T>>* queue, const FlowMsg<T>& msg) {
-    if (config_.threaded) {
-      Backoff backoff;
-      while (!queue->TryPush(msg)) backoff.Pause();
-      return;
-    }
-    while (!queue->TryPush(msg)) {
-      if (!sequential_.StepOnce()) {
-        throw std::runtime_error("pipeline stalled with full input queue");
-      }
-      if (collector_ != nullptr) collector_->VacuumOnce();
-    }
+    collector_->VacuumOnce();
   }
 
   void AwaitHsjSettled() {
-    // Lightweight settle for externally driven HSJ expiries: the chase is
+    // Lightweight settle after a thinned-stream HSJ expiry: the chase is
     // resolved once the channels are empty and the node progress counters
     // hold still across a few spaced reads (a node may briefly hold a
     // forwarded expiry in its out-buffer between consuming and draining,
-    // which a single instantaneous backlog read could miss).
+    // which a single instantaneous backlog read could miss). A caller-side
+    // wait, not engine idling.
+    constexpr auto kPause = std::chrono::microseconds(20);
     uint64_t last_processed = hsj_->TotalProcessed();
     int stable_rounds = 0;
     while (stable_rounds < 3) {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      std::this_thread::sleep_for(kPause);  // NOLINT(hot-path-sleep)
       const bool empty = hsj_->ApproxChannelBacklog() == 0;
       const uint64_t processed = hsj_->TotalProcessed();
       if (empty && processed == last_processed) {
@@ -1279,8 +801,10 @@ class JoinSession {
   }
 
   void WaitQuiescentThreaded() {
-    // Distributed quiescence: channel backlog empty, node progress counters
-    // stable, and nothing newly collected — several times in a row.
+    // Distributed quiescence at end of input: channel backlog empty, node
+    // progress counters stable, and nothing newly collected — several
+    // times in a row. A caller-side wait, not engine idling.
+    constexpr auto kPause = std::chrono::milliseconds(2);
     uint64_t last_processed = 0;
     uint64_t last_collected = 0;
     int stable_rounds = 0;
@@ -1299,61 +823,38 @@ class JoinSession {
         last_processed = processed;
         last_collected = collected;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      std::this_thread::sleep_for(kPause);  // NOLINT(hot-path-sleep)
     }
   }
 
   JoinConfig config_;
-  // Hardware placement, built once per session (SessionPlacement) and
-  // reused across the session's lifetime.
+  OutputHandler<R, S>* out_;
+  FanOutSink fan_out_{this};
   PlacementPlan plan_;
   bool placement_built_ = false;
-  ExpiryTracker tracker_;
-  QueryRouter<R, S> router_;
-  FanOutSink fan_out_;
-  AdmissionController admission_;
-  ResultObserver observer_;
 
-  // Query lifecycle state: predicates by session-wide id (never reused),
-  // the live membership, and the epoch machinery. `registry_` points at
-  // the pipeline's registry (or `own_registry_` for baselines) once the
-  // session has started.
-  std::vector<Pred> preds_;
-  std::vector<uint8_t> live_;
-  std::vector<QueryId> pre_start_removed_;
-  Epoch current_epoch_ = 0;
+  // Epochs: the pipeline's registry, or `own_registry_` for baselines.
   QueryEpochRegistry<Pred>* registry_ = nullptr;
   std::unique_ptr<QueryEpochRegistry<Pred>> own_registry_;
   std::shared_ptr<const Snapshot> active_snap_;  // baselines only
 
-  Seq r_seq_ = 0;
-  Seq s_seq_ = 0;
-  // One past the highest arrival seq handed to the pipeline, per side (the
-  // expiry horizons; also correct for externally driven shards, which see
-  // a subset of the global seqs).
+  // The staged run: both flows in driver order, the lowest arrival seq
+  // staged per side (kNoSeq: none), the side of the staged arrivals, and
+  // whether an expiry waits on one of them.
+  std::vector<FlowMsg<R>> left_;
+  std::vector<FlowMsg<S>> right_;
+  Seq first_staged_[2] = {kNoSeq, kNoSeq};
+  StreamSide staged_side_ = StreamSide::kR;
+  bool gated_ = false;
+  // One past the highest arrival seq staged, per side (the HSJ expiry
+  // horizons, ExpiryHorizon).
   Seq next_seq_r_ = 0;
   Seq next_seq_s_ = 0;
-  Timestamp last_ts_ = kMinTimestamp;
-  DriverMode driver_mode_ = DriverMode::kUnset;
-  // Checked-contracts state (DESIGN.md Section 14): every ingestion entry
-  // point must come from the one driver thread of this session (within an
-  // executor generation), and an external driver must deliver per-side
-  // arrival/expiry seqs in strictly advancing order — the same protocol
-  // the internal driver gets for free from its own seq counters.
-  [[no_unique_address]] contracts::ThreadRole driver_role_;
-  [[no_unique_address]] contracts::Monotone ext_r_arrival_order_;
-  [[no_unique_address]] contracts::Monotone ext_s_arrival_order_;
-  [[no_unique_address]] contracts::Monotone ext_r_expiry_order_;
-  [[no_unique_address]] contracts::Monotone ext_s_expiry_order_;
-  bool started_ = false;
-  bool finished_ = false;
   std::size_t hsj_lag_budget_ = 1 << 20;
-  StreamSide batch_side_ = StreamSide::kR;
-
-  // Staged flows of the batch-first ingestion path (reused across calls;
-  // always empty between calls).
-  std::vector<FlowMsg<R>> left_stage_;
-  std::vector<FlowMsg<S>> right_stage_;
+  [[no_unique_address]] contracts::Monotone r_arrival_order_;
+  [[no_unique_address]] contracts::Monotone s_arrival_order_;
+  [[no_unique_address]] contracts::Monotone r_expiry_order_;
+  [[no_unique_address]] contracts::Monotone s_expiry_order_;
 
   std::unique_ptr<KangJoin<R, S, UnionPred, FanOutSink>> kang_;
   std::unique_ptr<CellJoin<R, S, UnionPred, FanOutSink>> cell_;
@@ -1363,5 +864,567 @@ class JoinSession {
   std::unique_ptr<ThreadedExecutor> executor_;
   SequentialExecutor sequential_;
 };
+
+template <typename R, typename S, typename Pred>
+class JoinSession {
+ public:
+  /// Identifies a registered query; results of query `id` are routed to the
+  /// handler passed to the AddQuery call that returned this handle.
+  struct QueryHandle {
+    QueryId id = 0;
+  };
+
+  explicit JoinSession(const JoinConfig& config)
+      : JoinSession(ShardedJoinConfig{config, 1, PartitionPolicy::kAuto}) {}
+
+  explicit JoinSession(const ShardedJoinConfig& config)
+      : config_(config),
+        resolved_(ResolvePartitionPolicy<Pred, R, S>(config.partition)),
+        tracker_(config.shard.window_r, config.shard.window_s) {
+    ValidateShardedJoinConfig<R, S, Pred>(config_);
+    BuildShards();
+  }
+
+  ~JoinSession() { Stop(); }
+
+  JoinSession(const JoinSession&) = delete;
+  JoinSession& operator=(const JoinSession&) = delete;
+
+  /// Registers a query: `pred` is evaluated at every window crossing,
+  /// matches are delivered to `handler` (null = count only). May be called
+  /// before the first Push (part of epoch 0) or on a live session — then a
+  /// new epoch is installed on every shard at the current driver-order
+  /// boundary, and the query matches every pair whose later input is pushed
+  /// from here on.
+  QueryHandle AddQuery(Pred pred, OutputHandler<R, S>* handler) {
+    const QueryId id = router_.Register(handler);
+    preds_.push_back(pred);
+    live_.push_back(1);
+    if (started_) InstallEpoch({});
+    return QueryHandle{id};
+  }
+
+  /// Removes a live query at the current driver-order boundary: it matches
+  /// no pair whose later input is pushed after this call. Its handler stays
+  /// registered until every in-flight result of older epochs has drained on
+  /// every shard, then receives the final punctuation (OnQueryRetired)
+  /// exactly once. Returns false when the handle is unknown or already
+  /// removed.
+  bool RemoveQuery(QueryHandle handle) {
+    const QueryId id = handle.id;
+    if (id >= live_.size() || live_[id] == 0) return false;
+    live_[id] = 0;
+    if (started_) {
+      InstallEpoch({id});
+    } else {
+      pre_start_removed_.push_back(id);  // retired at start (never ran)
+    }
+    return true;
+  }
+
+  /// Number of live (registered and not removed) queries.
+  std::size_t query_count() const { return LiveIds().size(); }
+
+  /// True while `id` is registered and not removed.
+  bool query_live(QueryId id) const {
+    return id < live_.size() && live_[id] != 0;
+  }
+
+  // -- Ingestion -------------------------------------------------------------
+  //
+  // One path for every push: a single tuple is a span of one. Each tuple
+  // and every window expiry or loss gap it triggers is staged into the
+  // flows of the shard it is routed to, at its exact driver-order position,
+  // so flow order (the correctness anchor of both handshake protocols) is
+  // preserved; whole runs then reach the pipeline as channel bursts, and
+  // the nodes' batch-aware matching probes a run against each window store
+  // in a single pass. A shard's staged run is delivered when the driver
+  // routes its next message to a different shard, or when the call
+  // returns.
+
+  void PushR(const R& r, Timestamp ts) {
+    Ingest<StreamSide::kR>(std::span<const R>(&r, 1),
+                           std::span<const Timestamp>(&ts, 1), "PushR");
+  }
+
+  void PushS(const S& s, Timestamp ts) {
+    Ingest<StreamSide::kS>(std::span<const S>(&s, 1),
+                           std::span<const Timestamp>(&ts, 1), "PushS");
+  }
+
+  void PushR(std::span<const R> rs, std::span<const Timestamp> tss) {
+    Ingest<StreamSide::kR>(rs, tss, "PushR");
+  }
+
+  void PushS(std::span<const S> ss, std::span<const Timestamp> tss) {
+    Ingest<StreamSide::kS>(ss, tss, "PushS");
+  }
+
+  /// Builds the engines without pushing anything (otherwise the first push
+  /// does).
+  void Start() { EnsureStarted(); }
+
+  /// Driver-visible backlog: messages queued in the shards' channels
+  /// (result queues excluded).
+  std::size_t ingest_backlog() const {
+    std::size_t n = 0;
+    for (const auto& shard : shards_) n += shard->backlog();
+    return n;
+  }
+
+  // -- Output ----------------------------------------------------------------
+
+  /// Delivers pending results (and punctuations) to the per-query handlers.
+  /// For non-threaded pipelines this also advances the pipelines.
+  void Poll() {
+    for (auto& shard : shards_) shard->Poll();
+  }
+
+  /// Ends the input: flushes the handshake-join pipelines (so pairs still
+  /// separated inside them meet) and drains everything to the handlers.
+  void FinishInput() {
+    if (!started_ || finished_) return;
+    finished_ = true;
+    // Close out any still-open loss gaps: there is no next admitted tuple
+    // to carry them, and the accounting must be complete before the drain.
+    StagePendingLoss(StreamSide::kR);
+    StagePendingLoss(StreamSide::kS);
+    for (std::size_t k = 0; k < shards_.size(); ++k) To(k).StageFlush();
+    DeliverOpen();
+    for (auto& shard : shards_) shard->Finish();
+  }
+
+  void Stop() {
+    for (auto& shard : shards_) shard->Stop();
+  }
+
+  // -- Introspection ---------------------------------------------------------
+
+  uint64_t results_collected() const { return router_.total_collected(); }
+
+  /// Results routed to query `q` so far (any engine).
+  uint64_t results_collected(QueryId q) const { return router_.collected(q); }
+
+  const ShardedJoinConfig& config() const { return config_; }
+  bool started() const { return started_; }
+  int shard_count() const { return static_cast<int>(shards_.size()); }
+  /// The resolved (never kAuto) partitioning in effect.
+  PartitionPolicy partition() const { return resolved_; }
+
+  /// Placement plan shard `shard`'s pipeline threads were pinned with
+  /// (empty until a threaded session starts).
+  const PlacementPlan& shard_placement(int shard) const {
+    return shards_[static_cast<std::size_t>(shard)]->placement();
+  }
+
+  /// Epoch of the query set currently being installed into pushes: results
+  /// of pairs whose later input is pushed now carry this epoch.
+  Epoch current_epoch() const { return current_epoch_; }
+
+  /// Highest epoch known fully drained on every shard: every result of an
+  /// older epoch has been delivered, and queries removed at or before that
+  /// boundary have received their final punctuation. Advanced by Poll/
+  /// FinishInput as the per-node epoch markers arrive (baseline engines
+  /// drain synchronously).
+  Epoch drained_epoch() const { return router_.drained_epoch(); }
+
+  /// Diagnostics for tests: anomaly counters of every shard plus misrouted
+  /// results must stay zero.
+  uint64_t pipeline_anomalies() const {
+    uint64_t n = router_.misrouted();
+    for (const auto& shard : shards_) n += shard->anomalies();
+    return n;
+  }
+
+  /// Overload-control introspection. `admission()` is mutable so tests can
+  /// install the deterministic force-shed hook before the first Push.
+  AdmissionController& admission() { return admission_; }
+  const AdmissionController& admission() const { return admission_; }
+
+  /// Ground truth: tuples shed at ingest per side.
+  uint64_t tuples_shed(StreamSide side) const {
+    return admission_.shed_count(side);
+  }
+
+  /// Tuples reported lost to the handlers so far (sum of all delivered
+  /// OnLoss bounds). Equals tuples_shed once the stream has drained — the
+  /// exact-accounting invariant.
+  uint64_t tuples_lost_reported(StreamSide side) const {
+    return router_.lost(side);
+  }
+
+  /// End-to-end latency distribution merged across all shards
+  /// (LatencyHistogram::Merge: exact, order-independent).
+  LatencyHistogram merged_latency_histogram() const {
+    LatencyHistogram merged;
+    for (const ShardOutput& out : outputs_) merged.Merge(out.latency);
+    return merged;
+  }
+
+  /// Per-shard results delivered so far (load-balance introspection).
+  uint64_t shard_results(int shard) const {
+    return outputs_[static_cast<std::size_t>(shard)].latency.count();
+  }
+
+ private:
+  using Shard = JoinShard<R, S, Pred>;
+  static constexpr std::size_t kNoShard = ~std::size_t{0};
+
+  /// Per-shard output adapter: every shard delivers its results,
+  /// punctuations, loss bounds and epoch drains here, and the adapter feeds
+  /// the one router. It keeps the shard's latency histogram and the
+  /// admission EWMA; punctuations and epoch drains are merged as the min
+  /// over shards, so a handler never hears about a timestamp or an epoch
+  /// some other shard is still behind on. One clock read per burst.
+  struct ShardOutput : OutputHandler<R, S> {
+    ShardOutput() = default;
+    ShardOutput(const ShardOutput&) = delete;  // its shard holds its address
+    ShardOutput& operator=(const ShardOutput&) = delete;
+
+    JoinSession* session = nullptr;
+    LatencyHistogram latency;
+    Timestamp punctuation = kMinTimestamp;
+    Epoch drained = 0;
+
+    void OnResult(const ResultMsg<R, S>& m) override { OnResultBurst(&m, 1); }
+    void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) override {
+      AdmissionController& admission = session->admission_;
+      int64_t now = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (run[i].ready_wall_ns <= 0) continue;
+        if (now == 0) now = NowNs();
+        const int64_t latency_ns = now - run[i].ready_wall_ns;
+        latency.Add(latency_ns);
+        if (admission.enabled()) admission.ObserveResult(latency_ns, now);
+      }
+      session->router_.OnResultBurst(run, n);
+    }
+    void OnPunctuation(Timestamp tp) override {
+      punctuation = std::max(punctuation, tp);
+      Timestamp merged = punctuation;
+      for (const ShardOutput& o : session->outputs_) {
+        merged = std::min(merged, o.punctuation);
+      }
+      if (merged > session->last_punctuation_) {
+        session->last_punctuation_ = merged;
+        session->router_.OnPunctuation(merged);
+      }
+    }
+    void OnLoss(StreamSide side, Seq first_seq, uint64_t count) override {
+      session->router_.OnLoss(side, first_seq, count);
+    }
+    void OnEpochDrained(Epoch epoch) override {
+      drained = std::max(drained, epoch);
+      Epoch merged = drained;
+      for (const ShardOutput& o : session->outputs_) {
+        merged = std::min(merged, o.drained);
+      }
+      session->router_.OnEpochDrained(merged);
+    }
+  };
+
+  struct Route {
+    Seq seq = 0;
+    int shard = 0;
+  };
+
+  /// Builds the shards, spreading threaded ones over the NUMA nodes of the
+  /// configured (or detected) topology round-robin: shard k runs on node
+  /// k mod nodes, so its PlacementPlan pins pipeline, helpers and channel
+  /// memory onto that node alone. Shards sharing a node split its cores
+  /// between them (Topology::OnNode's slice form) instead of each taking
+  /// the whole node, where every shard's position 0 would land on the
+  /// node's first CPU. A single shard keeps the caller's topology.
+  void BuildShards() {
+    std::shared_ptr<const Topology> topo = config_.shard.topology;
+    std::vector<int> nodes;
+    if (config_.shard.threaded && config_.shards > 1) {
+      if (topo == nullptr) {
+        topo = std::make_shared<const Topology>(Topology::Detect());
+      }
+      for (const TopoCpu& c : topo->entries()) {
+        if (std::find(nodes.begin(), nodes.end(), c.node) == nodes.end()) {
+          nodes.push_back(c.node);
+        }
+      }
+    }
+    // Sized once: shards keep pointers to their adapters.
+    outputs_ =
+        std::vector<ShardOutput>(static_cast<std::size_t>(config_.shards));
+    const int node_count = static_cast<int>(nodes.size());
+    for (int k = 0; k < config_.shards; ++k) {
+      JoinConfig shard_config = config_.shard;
+      if (!nodes.empty()) {
+        // Shards k, k + nodes, k + 2 * nodes, ... share node k mod nodes.
+        const int home = k % node_count;
+        const int sharing =
+            (config_.shards - home + node_count - 1) / node_count;
+        Topology sub = topo->OnNode(nodes[static_cast<std::size_t>(home)],
+                                    k / node_count, sharing);
+        shard_config.topology =
+            sub.cpu_count() > 0
+                ? std::make_shared<const Topology>(std::move(sub))
+                : topo;
+      }
+      ShardOutput& out = outputs_[static_cast<std::size_t>(k)];
+      out.session = this;
+      shards_.push_back(std::make_unique<Shard>(shard_config, &out));
+    }
+  }
+
+  std::vector<QueryId> LiveIds() const {
+    std::vector<QueryId> ids;
+    for (QueryId q = 0; q < live_.size(); ++q) {
+      if (live_[q] != 0) ids.push_back(q);
+    }
+    return ids;
+  }
+
+  QuerySet<Pred> LiveSet() const {
+    std::vector<Pred> preds;
+    for (QueryId q = 0; q < live_.size(); ++q) {
+      if (live_[q] != 0) preds.push_back(preds_[q]);
+    }
+    return QuerySet<Pred>(std::move(preds));
+  }
+
+  /// Builds the engines on the first Push; the live set becomes epoch 0.
+  void EnsureStarted() {
+    if (started_) return;
+    const std::vector<QueryId> ids = LiveIds();
+    if (ids.empty()) {
+      // Self-diagnosing like ValidateJoinConfig: name the state observed.
+      throw std::logic_error(
+          "JoinSession: cannot start ingestion with 0 live queries "
+          "(session state: not started, " + std::to_string(preds_.size()) +
+          " registered, " + std::to_string(pre_start_removed_.size()) +
+          " removed before start); register at least one query via "
+          "AddQuery before the first Push");
+    }
+    started_ = true;
+    AdmissionController::Options adm;
+    adm.budget_ns = config_.shard.latency_budget_us * 1000;
+    adm.policy = config_.shard.overload_policy;
+    admission_.Configure(adm);  // preserves a pre-installed force hook
+    router_.BeginEpoch(0, ids, pre_start_removed_);
+    for (auto& shard : shards_) shard->Start(LiveSet(), ids);
+    // Nothing precedes epoch 0, so it is drained by definition — this also
+    // retires queries that were removed before the session ever started.
+    router_.OnEpochDrained(0);
+  }
+
+  /// Installs the current live membership as a new epoch on every shard at
+  /// this driver-order boundary. The router learns the epoch first, so a
+  /// shard that drains it at once (the synchronous baselines) retires the
+  /// removed queries.
+  void InstallEpoch(std::vector<QueryId> removed) {
+    const std::vector<QueryId> ids = LiveIds();
+    ++current_epoch_;
+    router_.BeginEpoch(current_epoch_, ids, std::move(removed));
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      To(k).StageEpoch(LiveSet(), ids);
+    }
+    DeliverOpen();
+  }
+
+  template <StreamSide kSide>
+  void Ingest(std::span<const typename Shard::template Tuple<kSide>> tuples,
+              std::span<const Timestamp> tss, const char* method) {
+    if (tuples.size() != tss.size()) {
+      throw std::invalid_argument(
+          std::string("JoinSession::") + method +
+          ": tuple and timestamp spans differ in size");
+    }
+    driver_role_.AssertHeld("JoinSession", "driver");
+    EnsureStarted();
+    Seq& next_seq = kSide == StreamSide::kR ? r_seq_ : s_seq_;
+    for (std::size_t i = 0; i < tuples.size(); ++i) {
+      const Timestamp ts = Monotonic(tss[i]);
+      StageTimeExpiries(ts);
+      const Seq seq = next_seq++;
+      if (ShedAtIngest(kSide, seq)) continue;  // the tracker never sees it
+      StagePendingLoss(kSide);
+      if (!Thinned(kSide)) {
+        for (std::size_t k = 0; k < shards_.size(); ++k) {
+          To(k).template StageArrival<kSide>(tuples[i], seq, ts,
+                                             current_epoch_);
+        }
+      } else {
+        const int target = TargetShard<kSide>(tuples[i], seq);
+        To(static_cast<std::size_t>(target))
+            .template StageArrival<kSide>(tuples[i], seq, ts, current_epoch_);
+        (kSide == StreamSide::kR ? route_r_ : route_s_)
+            .push_back(Route{seq, target});
+      }
+      Seq expired_seq;
+      Timestamp expired_ts;
+      if (tracker_.OnArrival(kSide, seq, ts, &expired_seq, &expired_ts)) {
+        RouteExpiry(kSide, expired_seq, expired_ts);
+      }
+    }
+    DeliverOpen();
+  }
+
+  /// The shard the driver stages its next message into. Moving on to
+  /// another shard delivers the previous shard's staged run, so no shard's
+  /// node idles while the driver routes the rest of a span elsewhere.
+  Shard& To(std::size_t k) {
+    if (open_ != k) {
+      if (open_ != kNoShard) shards_[open_]->Deliver();
+      open_ = k;
+    }
+    return *shards_[k];
+  }
+
+  /// Delivers the open shard's staged run (the call returns).
+  void DeliverOpen() {
+    if (open_ == kNoShard) return;
+    shards_[open_]->Deliver();
+    open_ = kNoShard;
+  }
+
+  // -- Partitioning ----------------------------------------------------------
+
+  /// True when each shard sees only part of `side`'s stream: arrivals enter
+  /// exactly one shard, and expiries follow the recorded route. False when
+  /// the side is replicated (expiries broadcast) — always so at N = 1.
+  bool Thinned(StreamSide side) const {
+    return shards_.size() > 1 && SidePartitioned(resolved_, side);
+  }
+
+  /// Shard owning an arrival of a partitioned side: by join key under
+  /// kHashKey, by sequence number when the other side is replicated.
+  template <StreamSide kSide>
+  int TargetShard(const typename Shard::template Tuple<kSide>& tuple,
+                  Seq seq) const {
+    using Traits = ShardKeyTraits<Pred, R, S>;
+    if constexpr (Traits::kEnabled) {
+      if (resolved_ == PartitionPolicy::kHashKey) {
+        if constexpr (kSide == StreamSide::kR) {
+          return ShardOfKey(Traits::KeyR(tuple), shard_count());
+        } else {
+          return ShardOfKey(Traits::KeyS(tuple), shard_count());
+        }
+      }
+    }
+    return static_cast<int>(seq % static_cast<Seq>(shards_.size()));
+  }
+
+  // -- Window bookkeeping over the global arrival order ----------------------
+
+  Timestamp Monotonic(Timestamp ts) {
+    if (ts < last_ts_) ts = last_ts_;
+    last_ts_ = ts;
+    return ts;
+  }
+
+  void StageTimeExpiries(Timestamp ts) {
+    StreamSide side;
+    Seq seq;
+    Timestamp expired_ts;
+    while (tracker_.PopTimeExpiry(ts, &side, &seq, &expired_ts)) {
+      RouteExpiry(side, seq, expired_ts);
+    }
+  }
+
+  /// Sends the expiry of tuple `seq` to exactly the shards that hold it.
+  /// Per-side expiries leave the tracker in FIFO arrival order — the same
+  /// order the route records were pushed — so the front record must match.
+  void RouteExpiry(StreamSide side, Seq seq, Timestamp ts) {
+    if (!Thinned(side)) {
+      for (std::size_t k = 0; k < shards_.size(); ++k) {
+        To(k).StageExpiry(side, seq, ts, /*thinned=*/false);
+      }
+      return;
+    }
+    VecDeque<Route>& route = side == StreamSide::kR ? route_r_ : route_s_;
+    if (route.empty() || route.front().seq != seq) {
+      throw std::logic_error(
+          "JoinSession: expiry routing desynchronized (side " +
+          std::string(side == StreamSide::kR ? "R" : "S") + ", expiry seq " +
+          std::to_string(seq) +
+          (route.empty() ? ", no route recorded"
+                         : ", front route seq " +
+                               std::to_string(route.front().seq)) +
+          ")");
+    }
+    const int shard = route.front().shard;
+    route.pop_front();
+    To(static_cast<std::size_t>(shard))
+        .StageExpiry(side, seq, ts, /*thinned=*/true);
+  }
+
+  // -- Overload control (DESIGN.md Section 12) -------------------------------
+
+  /// Admission decision for one arrival whose seq is already consumed.
+  /// Returns true when the tuple is shed: the caller must then skip BOTH
+  /// the staging and the expiry-tracker update — a shed tuple never
+  /// reaches a window store, so no expiry may ever reference it (an expiry
+  /// for an absent tuple would tombstone-leak in LLHJ and stall the
+  /// completion gate forever). The session has no ingest-side holding
+  /// buffer (every admitted push is delivered by the call), so kDropOldest
+  /// has no victim to displace here and degrades to dropping the incoming
+  /// tuple; the Feeder path implements the full victim semantics.
+  bool ShedAtIngest(StreamSide side, Seq seq) {
+    if (!admission_.enabled() && !admission_.has_force_shed()) return false;
+    const int64_t now = NowNs();
+    // The push call IS the arrival (waited = 0); overload pressure shows up
+    // through the latency EWMA and the channel backlog instead.
+    if (!admission_.ShouldShed(side, seq, now, now, ingest_backlog())) {
+      return false;
+    }
+    admission_.RecordShed(side, seq);
+    return true;
+  }
+
+  /// Stages every closed gap of `side` at the current stream position, in
+  /// flow order, into exactly ONE shard (the first): the router broadcasts
+  /// each bound once per handler, so delivering it through a single shard
+  /// keeps the accounting exactly-once.
+  void StagePendingLoss(StreamSide side) {
+    LossBound gap;
+    while (admission_.TakeGap(side, &gap)) {
+      To(0).StageLoss(gap.side, gap.first_seq, gap.count);
+    }
+  }
+
+  ShardedJoinConfig config_;
+  PartitionPolicy resolved_;
+  ExpiryTracker tracker_;
+  QueryRouter<R, S> router_;
+  AdmissionController admission_;
+
+  // Query lifecycle state: predicates by session-wide id (never reused),
+  // the live membership, and the epoch counter.
+  std::vector<Pred> preds_;
+  std::vector<uint8_t> live_;
+  std::vector<QueryId> pre_start_removed_;
+  Epoch current_epoch_ = 0;
+
+  Seq r_seq_ = 0;
+  Seq s_seq_ = 0;
+  Timestamp last_ts_ = kMinTimestamp;
+  Timestamp last_punctuation_ = kMinTimestamp;
+  bool started_ = false;
+  bool finished_ = false;
+  // Checked-contracts state (DESIGN.md Section 14): every ingestion call
+  // must come from the one driver thread of this session (within an
+  // executor generation).
+  [[no_unique_address]] contracts::ThreadRole driver_role_;
+
+  // Partitioned-side expiry routing: FIFO of (seq, shard) per side.
+  VecDeque<Route> route_r_;
+  VecDeque<Route> route_s_;
+
+  // The shard holding a staged run (kNoShard: none). Shards are declared
+  // after their adapters, so they are destroyed first.
+  std::size_t open_ = kNoShard;
+  std::vector<ShardOutput> outputs_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+/// The N >= 1 form of the session is the session.
+template <typename R, typename S, typename Pred>
+using ShardedJoinSession = JoinSession<R, S, Pred>;
 
 }  // namespace sjoin

@@ -35,7 +35,7 @@ class OutputHandler {
   virtual void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) OnResult(run[i]);
   }
-  virtual void OnPunctuation(Timestamp tp) {}
+  virtual void OnPunctuation(Timestamp /*tp*/) {}
 
   /// Every result of a query epoch below the argument has been delivered
   /// (the collector saw the epoch marker of every pipeline node). Default

@@ -104,6 +104,14 @@ inline int ShardOfKey(uint64_t key, int shards) {
   return static_cast<int>(MixShardKey(key) % static_cast<uint64_t>(shards));
 }
 
+/// True when each arrival of `side` enters exactly one shard under the
+/// resolved policy `p`; false when the side is replicated to every shard.
+constexpr bool SidePartitioned(PartitionPolicy p, StreamSide side) {
+  return p == PartitionPolicy::kHashKey ||
+         p == (side == StreamSide::kR ? PartitionPolicy::kReplicateS
+                                      : PartitionPolicy::kReplicateR);
+}
+
 /// Resolves the requested policy against the predicate type's metadata.
 /// kAuto picks the best supported split; kHashKey is rejected (throws
 /// std::invalid_argument) when the predicate type declares no shard keys.

@@ -37,7 +37,7 @@ template <typename Pred>
 class QuerySet {
  public:
   QuerySet() = default;
-  /// Single-query set (the classic StreamJoiner configuration).
+  /// Single-query set.
   explicit QuerySet(Pred pred) { preds_.push_back(pred); }
   explicit QuerySet(std::vector<Pred> preds) : preds_(std::move(preds)) {}
 

@@ -4,13 +4,13 @@
 // Tier 3 (checked-contracts build mode, cmake -DSJOIN_CONTRACTS=ON) is
 // exercised with gtest death tests matching the "sjoin contract violation"
 // stderr prefix: wrong-thread SPSC access, regressing high-water marks,
-// non-monotone external driver seqs, and a second thread claiming the
-// session driver role. Positive cases pin down the deliberate escape
+// non-monotone seqs at a shard's entry point, and a second thread claiming
+// the session driver role. Positive cases pin down the deliberate escape
 // hatches (role rebinding across executor generations).
 //
-// The always-on invariants — driver-mode exclusivity and sequential epoch
-// begin, which throw std::logic_error regardless of build mode — are
-// covered unconditionally, so this suite is meaningful in both builds.
+// The always-on invariants — sequential epoch begin and install, which
+// throw std::logic_error regardless of build mode — are covered
+// unconditionally, so this suite is meaningful in both builds.
 // When SJOIN_CONTRACTS is OFF the contract classes must be inert: the
 // no-op test feeds them violating sequences and expects nothing.
 #include <gtest/gtest.h>
@@ -36,31 +36,7 @@ using test::KeyEq;
 using test::TR;
 using test::TS;
 
-JoinConfig TinyConfig() {
-  JoinConfig config;
-  config.algorithm = Algorithm::kKang;
-  config.parallelism = 1;
-  config.window_r = WindowSpec::Count(4);
-  config.window_s = WindowSpec::Count(4);
-  config.threaded = false;
-  return config;
-}
-
 // -- Always-on invariants (both build modes) ---------------------------------
-
-TEST(ContractsAlwaysOn, DriverModeMixingRejected) {
-  CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, KeyEq> session(TinyConfig());
-  session.AddQuery(KeyEq{}, &handler);
-  session.PushR(TR{1, 0}, 0);  // binds the internal driver
-  EXPECT_THROW(session.PushRAt(TR{2, 1}, 1, 0), std::logic_error);
-  EXPECT_THROW(session.PushExpiry(StreamSide::kR, 0, 1), std::logic_error);
-
-  JoinSession<TR, TS, KeyEq> external(TinyConfig());
-  external.AddQuery(KeyEq{}, &handler);
-  external.PushRAt(TR{1, 0}, 0, 0);  // binds the external driver
-  EXPECT_THROW(external.PushS(TS{1, 1}, 1), std::logic_error);
-}
 
 TEST(ContractsAlwaysOn, RouterEpochsMustBeginSequentially) {
   QueryRouter<TR, TS> router;
@@ -158,29 +134,43 @@ TEST_F(ContractsDeath, HwmSidesAreIndependent) {
   EXPECT_EQ(marks.Get(StreamSide::kR), 10);
 }
 
+JoinConfig TinyConfig() {
+  JoinConfig config;
+  config.algorithm = Algorithm::kKang;
+  config.parallelism = 1;
+  config.window_r = WindowSpec::Count(4);
+  config.window_s = WindowSpec::Count(4);
+  config.threaded = false;
+  return config;
+}
+
 // Session-driving bodies live in named helpers: a template-argument comma
 // at statement scope would otherwise split the EXPECT_DEATH macro args.
+// The seq-order contracts sit at a shard's entry point, where a regression
+// means the driver routed a message out of order; the helpers drive that
+// entry point directly.
 void DriveExternalArrivalRegression() {
   CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, KeyEq> session(TinyConfig());
-  session.AddQuery(KeyEq{}, &handler);
-  session.PushRAt(TR{1, 0}, 0, /*seq=*/5);
-  session.PushRAt(TR{2, 1}, 1, /*seq=*/5);  // repeats: strict order
+  JoinShard<TR, TS, KeyEq> shard(TinyConfig(), &handler);
+  shard.Start(QuerySet<KeyEq>(KeyEq{}), {0});
+  shard.StageArrival<StreamSide::kR>(TR{1, 0}, /*seq=*/5, /*ts=*/0, 0);
+  shard.StageArrival<StreamSide::kR>(TR{2, 1}, /*seq=*/5, /*ts=*/1, 0);
 }
 
 void DriveExternalExpiryRegression() {
   CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, KeyEq> session(TinyConfig());
-  session.AddQuery(KeyEq{}, &handler);
-  session.PushRAt(TR{1, 0}, 0, 0);
-  session.PushRAt(TR{1, 1}, 1, 1);
-  session.PushExpiry(StreamSide::kR, /*seq=*/1, /*ts=*/2);
-  session.PushExpiry(StreamSide::kR, /*seq=*/0, /*ts=*/3);  // regresses
+  JoinShard<TR, TS, KeyEq> shard(TinyConfig(), &handler);
+  shard.Start(QuerySet<KeyEq>(KeyEq{}), {0});
+  shard.StageArrival<StreamSide::kR>(TR{1, 0}, 0, 0, 0);
+  shard.StageArrival<StreamSide::kR>(TR{1, 1}, 1, 1, 0);
+  shard.StageExpiry(StreamSide::kR, /*seq=*/1, /*ts=*/2, false);
+  shard.StageExpiry(StreamSide::kR, /*seq=*/0, /*ts=*/3, false);  // regresses
 }
 
-void DriveFromTwoThreads() {
+void DriveFromTwoThreads(int shards) {
   CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, KeyEq> session(TinyConfig());
+  JoinSession<TR, TS, KeyEq> session(
+      ShardedJoinConfig{TinyConfig(), shards, PartitionPolicy::kAuto});
   session.AddQuery(KeyEq{}, &handler);
   session.PushR(TR{1, 0}, 0);  // pins the driver role to this thread
   std::thread intruder([&session] { session.PushR(TR{2, 1}, 1); });
@@ -189,16 +179,18 @@ void DriveFromTwoThreads() {
 
 TEST_F(ContractsDeath, ExternalArrivalSeqRegressionDies) {
   EXPECT_DEATH(DriveExternalArrivalRegression(),
-               "sjoin contract violation: JoinSession: external R arrival seq");
+               "sjoin contract violation: JoinShard: R arrival seq");
 }
 
 TEST_F(ContractsDeath, ExternalExpirySeqRegressionDies) {
   EXPECT_DEATH(DriveExternalExpiryRegression(),
-               "sjoin contract violation: JoinSession: external expiry seq");
+               "sjoin contract violation: JoinShard: R expiry seq");
 }
 
 TEST_F(ContractsDeath, SecondThreadDriverDies) {
-  EXPECT_DEATH(DriveFromTwoThreads(),
+  EXPECT_DEATH(DriveFromTwoThreads(1),
+               "sjoin contract violation: JoinSession: role 'driver'");
+  EXPECT_DEATH(DriveFromTwoThreads(2),
                "sjoin contract violation: JoinSession: role 'driver'");
 }
 

@@ -1,11 +1,11 @@
-// Tests for the public StreamJoiner facade: all four algorithms behind one
-// push/poll API must produce identical result sets; window bookkeeping,
+// Tests for the public single-query JoinSession: all four algorithms behind
+// one push/poll API must produce identical result sets; window bookkeeping,
 // punctuation, threaded and non-threaded operation.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/stream_joiner.hpp"
+#include "core/join_session.hpp"
 
 #include "test_util.hpp"
 
@@ -37,7 +37,8 @@ std::vector<ResultMsg<TR, TS>> RunFacade(Algorithm algorithm,
   // which is always correct; larger ones strand tuples). The test traces
   // keep ~17 tuples/side alive in their 50 us windows.
   config.hsj_window_tuples_hint = 16;
-  StreamJoiner<TR, TS, KeyEq> joiner(config, &handler);
+  JoinSession<TR, TS, KeyEq> joiner(config);
+  joiner.AddQuery(KeyEq{}, &handler);
   for (const auto& e : trace) {
     if (e.side == StreamSide::kR) {
       joiner.PushR(e.r, e.ts);
@@ -104,7 +105,8 @@ TEST(Facade, NonMonotonicTimestampsAreClamped) {
   config.algorithm = Algorithm::kKang;
   config.window_r = WindowSpec::Time(10);
   config.window_s = WindowSpec::Time(10);
-  StreamJoiner<TR, TS, KeyEq> joiner(config, &handler);
+  JoinSession<TR, TS, KeyEq> joiner(config);
+  joiner.AddQuery(KeyEq{}, &handler);
   joiner.PushR(TR{1, 0}, 100);
   joiner.PushS(TS{1, 1}, 50);  // clamped to 100 -> still joins
   joiner.FinishInput();
@@ -124,7 +126,8 @@ TEST(Facade, PunctuatedOutput) {
   config.window_s = WindowSpec::Time(60);
   config.punctuate = true;
   config.threaded = false;
-  StreamJoiner<TR, TS, KeyEq> joiner(config, &handler);
+  JoinSession<TR, TS, KeyEq> joiner(config);
+  joiner.AddQuery(KeyEq{}, &handler);
   for (const auto& e : trace) {
     if (e.side == StreamSide::kR) {
       joiner.PushR(e.r, e.ts);
@@ -149,7 +152,8 @@ TEST(Facade, ResultsCollectedCounter) {
   config.window_r = WindowSpec::Count(8);
   config.window_s = WindowSpec::Count(8);
   config.threaded = false;
-  StreamJoiner<TR, TS, KeyEq> joiner(config, &handler);
+  JoinSession<TR, TS, KeyEq> joiner(config);
+  joiner.AddQuery(KeyEq{}, &handler);
   joiner.PushR(TR{5, 0}, 0);
   joiner.PushS(TS{5, 1}, 1);
   joiner.FinishInput();
@@ -165,7 +169,8 @@ TEST(Facade, InterleavedPollDeliversIncrementally) {
   config.window_r = WindowSpec::Count(100);
   config.window_s = WindowSpec::Count(100);
   config.threaded = false;
-  StreamJoiner<TR, TS, KeyEq> joiner(config, &handler);
+  JoinSession<TR, TS, KeyEq> joiner(config);
+  joiner.AddQuery(KeyEq{}, &handler);
   joiner.PushR(TR{1, 0}, 0);
   joiner.PushS(TS{1, 1}, 1);
   joiner.Poll();
@@ -194,7 +199,8 @@ TEST(Facade, StopIsIdempotentAndSafe) {
   JoinConfig config;
   config.algorithm = Algorithm::kLowLatency;
   config.threaded = true;
-  StreamJoiner<TR, TS, KeyEq> joiner(config, &handler);
+  JoinSession<TR, TS, KeyEq> joiner(config);
+  joiner.AddQuery(KeyEq{}, &handler);
   joiner.PushR(TR{1, 0}, 0);
   joiner.Stop();
   joiner.Stop();

@@ -246,7 +246,9 @@ TEST(PlacementPlan, CompactCoLocatesNeighboursBeforeRemoteNodes) {
   }
   for (int h = 0; h < plan.helpers(); ++h) {
     const int cpu = plan.CpuForHelper(h);
-    if (cpu >= 0) EXPECT_TRUE(cpus.insert(cpu).second);
+    if (cpu >= 0) {
+      EXPECT_TRUE(cpus.insert(cpu).second);
+    }
   }
 
   // Node sequence along the pipeline is contiguous: a node is never

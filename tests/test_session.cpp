@@ -2,9 +2,10 @@
 //  * config validation (clear std::invalid_argument on nonsense configs),
 //  * query-set rules (register before start, at least one query),
 //  * multi-query equivalence: one session with Q predicates produces
-//    exactly the union of Q independent StreamJoiners (per-query result
-//    sets compared, threaded and non-threaded, all engines),
-//  * batch PushR/PushS equivalence with the per-tuple loop,
+//    exactly the union of Q independent single-query sessions (per-query
+//    result sets compared, threaded and non-threaded, all engines),
+//  * batch PushR/PushS and the per-tuple loop both matching the Kang
+//    oracle, at 1 and 2 shards,
 //  * QueryId routing and punctuation broadcast.
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "core/join_session.hpp"
-#include "core/stream_joiner.hpp"
 
 #include "test_util.hpp"
 
@@ -88,18 +88,27 @@ void FeedBatched(Joinable& join, const Trace<TR, TS>& trace,
   }
 }
 
-/// The per-query oracle: an independent single-query StreamJoiner (Kang)
-/// over the same trace and windows.
+/// The per-query oracle: an independent single-query Kang session over the
+/// same trace and windows.
+template <typename Pred>
 std::vector<ResultMsg<TR, TS>> OracleFor(const Trace<TR, TS>& trace,
                                          WindowSpec wr, WindowSpec ws,
-                                         KeyBand pred) {
+                                         Pred pred) {
   CollectingHandler<TR, TS> handler;
-  StreamJoiner<TR, TS, KeyBand> joiner(
-      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false), &handler,
-      pred);
+  JoinSession<TR, TS, Pred> joiner(
+      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false));
+  joiner.AddQuery(pred, &handler);
   FeedPerTuple(joiner, trace);
   joiner.FinishInput();
   return handler.results();
+}
+
+/// A session of `shards` shards over BaseConfig. KeyEq declares no shard
+/// keys here, so kAuto replicates R and splits S by sequence number.
+ShardedJoinConfig ShardedConfig(Algorithm algorithm, WindowSpec wr,
+                                WindowSpec ws, bool threaded, int shards) {
+  return ShardedJoinConfig{BaseConfig(algorithm, wr, ws, threaded), shards,
+                           PartitionPolicy::kAuto};
 }
 
 // -- Config validation -------------------------------------------------------
@@ -299,8 +308,8 @@ TEST(SessionValidation, ConstructorValidates) {
   JoinConfig config;
   config.parallelism = 0;
   EXPECT_THROW((JoinSession<TR, TS, KeyEq>(config)), std::invalid_argument);
-  CollectingHandler<TR, TS> handler;
-  EXPECT_THROW((StreamJoiner<TR, TS, KeyEq>(config, &handler)),
+  EXPECT_THROW((JoinSession<TR, TS, KeyEq>(
+                   ShardedJoinConfig{config, 1, PartitionPolicy::kAuto})),
                std::invalid_argument);
 }
 
@@ -418,6 +427,33 @@ INSTANTIATE_TEST_SUITE_P(
 
 class BatchPush : public ::testing::TestWithParam<Algorithm> {};
 
+// A tuple push is a span of one, so per-tuple and span pushes run the same
+// staged path: both are held to the independent Kang reference instead of
+// to each other, at 1 and 2 shards.
+
+/// Runs `trace` through a session of `shards` shards, per tuple
+/// (max_batch 0) or as spans of up to `max_batch`.
+std::vector<ResultMsg<TR, TS>> RunSharded(Algorithm algorithm,
+                                          const Trace<TR, TS>& trace,
+                                          WindowSpec wr, WindowSpec ws,
+                                          bool threaded, int shards,
+                                          std::size_t max_batch) {
+  CollectingHandler<TR, TS> handler;
+  JoinSession<TR, TS, KeyEq> session(
+      ShardedConfig(algorithm, wr, ws, threaded, shards));
+  session.AddQuery(KeyEq{}, &handler);
+  if (max_batch == 0) {
+    FeedPerTuple(session, trace);
+  } else {
+    FeedBatched(session, trace, max_batch);
+  }
+  session.FinishInput();
+  session.Stop();
+  EXPECT_EQ(session.pipeline_anomalies(), 0u)
+      << "shards " << shards << " max_batch " << max_batch;
+  return handler.results();
+}
+
 TEST_P(BatchPush, SpansMatchPerTupleLoopNonThreaded) {
   TraceConfig tc;
   tc.events = 400;
@@ -426,25 +462,16 @@ TEST_P(BatchPush, SpansMatchPerTupleLoopNonThreaded) {
   auto trace = MakeRandomTrace(173, tc);
   const WindowSpec wr = WindowSpec::Time(60);
   const WindowSpec ws = WindowSpec::Time(60);
+  const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+  ASSERT_FALSE(oracle.empty());
 
-  CollectingHandler<TR, TS> per_tuple;
-  {
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &per_tuple);
-    FeedPerTuple(joiner, trace);
-    joiner.FinishInput();
-    EXPECT_EQ(joiner.pipeline_anomalies(), 0u);
-  }
-
-  for (std::size_t max_batch : {1u, 7u, 64u}) {
-    CollectingHandler<TR, TS> batched;
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &batched);
-    FeedBatched(joiner, trace, max_batch);
-    joiner.FinishInput();
-    EXPECT_EQ(joiner.pipeline_anomalies(), 0u);
-    EXPECT_TRUE(SameResultSet(per_tuple.results(), batched.results()))
-        << "max_batch " << max_batch;
+  for (int shards : {1, 2}) {
+    for (std::size_t max_batch : {0u, 1u, 7u, 64u}) {
+      EXPECT_TRUE(SameResultSet(
+          oracle, RunSharded(GetParam(), trace, wr, ws, /*threaded=*/false,
+                             shards, max_batch)))
+          << "shards " << shards << " max_batch " << max_batch;
+    }
   }
 }
 
@@ -455,23 +482,18 @@ TEST_P(BatchPush, SpansMatchPerTupleLoopThreaded) {
   auto trace = MakeRandomTrace(174, tc);
   const WindowSpec wr = WindowSpec::Count(150);
   const WindowSpec ws = WindowSpec::Count(150);
+  const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
 
-  CollectingHandler<TR, TS> per_tuple;
-  {
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &per_tuple);
-    FeedPerTuple(joiner, trace);
-    joiner.FinishInput();
+  for (int shards : {1, 2}) {
+    EXPECT_TRUE(SameResultSet(
+        oracle, RunSharded(GetParam(), trace, wr, ws, /*threaded=*/false,
+                           shards, /*max_batch=*/0)))
+        << "shards " << shards;
+    EXPECT_TRUE(SameResultSet(
+        oracle, RunSharded(GetParam(), trace, wr, ws, /*threaded=*/true,
+                           shards, /*max_batch=*/32)))
+        << "shards " << shards;
   }
-
-  CollectingHandler<TR, TS> batched;
-  StreamJoiner<TR, TS, KeyEq> joiner(
-      BaseConfig(GetParam(), wr, ws, /*threaded=*/true), &batched);
-  FeedBatched(joiner, trace, 32);
-  joiner.FinishInput();
-  joiner.Stop();
-  EXPECT_EQ(joiner.pipeline_anomalies(), 0u);
-  EXPECT_TRUE(SameResultSet(per_tuple.results(), batched.results()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -485,7 +507,7 @@ TEST_P(BatchPush, TinyCountWindowsMatchPerTupleLoopNonThreaded) {
   // Regression: count windows below the entry-channel capacity floor (8)
   // force an expiry on nearly every arrival; the batch path must not let
   // the driver run a window ahead of the undrained pipeline (HSJ
-  // bounded-lag exactness — the scalar path drains after every push).
+  // bounded-lag exactness — the pipeline drains at every expiry).
   TraceConfig tc;
   tc.events = 500;
   tc.key_domain = 4;
@@ -493,22 +515,24 @@ TEST_P(BatchPush, TinyCountWindowsMatchPerTupleLoopNonThreaded) {
   for (int64_t window : {2, 4, 6}) {
     const WindowSpec wr = WindowSpec::Count(window);
     const WindowSpec ws = WindowSpec::Count(window);
-    CollectingHandler<TR, TS> per_tuple;
-    {
-      StreamJoiner<TR, TS, KeyEq> joiner(
-          BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &per_tuple);
-      FeedPerTuple(joiner, trace);
-      joiner.FinishInput();
-      ASSERT_EQ(joiner.pipeline_anomalies(), 0u) << "window " << window;
+    const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+    for (int shards : {1, 2}) {
+      if (GetParam() == Algorithm::kHandshake && shards > 1) {
+        // A thinned window this small is below the handshake join's
+        // chase-convergence envelope: the config is rejected up front.
+        EXPECT_THROW((JoinSession<TR, TS, KeyEq>(ShardedConfig(
+                         GetParam(), wr, ws, /*threaded=*/false, shards))),
+                     std::invalid_argument);
+        continue;
+      }
+      for (std::size_t max_batch : {0u, 64u}) {
+        EXPECT_TRUE(SameResultSet(
+            oracle, RunSharded(GetParam(), trace, wr, ws, /*threaded=*/false,
+                               shards, max_batch)))
+            << "window " << window << " shards " << shards << " max_batch "
+            << max_batch;
+      }
     }
-    CollectingHandler<TR, TS> batched;
-    StreamJoiner<TR, TS, KeyEq> joiner(
-        BaseConfig(GetParam(), wr, ws, /*threaded=*/false), &batched);
-    FeedBatched(joiner, trace, 64);
-    joiner.FinishInput();
-    EXPECT_EQ(joiner.pipeline_anomalies(), 0u) << "window " << window;
-    EXPECT_TRUE(SameResultSet(per_tuple.results(), batched.results()))
-        << "window " << window;
   }
 }
 
@@ -631,9 +655,9 @@ std::vector<ResultMsg<TR, TS>> EpochOracleFor(const ChurnScenario& scenario,
                                               QueryId q) {
   Epoch current = 0;
   EpochStampingHandler handler(&current);
-  StreamJoiner<TR, TS, KeyBand> joiner(
-      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false), &handler,
-      PredOf(scenario, q));
+  JoinSession<TR, TS, KeyBand> joiner(
+      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false));
+  joiner.AddQuery(PredOf(scenario, q), &handler);
   std::size_t next_action = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     while (next_action < scenario.actions.size() &&

@@ -1,5 +1,6 @@
-// Tests for the sharded multi-pipeline session (core/sharded_session.hpp)
-// and the predicate-aware partitioner (stream/partitioner.hpp):
+// Tests for the sharded session (JoinSession over N shards,
+// core/join_session.hpp) and the predicate-aware partitioner
+// (stream/partitioner.hpp):
 //  * config validation (shard counts/policies the predicate set cannot
 //    support are rejected with self-diagnosing messages),
 //  * partitioner properties: hash assigns every key to exactly one shard
@@ -14,7 +15,6 @@
 //  * sharding-level loss accounting (forced sheds) matching the plain
 //    session under the identical shed schedule,
 //  * merged latency histograms and min-merged punctuations,
-//  * internal/external driver-mode mixing rejected,
 //  * shards sharing a NUMA node pinned to disjoint CPUs.
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/join_session.hpp"
-#include "core/sharded_session.hpp"
 #include "stream/partitioner.hpp"
 
 #include "test_util.hpp"
@@ -136,27 +135,10 @@ TEST(ShardedValidation, RejectsBadShardCount) {
   }
 }
 
-TEST(ShardedValidation, RejectsPerShardOverloadControl) {
-  // Admission must run at the sharding driver: it alone owns the global
-  // sequence numbers the loss accounting is expressed in.
-  ShardedJoinConfig config;
-  config.shard.latency_budget_us = 750;
-  config.shard.overload_policy = OverloadPolicy::kDropNewest;
-  try {
-    ValidateShardedJoinConfig<TR, TS, KeyEq>(config);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("shard.latency_budget_us"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("750"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("drop_newest"), std::string::npos);
-  }
-}
-
 TEST(ShardedValidation, RejectsSheddingPolicyWithoutBudget) {
   ShardedJoinConfig config;
-  config.overload_policy = OverloadPolicy::kSample;
-  config.latency_budget_us = 0;
+  config.shard.overload_policy = OverloadPolicy::kSample;
+  config.shard.latency_budget_us = 0;
   try {
     ValidateShardedJoinConfig<TR, TS, KeyEq>(config);
     FAIL() << "expected invalid_argument";
@@ -677,31 +659,6 @@ TEST(ShardedPlacement, ShardsOnOneNodePinDisjointCpus) {
     sharded.FinishInput();
     EXPECT_EQ(handler.results().size(), 1u);
   }
-}
-
-// -- Driver-mode guard -------------------------------------------------------
-
-TEST(Sharded, MixingInternalAndExternalDriversRejected) {
-  CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, KeyEq> session(
-      BaseShard(Algorithm::kKang, WindowSpec::Count(4), WindowSpec::Count(4),
-                /*threaded=*/false));
-  session.AddQuery(KeyEq{}, &handler);
-  session.PushR(TR{1, 0}, 0);  // binds the internal driver
-  try {
-    session.PushRAt(TR{2, 1}, 1, 7);
-    FAIL() << "expected logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("PushRAt"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("internally"), std::string::npos);
-  }
-
-  JoinSession<TR, TS, KeyEq> external(
-      BaseShard(Algorithm::kKang, WindowSpec::Count(4), WindowSpec::Count(4),
-                /*threaded=*/false));
-  external.AddQuery(KeyEq{}, &handler);
-  external.PushRAt(TR{1, 0}, 0, 0);  // binds the external driver
-  EXPECT_THROW(external.PushS(TS{1, 1}, 1), std::logic_error);
 }
 
 }  // namespace

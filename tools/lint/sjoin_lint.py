@@ -8,10 +8,10 @@ checks for:
                        `default:` would silently swallow a newly added
                        punctuation kind instead of failing -Wswitch.
   hot-path-container   no std::deque / std::map / std::unordered_map in the
-                       hot-path dirs (src/llhj, src/hsj, src/runtime,
-                       src/stream): node-chunked or pointer-chased layouts
-                       defeat the prefetcher; use VecDeque / flat_hash /
-                       sorted vectors.
+                       hot-path dirs (src/core, src/llhj, src/hsj,
+                       src/runtime, src/stream): node-chunked or
+                       pointer-chased layouts defeat the prefetcher; use
+                       VecDeque / flat_hash / sorted vectors.
   env-knob             no bare std::getenv outside src/common/env.hpp — env
                        knobs are read through the parse-and-warn helpers so
                        a misspelled value never silently selects the wrong
@@ -53,7 +53,8 @@ import os
 import re
 import sys
 
-HOT_PATH_DIRS = ("src/llhj", "src/hsj", "src/runtime", "src/stream")
+HOT_PATH_DIRS = ("src/core", "src/llhj", "src/hsj", "src/runtime",
+                 "src/stream")
 
 BANNED_CONTAINERS = re.compile(r"\bstd\s*::\s*(deque|map|unordered_map)\s*<")
 GETENV = re.compile(r"(\bstd\s*::\s*getenv\b)|(?<![\w:])getenv\s*\(")
