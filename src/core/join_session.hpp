@@ -132,9 +132,13 @@ struct JoinConfig {
   /// Pipeline tuning. Capacities must be non-zero. Channels need to hold
   /// about one driver batch plus a consumer's wake-up (DESIGN.md Sections
   /// 5 and 16); deeper channels only add queueing delay once the pipeline
-  /// is the bottleneck.
+  /// is the bottleneck. A result ring of 4,096 slots per node is about 8x
+  /// the results a closed loop collects per Poll on perfbench's
+  /// equi_sharded. A burst beyond it is not lost: the node stages one
+  /// batch's results and defers arrivals until the collector has made
+  /// room, which every Poll and driver wait does (DESIGN.md Section 17).
   std::size_t channel_capacity = 128;
-  std::size_t result_capacity = 1 << 16;
+  std::size_t result_capacity = kDefaultResultCapacity;
   int msgs_per_step = 8;
   HomePolicy home_policy = HomePolicy::kRoundRobin;
 
@@ -474,7 +478,9 @@ class JoinShard {
     if (hsj_ != nullptr) {
       Deliver();
       Backoff backoff;
-      while (hsj_guard && hsj_->ApproxChannelBacklog() > 0) backoff.Pause();
+      while (hsj_guard && hsj_->ApproxChannelBacklog() > 0) {
+        AwaitProgress(&backoff);
+      }
     }
     if (side == StreamSide::kR) {
       right_.push_back(MakeExpiry<S>(side, seq, ts, next_seq_s_));
@@ -539,7 +545,8 @@ class JoinShard {
   /// first — the per-tuple wake order, expiries before the arrival — unless
   /// it holds an expiry gated on an arrival that is still staged; then the
   /// arrival flow goes first (DESIGN.md Section 8). A non-threaded pipeline
-  /// is then run until quiescent, so the driver never runs ahead of it.
+  /// is then run, collector included, until quiescent, so the driver never
+  /// runs ahead of it and every result has reached the output.
   void Deliver() {
     if (!left_.empty() || !right_.empty()) {
       PipelinePorts<R, S> ports =
@@ -562,22 +569,25 @@ class JoinShard {
   // -- Output ----------------------------------------------------------------
 
   /// Delivers pending results to the output; non-threaded pipelines are
-  /// advanced first.
+  /// advanced with their collector until quiescent.
   void Poll() {
     if (collector_ == nullptr) return;  // Kang/Cell deliver synchronously
-    if (!config_.threaded) sequential_.RunUntilQuiescent();
-    collector_->VacuumOnce();
+    if (config_.threaded) {
+      collector_->VacuumOnce();
+    } else {
+      sequential_.RunUntilQuiescent();
+    }
   }
 
-  /// Drains everything delivered so far to the output (end of input).
+  /// Drains everything delivered so far to the output (end of input):
+  /// returns once every result, staged ones included, reached the handler.
   void Finish() {
     if (collector_ == nullptr) return;
-    if (!config_.threaded) {
+    if (config_.threaded) {
+      WaitQuiescentThreaded();
+    } else {
       sequential_.RunUntilQuiescent();
-      collector_->VacuumOnce();
-      return;
     }
-    WaitQuiescentThreaded();
   }
 
   void Stop() {
@@ -599,6 +609,14 @@ class JoinShard {
   uint64_t anomalies() const {
     if (hsj_ != nullptr) return hsj_->total_anomalies();
     if (llhj_ != nullptr) return llhj_->total_anomalies();
+    return 0;
+  }
+
+  /// Times a node of this shard deferred arrivals on its full result ring
+  /// (one per fill; thread-safe).
+  uint64_t result_ring_stalls() const {
+    if (hsj_ != nullptr) return hsj_->ResultRingStalls();
+    if (llhj_ != nullptr) return llhj_->ResultRingStalls();
     return 0;
   }
 
@@ -710,7 +728,10 @@ class JoinShard {
       for (Steppable* node : nodes) executor_->Add(node);
       executor_->Start();
     } else {
+      // Every sequential pass vacuums too: a node whose results are staged
+      // behind its full ring resumes in the next pass.
       for (Steppable* node : nodes) sequential_.Add(node);
+      sequential_.Add(collector_.get());
     }
   }
 
@@ -730,7 +751,7 @@ class JoinShard {
       // the backlog sits (entry or interior channels).
       if (hsj_ != nullptr && config_.threaded) {
         while (hsj_->ApproxChannelBacklog() > hsj_lag_budget_) {
-          backoff.Pause();
+          AwaitProgress(&backoff);
         }
       }
       std::size_t run = stage->size() - head;
@@ -764,17 +785,38 @@ class JoinShard {
   }
 
   /// Makes progress while delivery is blocked: threaded pipelines advance
-  /// on their own (back off); non-threaded ones are stepped here.
+  /// on their own, non-threaded ones (collector included) are stepped here.
   void AdvancePipeline(Backoff* backoff, const char* why) {
     if (config_.threaded) {
-      backoff->Pause();
+      AwaitProgress(backoff);
       return;
     }
     if (!sequential_.StepOnce()) {
       throw std::runtime_error(
           std::string("pipeline stalled during delivery (") + why + ")");
     }
-    collector_->VacuumOnce();
+  }
+
+  /// One round of a driver wait on a threaded shard: serves nodes waiting
+  /// for result-ring room, else backs off.
+  void AwaitProgress(Backoff* backoff) {
+    if (ServeStagedNodes()) {
+      backoff->Reset();  // progress: restart the spin ladder
+    } else {
+      backoff->Pause();
+    }
+  }
+
+  /// The driver thread is a threaded shard's collector. A node whose
+  /// results are staged behind its full ring waits for it, so every driver
+  /// wait vacuums while any node reports staged results: the wait-for
+  /// chain node -> collector ends here (DESIGN.md Section 6). Otherwise
+  /// the rings are left to the next Poll, which keeps the waits off the
+  /// rings' cache lines. Returns true when results were delivered.
+  bool ServeStagedNodes() {
+    const std::size_t staged = hsj_ != nullptr ? hsj_->StagedResultNodes()
+                                               : llhj_->StagedResultNodes();
+    return staged != 0 && collector_->VacuumOnce() > 0;
   }
 
   void AwaitHsjSettled() {
@@ -789,6 +831,7 @@ class JoinShard {
     int stable_rounds = 0;
     while (stable_rounds < 3) {
       std::this_thread::sleep_for(kPause);  // NOLINT(hot-path-sleep)
+      ServeStagedNodes();
       const bool empty = hsj_->ApproxChannelBacklog() == 0;
       const uint64_t processed = hsj_->TotalProcessed();
       if (empty && processed == last_processed) {
@@ -801,15 +844,16 @@ class JoinShard {
   }
 
   void WaitQuiescentThreaded() {
-    // Distributed quiescence at end of input: channel backlog empty, node
-    // progress counters stable, and nothing newly collected — several
-    // times in a row. A caller-side wait, not engine idling.
+    // Distributed quiescence at end of input: channels, result rings and
+    // node result stages empty, node progress counters stable, and nothing
+    // newly collected — several times in a row. A caller-side wait, not
+    // engine idling.
     constexpr auto kPause = std::chrono::milliseconds(2);
     uint64_t last_processed = 0;
     uint64_t last_collected = 0;
     int stable_rounds = 0;
     while (stable_rounds < 5) {
-      collector_->VacuumOnce();
+      const bool delivered = collector_->VacuumOnce() > 0;
       const std::size_t backlog =
           hsj_ != nullptr ? hsj_->ApproxBacklog() : llhj_->ApproxBacklog();
       const uint64_t processed = hsj_ != nullptr ? hsj_->TotalProcessed()
@@ -823,7 +867,11 @@ class JoinShard {
         last_processed = processed;
         last_collected = collected;
       }
-      std::this_thread::sleep_for(kPause);  // NOLINT(hot-path-sleep)
+      // While results flow, a node may be waiting for ring room: vacuum
+      // again at once.
+      if (!delivered) {
+        std::this_thread::sleep_for(kPause);  // NOLINT(hot-path-sleep)
+      }
     }
   }
 
@@ -1027,6 +1075,16 @@ class JoinSession {
   /// FinishInput as the per-node epoch markers arrive (baseline engines
   /// drain synchronously).
   Epoch drained_epoch() const { return router_.drained_epoch(); }
+
+  /// Times a pipeline node deferred arrivals because its result ring was
+  /// full, summed over every node of every shard (one per fill). Non-zero
+  /// means the rings filled between Polls; results were still delivered
+  /// exactly.
+  uint64_t result_ring_stalls() const {
+    uint64_t n = 0;
+    for (const auto& shard : shards_) n += shard->result_ring_stalls();
+    return n;
+  }
 
   /// Diagnostics for tests: anomaly counters of every shard plus misrouted
   /// results must stay zero.

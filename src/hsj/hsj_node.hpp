@@ -30,8 +30,9 @@
 //    resident tuples to relocate to the pipeline end so pairs still
 //    separated inside the pipeline meet. Flushes cascade in FIFO order.
 //  * Backpressure discipline: arrivals are consumed only when the outbound
-//    channels have slack; control messages are always consumed and their
-//    outputs stage locally (see runtime/staged_channel.hpp).
+//    channels have slack and no results wait behind a full result ring;
+//    control messages are always consumed and their outputs stage locally
+//    (see runtime/staged_channel.hpp and DESIGN.md Section 6).
 //  * Epoch-tagged query sets (DESIGN.md Section 10): crossings are
 //    evaluated under the snapshot of max(probe epoch, entry epoch). Unlike
 //    LLHJ, old-epoch tuples keep arriving as *relocations* long after the
@@ -130,6 +131,7 @@ class HsjNode : public Steppable {
     if constexpr (requires(Sink* s) { s->Prewarm(kStagePrewarm); }) {
       sink_->Prewarm(kStagePrewarm);
     }
+    own_thread_ = true;
   }
 
   bool Step() override {
@@ -196,6 +198,19 @@ class HsjNode : public Steppable {
   bool IsLeftmost() const { return config_.id == 0; }
   bool IsRightmost() const { return config_.id == config_.nodes - 1; }
 
+  /// Bounded result staging (DESIGN.md Section 6): while results wait
+  /// behind the full result ring, arrivals are deferred, so the stage holds
+  /// at most one batch's results; control messages are still consumed. An
+  /// end node (`end`: no forward channel for this flow) defers only on its
+  /// own executor thread. Under a sequential driver it consumes
+  /// unconditionally and never waits on the collector.
+  bool ResultsBacklogged(bool end) {
+    if constexpr (requires(Sink* s) { s->DeferArrivals(); }) {
+      return (!end || own_thread_) && sink_->DeferArrivals();
+    }
+    return false;
+  }
+
   /// Consumes up to msgs_per_step left-input messages as bursts. Runs of
   /// consecutive arrivals (fresh, relocated or dying) are probed against
   /// the local segment in a single pass; control messages go one by one.
@@ -227,6 +242,7 @@ class HsjNode : public Steppable {
   /// per-tuple rest/forward bookkeeping in flow order. Returns the number
   /// consumed; fewer than `run` when backpressure caps the batch.
   std::size_t HandleLeftArrivals(FlowMsg<R>* msgs, std::size_t run) {
+    if (ResultsBacklogged(IsRightmost())) return 0;
     std::size_t k = run;
     if (!IsRightmost()) {
       k = std::min(run, right_out_.ArrivalBudget(kArrivalSlack));
@@ -327,6 +343,7 @@ class HsjNode : public Steppable {
   /// both directions would close a neighbour wait-for cycle (deadlock at
   /// small channel capacities).
   std::size_t HandleRightArrivals(FlowMsg<S>* msgs, std::size_t run) {
+    if (ResultsBacklogged(IsLeftmost())) return 0;
     std::size_t k = run;
     if (!IsLeftmost()) {
       k = std::min(run, left_out_.ArrivalBudget(kArrivalSlack));
@@ -917,6 +934,9 @@ class HsjNode : public Steppable {
   const std::atomic<std::size_t>* neighbor_s_size_ = nullptr;
 
   Counters counters_;
+  // Set by OnThreadStart: this node runs on its own executor thread, so its
+  // end-of-flow arrivals may wait on the collector (ResultsBacklogged).
+  bool own_thread_ = false;
   std::atomic<uint64_t> processed_{0};
 };
 

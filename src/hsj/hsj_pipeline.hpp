@@ -36,7 +36,7 @@ class HsjPipeline {
     int64_t segment_capacity_r = 0;
     int64_t segment_capacity_s = 0;
     std::size_t channel_capacity = 1024;
-    std::size_t result_capacity = 1 << 16;
+    std::size_t result_capacity = kDefaultResultCapacity;
     int msgs_per_step = 8;
     /// Hardware placement: channel rings are homed on their CONSUMER's
     /// NUMA node (node k's input rings on k's node, result rings on the
@@ -83,7 +83,8 @@ class HsjPipeline {
           options_.channel_capacity, home));
       result_queues_.push_back(std::make_unique<SpscQueue<ResultMsg<R, S>>>(
           options_.result_capacity, collector_home));
-      sinks_.push_back(std::make_unique<Sink>(result_queues_.back().get()));
+      sinks_.push_back(std::make_unique<Sink>(result_queues_.back().get(),
+                                              &result_stages_));
     }
 
     for (int k = 0; k < n; ++k) {
@@ -167,11 +168,24 @@ class HsjPipeline {
     return n;
   }
 
-  /// Approximate number of messages sitting in channels and result queues
-  /// (atomically readable from any thread; used for quiescence detection).
+  /// Approximate number of messages sitting in channels and result queues,
+  /// plus one per node holding staged results (atomically readable from any
+  /// thread; used for quiescence detection).
   std::size_t ApproxBacklog() const {
-    std::size_t n = ApproxChannelBacklog();
+    std::size_t n = ApproxChannelBacklog() + StagedResultNodes();
     for (const auto& q : result_queues_) n += q->SizeApprox();
+    return n;
+  }
+
+  /// Nodes whose results are staged behind their full result ring
+  /// (thread-safe).
+  std::size_t StagedResultNodes() const { return result_stages_.Get(); }
+
+  /// Times a node deferred arrivals on its full result ring, summed over
+  /// the nodes (one per fill; thread-safe).
+  uint64_t ResultRingStalls() const {
+    uint64_t n = 0;
+    for (const auto& sink : sinks_) n += sink->stalls();
     return n;
   }
 
@@ -207,6 +221,7 @@ class HsjPipeline {
   std::vector<std::unique_ptr<SpscQueue<FlowMsg<R>>>> l2r_;
   std::vector<std::unique_ptr<SpscQueue<FlowMsg<S>>>> r2l_;
   std::vector<std::unique_ptr<SpscQueue<ResultMsg<R, S>>>> result_queues_;
+  ResultStageCount result_stages_;
   std::vector<std::unique_ptr<Sink>> sinks_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };

@@ -128,6 +128,7 @@ class LlhjNode : public Steppable {
     if constexpr (requires(Sink* s) { s->Prewarm(kStagePrewarm); }) {
       sink_->Prewarm(kStagePrewarm);
     }
+    own_thread_ = true;
   }
 
   bool Step() override {
@@ -166,6 +167,19 @@ class LlhjNode : public Steppable {
   bool IsLeftmost() const { return config_.id == 0; }
   bool IsRightmost() const { return config_.id == config_.nodes - 1; }
 
+  /// Bounded result staging (DESIGN.md Section 6): while results wait
+  /// behind the full result ring, arrivals are deferred, so the stage holds
+  /// at most one batch's results; control messages are still consumed. An
+  /// end node (`end`: no forward channel for this flow) defers only on its
+  /// own executor thread. Under a sequential driver it consumes
+  /// unconditionally and never waits on the collector.
+  bool ResultsBacklogged(bool end) {
+    if constexpr (requires(Sink* s) { s->DeferArrivals(); }) {
+      return (!end || own_thread_) && sink_->DeferArrivals();
+    }
+    return false;
+  }
+
   /// Consumes up to msgs_per_step left-input messages as bursts. Runs of
   /// consecutive arrivals are probed against the store in a single pass
   /// (batch-aware matching); control messages are handled one by one.
@@ -202,9 +216,11 @@ class LlhjNode : public Steppable {
   // Backpressure gates only the *forward* direction; control outputs
   // (expedition-ends) stage locally. Gating both directions would close a
   // wait-for cycle between neighbours (deadlock at small channel
-  // capacities); this way every wait chain ends at the rightmost node,
-  // which consumes unconditionally.
+  // capacities); this way every wait chain between nodes ends at the
+  // rightmost node, which waits on no flow channel (at most on the
+  // collector, see ResultsBacklogged).
   std::size_t HandleLeftArrivals(FlowMsg<R>* msgs, std::size_t run) {
+    if (ResultsBacklogged(IsRightmost())) return 0;
     std::size_t k = run;
     if (!IsRightmost()) {
       k = std::min(run, right_out_.ArrivalBudget(kLlhjArrivalSlack));
@@ -327,6 +343,7 @@ class LlhjNode : public Steppable {
   /// HandleLeftArrivals. Only the forward direction is gated; the
   /// acknowledgements stage if their channel is momentarily full.
   std::size_t HandleRightArrivals(FlowMsg<S>* msgs, std::size_t run) {
+    if (ResultsBacklogged(IsLeftmost())) return 0;
     std::size_t k = run;
     if (!IsLeftmost()) {
       k = std::min(run, left_out_.ArrivalBudget(kLlhjArrivalSlack));
@@ -637,6 +654,9 @@ class LlhjNode : public Steppable {
   std::vector<FlowMsg<R>> ack_buf_;
 
   Counters counters_;
+  // Set by OnThreadStart: this node runs on its own executor thread, so its
+  // end-of-flow arrivals may wait on the collector (ResultsBacklogged).
+  bool own_thread_ = false;
   std::atomic<uint64_t> processed_{0};
 };
 

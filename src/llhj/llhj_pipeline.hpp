@@ -36,7 +36,7 @@ class LlhjPipeline {
   struct Options {
     int nodes = 4;
     std::size_t channel_capacity = 1024;
-    std::size_t result_capacity = 1 << 16;
+    std::size_t result_capacity = kDefaultResultCapacity;
     HomePolicy home_policy = HomePolicy::kRoundRobin;
     int home_block = 64;
     bool punctuate = false;
@@ -82,7 +82,8 @@ class LlhjPipeline {
           options_.channel_capacity, home));
       result_queues_.push_back(std::make_unique<SpscQueue<ResultMsg<R, S>>>(
           options_.result_capacity, collector_home));
-      sinks_.push_back(std::make_unique<Sink>(result_queues_.back().get()));
+      sinks_.push_back(std::make_unique<Sink>(result_queues_.back().get(),
+                                              &result_stages_));
     }
 
     const HomeAssigner home_r(options_.home_policy, n, options_.home_block);
@@ -126,7 +127,8 @@ class LlhjPipeline {
     queues.reserve(result_queues_.size());
     for (auto& q : result_queues_) queues.push_back(q.get());
     return std::make_unique<Collector<R, S>>(std::move(queues), handler,
-                                             &hwm_, options_.punctuate);
+                                             &hwm_, options_.punctuate,
+                                             &result_stages_);
   }
 
   const HighWaterMarks& hwm() const { return hwm_; }
@@ -155,11 +157,24 @@ class LlhjPipeline {
     return n;
   }
 
-  /// Approximate number of messages sitting in channels and result queues
-  /// (atomically readable from any thread; used for quiescence detection).
+  /// Approximate number of messages sitting in channels and result queues,
+  /// plus one per node holding staged results (atomically readable from any
+  /// thread; used for quiescence detection).
   std::size_t ApproxBacklog() const {
-    std::size_t n = ApproxChannelBacklog();
+    std::size_t n = ApproxChannelBacklog() + StagedResultNodes();
     for (const auto& q : result_queues_) n += q->SizeApprox();
+    return n;
+  }
+
+  /// Nodes whose results are staged behind their full result ring
+  /// (thread-safe).
+  std::size_t StagedResultNodes() const { return result_stages_.Get(); }
+
+  /// Times a node deferred arrivals on its full result ring, summed over
+  /// the nodes (one per fill; thread-safe).
+  uint64_t ResultRingStalls() const {
+    uint64_t n = 0;
+    for (const auto& sink : sinks_) n += sink->stalls();
     return n;
   }
 
@@ -195,6 +210,7 @@ class LlhjPipeline {
   std::vector<std::unique_ptr<SpscQueue<FlowMsg<R>>>> l2r_;
   std::vector<std::unique_ptr<SpscQueue<FlowMsg<S>>>> r2l_;
   std::vector<std::unique_ptr<SpscQueue<ResultMsg<R, S>>>> result_queues_;
+  ResultStageCount result_stages_;
   std::vector<std::unique_ptr<Sink>> sinks_;
   std::vector<std::unique_ptr<Node>> nodes_;
   HighWaterMarks hwm_;

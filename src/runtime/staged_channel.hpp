@@ -10,9 +10,10 @@
 //    locally if the channel is momentarily full.
 //
 // Control traffic per consumed arrival is bounded, so the stage stays tiny;
-// the two pipeline end nodes consume unconditionally, which makes every
-// wait-for chain terminate (DESIGN.md). A null queue represents a pipeline
-// end: pushes are discarded (the tuple "falls off" the pipeline).
+// the two pipeline end nodes wait on no flow channel, which makes every
+// wait-for chain between nodes terminate (DESIGN.md Section 6). A null
+// queue represents a pipeline end: pushes are discarded (the tuple "falls
+// off" the pipeline).
 //
 // The stage is a contiguous vector consumed from a head cursor (not a
 // deque): Drain hands the whole backlog to SpscQueue::TryPushBurst in one

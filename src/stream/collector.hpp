@@ -9,7 +9,10 @@
 //
 // Reading the marks *before* vacuuming is what makes the punctuation safe:
 // every result produced after step 1 is driven by a tuple that had not yet
-// finished its expedition, whose timestamp is therefore >= t_p.
+// finished its expedition, whose timestamp is therefore >= t_p. Results a
+// node staged behind its full result ring are not in any queue yet, so
+// step 1 also reads the pipeline's ResultStageCount, after the marks, and
+// holds the punctuation back while any node reports staged results.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include "stream/handlers.hpp"
 #include "stream/hwm.hpp"
 #include "stream/message.hpp"
+#include "stream/sink.hpp"
 
 namespace sjoin {
 
@@ -28,13 +32,15 @@ template <typename R, typename S>
 class Collector : public Steppable {
  public:
   /// `hwm` may be null; punctuations are emitted only when punctuate=true
-  /// and a HighWaterMarks instance is supplied.
+  /// and a HighWaterMarks instance is supplied. `stages` (may be null) is
+  /// the count of the producing nodes holding staged results.
   Collector(std::vector<SpscQueue<ResultMsg<R, S>>*> queues,
             OutputHandler<R, S>* handler, HighWaterMarks* hwm = nullptr,
-            bool punctuate = false)
+            bool punctuate = false, const ResultStageCount* stages = nullptr)
       : queues_(std::move(queues)),
         handler_(handler),
         hwm_(hwm),
+        stages_(stages),
         punctuate_(punctuate && hwm != nullptr) {}
 
   /// One vacuum round. Returns the number of results forwarded. Queues are
@@ -48,7 +54,10 @@ class Collector : public Steppable {
   /// handler is told via OnEpochDrained(E).
   std::size_t VacuumOnce() {
     Timestamp tp = kMinTimestamp;
-    if (punctuate_) tp = hwm_->SafeMin();  // step 1: read marks first
+    if (punctuate_) {
+      tp = hwm_->SafeMin();  // step 1: read marks first
+      if (stages_ != nullptr && stages_->Get() != 0) tp = kMinTimestamp;
+    }
 
     std::size_t drained = 0;
     for (auto* queue : queues_) {  // step 2: vacuum
@@ -137,6 +146,7 @@ class Collector : public Steppable {
   std::vector<SpscQueue<ResultMsg<R, S>>*> queues_;
   OutputHandler<R, S>* handler_;
   HighWaterMarks* hwm_;
+  const ResultStageCount* stages_;
   bool punctuate_;
   Timestamp last_punctuation_ = kMinTimestamp;
   uint64_t total_ = 0;

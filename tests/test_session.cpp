@@ -6,7 +6,10 @@
 //    result sets compared, threaded and non-threaded, all engines),
 //  * batch PushR/PushS and the per-tuple loop both matching the Kang
 //    oracle, at 1 and 2 shards,
-//  * QueryId routing and punctuation broadcast.
+//  * QueryId routing and punctuation broadcast,
+//  * result rings that overflow between Polls: the exact oracle multiset
+//    by the return of FinishInput and no result behind its punctuation
+//    (tests/result_overflow.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 
 #include "core/join_session.hpp"
 
+#include "result_overflow.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {
@@ -911,6 +915,21 @@ TEST(SessionRouting, PunctuationsBroadcastToAllQueries) {
   EXPECT_GT(h0.punctuations().size(), 0u);
   EXPECT_EQ(h0.punctuations(), h1.punctuations());
 }
+
+// Result rings that overflow between Polls (every key equal, so each
+// arrival matches the whole opposite window): FinishInput must return with
+// the exact oracle multiset delivered and no result behind a punctuation
+// that covers it.
+class ResultRingOverflow
+    : public ::testing::TestWithParam<test::OverflowParam> {};
+
+TEST_P(ResultRingOverflow, FinishInputDeliversExactlyWithSafePunctuations) {
+  test::RunOverflowCase(
+      test::MakeOverflowCase(GetParam(), /*shards=*/1));
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ResultRingOverflow,
+                         test::OverflowMatrix(), test::OverflowParamName);
 
 }  // namespace
 }  // namespace sjoin

@@ -15,7 +15,9 @@
 //  * sharding-level loss accounting (forced sheds) matching the plain
 //    session under the identical shed schedule,
 //  * merged latency histograms and min-merged punctuations,
-//  * shards sharing a NUMA node pinned to disjoint CPUs.
+//  * shards sharing a NUMA node pinned to disjoint CPUs,
+//  * result rings that overflow between Polls on both shards
+//    (tests/result_overflow.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "core/join_session.hpp"
 #include "stream/partitioner.hpp"
 
+#include "result_overflow.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {
@@ -660,6 +663,22 @@ TEST(ShardedPlacement, ShardsOnOneNodePinDisjointCpus) {
     EXPECT_EQ(handler.results().size(), 1u);
   }
 }
+
+// Result rings that overflow between Polls (every key equal, so each
+// arrival matches the whole opposite window): FinishInput must return with
+// the exact oracle multiset delivered and no result behind a punctuation
+// that covers it.
+class ShardedResultRingOverflow
+    : public ::testing::TestWithParam<test::OverflowParam> {};
+
+TEST_P(ShardedResultRingOverflow,
+       FinishInputDeliversExactlyWithSafePunctuations) {
+  test::RunOverflowCase(
+      test::MakeOverflowCase(GetParam(), /*shards=*/2));
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ShardedResultRingOverflow,
+                         test::OverflowMatrix(), test::OverflowParamName);
 
 }  // namespace
 }  // namespace sjoin

@@ -1,10 +1,9 @@
 // Integration tests with real threads: full pipelines (feeder, pinned node
 // threads, collector) must produce exactly the oracle result set, under
-// regular and tiny channel capacities, with punctuation invariants holding
-// live.
+// regular and tiny channel and result-ring capacities, with punctuation
+// invariants holding live.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -16,12 +15,14 @@
 #include "runtime/executor.hpp"
 #include "stream/feeder.hpp"
 
+#include "result_overflow.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {
 namespace {
 
 using test::KeyEq;
+using test::LivePunctuationChecker;
 using test::MakeRandomTrace;
 using test::SameResultSet;
 using test::TR;
@@ -128,10 +129,14 @@ TEST(ThreadedLlhj, TinyChannelsExerciseBackpressure) {
   options.nodes = 4;
   options.channel_capacity = 16;
   options.result_capacity = 64;  // forces result staging too
+  options.punctuate = true;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
   CollectingHandler<TR, TS> handler;
-  RunThreaded(pipeline, script, /*batch=*/8, &handler, &pipeline.hwm());
+  LivePunctuationChecker<TR, TS> checker(&handler);
+  RunThreaded(pipeline, script, /*batch=*/8, &checker, &pipeline.hwm());
   EXPECT_TRUE(SameResultSet(oracle, handler.results()));
+  EXPECT_GT(checker.punctuations(), 0u);
+  EXPECT_EQ(checker.violations(), 0u);
 }
 
 TEST(ThreadedHsj, ExactOracleEquality) {
@@ -162,36 +167,42 @@ TEST(ThreadedHsj, TimeWindowsWithRelocationPressure) {
   EXPECT_TRUE(SameResultSet(oracle, handler.results()));
 }
 
-/// Punctuation invariant checked live under threads.
-class LivePunctuationChecker : public OutputHandler<TR, TS> {
- public:
-  void OnResult(const ResultMsg<TR, TS>& m) override {
-    if (m.ts < last_tp_) violations_.fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnPunctuation(Timestamp tp) override { last_tp_ = tp; }
-
-  uint64_t violations() const { return violations_.load(); }
-  uint64_t count() const { return count_.load(); }
-
- private:
-  Timestamp last_tp_ = kMinTimestamp;
-  std::atomic<uint64_t> violations_{0};
-  std::atomic<uint64_t> count_{0};
-};
-
+/// Punctuation invariant checked live under threads, with the default
+/// result rings and with 64-slot rings that stage results on most batches.
 TEST(ThreadedLlhj, PunctuationInvariantHoldsLive) {
   auto script = ThreadedScript(7, false);
+  const auto oracle = RunKangOracle<TR, TS, KeyEq>(script);
 
-  typename LlhjPipeline<TR, TS, KeyEq>::Options options;
-  options.nodes = 4;
-  options.punctuate = true;
-  LlhjPipeline<TR, TS, KeyEq> pipeline(options);
-  LivePunctuationChecker checker;
-  RunThreaded(pipeline, script, /*batch=*/8, &checker, &pipeline.hwm());
+  for (std::size_t result_capacity :
+       {kDefaultResultCapacity, std::size_t{64}}) {
+    typename LlhjPipeline<TR, TS, KeyEq>::Options options;
+    options.nodes = 4;
+    options.punctuate = true;
+    options.result_capacity = result_capacity;
+    LlhjPipeline<TR, TS, KeyEq> pipeline(options);
+    LivePunctuationChecker<TR, TS> checker;
+    RunThreaded(pipeline, script, /*batch=*/8, &checker, &pipeline.hwm());
 
-  EXPECT_GT(checker.count(), 0u);
-  EXPECT_EQ(checker.violations(), 0u);
+    EXPECT_GT(checker.count(), 0u) << "ring " << result_capacity;
+    EXPECT_EQ(checker.count(), oracle.size()) << "ring " << result_capacity;
+    EXPECT_EQ(checker.violations(), 0u) << "ring " << result_capacity;
+  }
+}
+
+// One node's output per Poll exceeds 65,536 results here (3 nodes, every
+// key equal, 2,048-tuple windows: about 87k results per node per round),
+// far beyond the default ring. The threaded session must still deliver the
+// exact oracle multiset by the return of FinishInput, with no result behind
+// its punctuation.
+TEST(ThreadedResultRingOverflow, DefaultRingsOverflowBetweenPollsAndStayExact) {
+  test::OverflowCase c;
+  c.algorithm = Algorithm::kLowLatency;
+  c.threaded = true;
+  c.parallelism = 3;
+  c.window = 2048;
+  c.pairs = 40;
+  const uint64_t max_per_pair = test::RunOverflowCase(c);
+  EXPECT_GT(max_per_pair / static_cast<uint64_t>(c.parallelism), 65'536u);
 }
 
 // Channel rings of a planned pipeline are homed on their CONSUMER's NUMA

@@ -199,6 +199,65 @@ template <typename R, typename S>
   return ::testing::AssertionFailure() << oss.str();
 }
 
+/// Order-independent fingerprint of a result multiset over (r_seq, s_seq):
+/// the count plus two wrapping sums of independent mixes of each pair. It
+/// tells multisets apart without storing millions of results: a miss, a
+/// duplicate or an extra pair shifts both sums by a pseudo-random amount.
+struct ResultFingerprint {
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t mix_sum = 0;
+
+  static uint64_t Mix(uint64_t x) {  // splitmix64 finalizer
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+  }
+  void Add(Seq r_seq, Seq s_seq) {
+    const uint64_t h = Mix(Mix(r_seq) + s_seq);
+    ++count;
+    sum += h;
+    mix_sum += Mix(h);
+  }
+  bool operator==(const ResultFingerprint&) const = default;
+};
+
+/// Punctuation invariant checked live: a result delivered after a
+/// punctuation must not be covered by it (result ts >= last punctuation).
+/// Also fingerprints the delivered multiset and forwards every callback to
+/// `next` when one is given. Read the totals only after the delivering
+/// thread has stopped.
+template <typename R, typename S>
+class LivePunctuationChecker : public OutputHandler<R, S> {
+ public:
+  explicit LivePunctuationChecker(OutputHandler<R, S>* next = nullptr)
+      : next_(next) {}
+
+  void OnResult(const ResultMsg<R, S>& m) override {
+    if (m.ts < last_tp_) ++violations_;
+    fingerprint_.Add(m.r_seq, m.s_seq);
+    if (next_ != nullptr) next_->OnResult(m);
+  }
+  void OnPunctuation(Timestamp tp) override {
+    last_tp_ = tp;
+    ++punctuations_;
+    if (next_ != nullptr) next_->OnPunctuation(tp);
+  }
+
+  uint64_t violations() const { return violations_; }
+  uint64_t count() const { return fingerprint_.count; }
+  uint64_t punctuations() const { return punctuations_; }
+  const ResultFingerprint& fingerprint() const { return fingerprint_; }
+
+ private:
+  OutputHandler<R, S>* next_;
+  Timestamp last_tp_ = kMinTimestamp;
+  uint64_t violations_ = 0;
+  uint64_t punctuations_ = 0;
+  ResultFingerprint fingerprint_;
+};
+
 /// Runs a script through an LLHJ pipeline on the sequential executor until
 /// quiescent. Returns collected results; asserts zero protocol anomalies.
 template <typename Pred, typename RStore = VectorStore<TR>,
