@@ -1,11 +1,12 @@
 // Ablation: sharded multi-pipeline scale-out (DESIGN.md Section 13). The
 // same equi workload runs through a ShardedJoinSession at 1, 2 and 4
-// shards, hash-partitioned on the join key. Partitioning shrinks every
-// shard's live window by the shard count, so the per-arrival scan work
-// drops even before thread-level parallelism enters: the default config
-// is scan-bound and non-threaded so the algorithmic speedup is visible on
-// any host, including single-CPU CI runners. On a multi-socket machine add
-// --threaded=1 --nodes=2 to stack pipeline parallelism (one shard per NUMA
+// shards, hash-partitioned on the join key. EquiPredicate declares its
+// join keys, so every shard probes a hash index: a probe visits only its
+// key's candidates, which all sit on one shard, and the non-threaded
+// default shows no algorithmic speedup from sharding (the rows recorded
+// before the index show the scan-work cut of the scan store). Add
+// --threaded=1 to run the shards in parallel, and on a multi-socket
+// machine --nodes=2 to stack pipeline parallelism (one shard per NUMA
 // node) on top. Reported per shard count: wall time, throughput, merged
 // latency percentiles (LatencyHistogram::Merge across the shard
 // histograms) and the speedup over the 1-shard run.
@@ -29,7 +30,7 @@ namespace {
 
 struct Config {
   int64_t tuples = 30'000;   ///< per stream
-  int64_t window = 32'768;   ///< count window per stream (scan-bound)
+  int64_t window = 32'768;   ///< count window per stream
   int nodes = 1;             ///< pipeline parallelism per shard
   int batch = 256;
   int64_t key_domain = 8192; ///< equi key domain (window/domain hits/probe)

@@ -318,9 +318,11 @@ void ValidateShardedJoinConfig(const ShardedJoinConfig& config) {
 /// collector and executor. The session's driver hands it messages in driver
 /// order (StageArrival/StageExpiry/StageLoss/StageEpoch/StageFlush);
 /// pipelined engines stage them into the two flows until Deliver, the
-/// synchronous baselines (Kang, CellJoin) apply each one at once. Everything
-/// the engine delivers — results, punctuations, loss bounds, epoch drains —
-/// goes to the one OutputHandler given at construction.
+/// synchronous baselines (Kang, CellJoin) apply each one at once. An LLHJ
+/// shard keeps its windows in hash-indexed stores when the predicate
+/// declares ShardKeyTraits, else in scan stores. Everything the engine
+/// delivers — results, punctuations, loss bounds, epoch drains — goes to
+/// the one OutputHandler given at construction.
 template <typename R, typename S, typename Pred>
 class JoinShard {
  public:
@@ -378,7 +380,7 @@ class JoinShard {
         break;
       }
       case Algorithm::kLowLatency: {
-        typename LlhjPipeline<R, S, Pred>::Options options;
+        typename Llhj::Options options;
         options.nodes = config_.parallelism;
         options.channel_capacity = config_.channel_capacity;
         options.result_capacity = config_.result_capacity;
@@ -386,8 +388,7 @@ class JoinShard {
         options.home_policy = config_.home_policy;
         options.punctuate = config_.punctuate;
         options.placement = Placement();
-        llhj_ = std::make_unique<LlhjPipeline<R, S, Pred>>(options, set,
-                                                           std::move(ids));
+        llhj_ = std::make_unique<Llhj>(options, set, std::move(ids));
         registry_ = llhj_->registry();
         collector_ = llhj_->MakeCollector(out_);
         SetUpExecutor(llhj_->nodes());
@@ -541,29 +542,27 @@ class JoinShard {
     right_.push_back(right);
   }
 
-  /// Delivers the staged run. The opposite flow of the staged arrivals goes
-  /// first — the per-tuple wake order, expiries before the arrival — unless
-  /// it holds an expiry gated on an arrival that is still staged; then the
-  /// arrival flow goes first (DESIGN.md Section 8). A non-threaded pipeline
-  /// is then run, collector included, until quiescent, so the driver never
-  /// runs ahead of it and every result has reached the output.
+  /// Delivers the staged run, if any. The opposite flow of the staged
+  /// arrivals goes first — the per-tuple wake order, expiries before the
+  /// arrival — unless it holds an expiry gated on an arrival that is still
+  /// staged; then the arrival flow goes first (DESIGN.md Section 8). A
+  /// non-threaded pipeline is then run, collector included, until
+  /// quiescent, so the driver never runs ahead of it and every result has
+  /// reached the output. With nothing staged it is quiescent already.
   void Deliver() {
-    if (!left_.empty() || !right_.empty()) {
-      PipelinePorts<R, S> ports =
-          hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
-      if (gated_ == (staged_side_ == StreamSide::kR)) {
-        DeliverFlow(&left_, ports.left);
-        DeliverFlow(&right_, ports.right);
-      } else {
-        DeliverFlow(&right_, ports.right);
-        DeliverFlow(&left_, ports.left);
-      }
-      first_staged_[0] = first_staged_[1] = kNoSeq;
-      gated_ = false;
+    if (left_.empty() && right_.empty()) return;
+    PipelinePorts<R, S> ports =
+        hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
+    if (gated_ == (staged_side_ == StreamSide::kR)) {
+      DeliverFlow(&left_, ports.left);
+      DeliverFlow(&right_, ports.right);
+    } else {
+      DeliverFlow(&right_, ports.right);
+      DeliverFlow(&left_, ports.left);
     }
-    if (collector_ != nullptr && !config_.threaded) {
-      sequential_.RunUntilQuiescent();
-    }
+    first_staged_[0] = first_staged_[1] = kNoSeq;
+    gated_ = false;
+    if (!config_.threaded) sequential_.RunUntilQuiescent();
   }
 
   // -- Output ----------------------------------------------------------------
@@ -627,6 +626,27 @@ class JoinShard {
  private:
   using Snapshot = QueryEpochSnapshot<Pred>;
   static constexpr Seq kNoSeq = std::numeric_limits<Seq>::max();
+
+  /// HashStore key functors over the predicate's declared shard keys.
+  using KeyTraits = ShardKeyTraits<Pred, R, S>;
+  struct KeyOfR {
+    int64_t operator()(const R& r) const {
+      return static_cast<int64_t>(KeyTraits::KeyR(r));
+    }
+  };
+  struct KeyOfS {
+    int64_t operator()(const S& s) const {
+      return static_cast<int64_t>(KeyTraits::KeyS(s));
+    }
+  };
+
+  /// The LLHJ engine: a predicate that declares its join keys (the trait
+  /// hash partitioning trusts: matching pairs have equal keys) gets the
+  /// node-local hash index of paper Section 7.6, any other the scan store.
+  using Llhj =
+      std::conditional_t<KeyTraits::kEnabled,
+                         IndexedLlhjPipeline<R, S, Pred, KeyOfR, KeyOfS>,
+                         LlhjPipeline<R, S, Pred>>;
 
   /// Baseline engines evaluate the union of the ACTIVE epoch's predicates
   /// while scanning; the sink then fans each match out to the queries that
@@ -907,7 +927,7 @@ class JoinShard {
   std::unique_ptr<KangJoin<R, S, UnionPred, FanOutSink>> kang_;
   std::unique_ptr<CellJoin<R, S, UnionPred, FanOutSink>> cell_;
   std::unique_ptr<HsjPipeline<R, S, Pred>> hsj_;
-  std::unique_ptr<LlhjPipeline<R, S, Pred>> llhj_;
+  std::unique_ptr<Llhj> llhj_;
   std::unique_ptr<Collector<R, S>> collector_;
   std::unique_ptr<ThreadedExecutor> executor_;
   SequentialExecutor sequential_;
@@ -986,9 +1006,8 @@ class JoinSession {
   // so flow order (the correctness anchor of both handshake protocols) is
   // preserved; whole runs then reach the pipeline as channel bursts, and
   // the nodes' batch-aware matching probes a run against each window store
-  // in a single pass. A shard's staged run is delivered when the driver
-  // routes its next message to a different shard, or when the call
-  // returns.
+  // in a single pass. When the call returns, every shard with a staged run
+  // delivers it, at every shard count (DESIGN.md Section 8).
 
   void PushR(const R& r, Timestamp ts) {
     Ingest<StreamSide::kR>(std::span<const R>(&r, 1),
@@ -1037,8 +1056,8 @@ class JoinSession {
     // to carry them, and the accounting must be complete before the drain.
     StagePendingLoss(StreamSide::kR);
     StagePendingLoss(StreamSide::kS);
-    for (std::size_t k = 0; k < shards_.size(); ++k) To(k).StageFlush();
-    DeliverOpen();
+    for (auto& shard : shards_) shard->StageFlush();
+    DeliverStaged();
     for (auto& shard : shards_) shard->Finish();
   }
 
@@ -1126,7 +1145,6 @@ class JoinSession {
 
  private:
   using Shard = JoinShard<R, S, Pred>;
-  static constexpr std::size_t kNoShard = ~std::size_t{0};
 
   /// Per-shard output adapter: every shard delivers its results,
   /// punctuations, loss bounds and epoch drains here, and the adapter feeds
@@ -1279,10 +1297,8 @@ class JoinSession {
     const std::vector<QueryId> ids = LiveIds();
     ++current_epoch_;
     router_.BeginEpoch(current_epoch_, ids, std::move(removed));
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      To(k).StageEpoch(LiveSet(), ids);
-    }
-    DeliverOpen();
+    for (auto& shard : shards_) shard->StageEpoch(LiveSet(), ids);
+    DeliverStaged();
   }
 
   template <StreamSide kSide>
@@ -1303,14 +1319,15 @@ class JoinSession {
       if (ShedAtIngest(kSide, seq)) continue;  // the tracker never sees it
       StagePendingLoss(kSide);
       if (!Thinned(kSide)) {
-        for (std::size_t k = 0; k < shards_.size(); ++k) {
-          To(k).template StageArrival<kSide>(tuples[i], seq, ts,
-                                             current_epoch_);
+        for (auto& shard : shards_) {
+          shard->template StageArrival<kSide>(tuples[i], seq, ts,
+                                              current_epoch_);
         }
       } else {
         const int target = TargetShard<kSide>(tuples[i], seq);
-        To(static_cast<std::size_t>(target))
-            .template StageArrival<kSide>(tuples[i], seq, ts, current_epoch_);
+        shards_[static_cast<std::size_t>(target)]
+            ->template StageArrival<kSide>(tuples[i], seq, ts,
+                                           current_epoch_);
         (kSide == StreamSide::kR ? route_r_ : route_s_)
             .push_back(Route{seq, target});
       }
@@ -1320,25 +1337,15 @@ class JoinSession {
         RouteExpiry(kSide, expired_seq, expired_ts);
       }
     }
-    DeliverOpen();
+    DeliverStaged();
   }
 
-  /// The shard the driver stages its next message into. Moving on to
-  /// another shard delivers the previous shard's staged run, so no shard's
-  /// node idles while the driver routes the rest of a span elsewhere.
-  Shard& To(std::size_t k) {
-    if (open_ != k) {
-      if (open_ != kNoShard) shards_[open_]->Deliver();
-      open_ = k;
-    }
-    return *shards_[k];
-  }
-
-  /// Delivers the open shard's staged run (the call returns).
-  void DeliverOpen() {
-    if (open_ == kNoShard) return;
-    shards_[open_]->Deliver();
-    open_ = kNoShard;
+  /// The call returns: every shard delivers its staged run, one run per
+  /// shard and call. Staging itself never delivers (the handshake join's
+  /// expiry guard aside, JoinShard::StageExpiry), so a shard's channels
+  /// take one burst per push however the driver interleaves the shards.
+  void DeliverStaged() {
+    for (auto& shard : shards_) shard->Deliver();
   }
 
   // -- Partitioning ----------------------------------------------------------
@@ -1390,8 +1397,8 @@ class JoinSession {
   /// order the route records were pushed — so the front record must match.
   void RouteExpiry(StreamSide side, Seq seq, Timestamp ts) {
     if (!Thinned(side)) {
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        To(k).StageExpiry(side, seq, ts, /*thinned=*/false);
+      for (auto& shard : shards_) {
+        shard->StageExpiry(side, seq, ts, /*thinned=*/false);
       }
       return;
     }
@@ -1408,8 +1415,8 @@ class JoinSession {
     }
     const int shard = route.front().shard;
     route.pop_front();
-    To(static_cast<std::size_t>(shard))
-        .StageExpiry(side, seq, ts, /*thinned=*/true);
+    shards_[static_cast<std::size_t>(shard)]->StageExpiry(side, seq, ts,
+                                                          /*thinned=*/true);
   }
 
   // -- Overload control (DESIGN.md Section 12) -------------------------------
@@ -1442,7 +1449,7 @@ class JoinSession {
   void StagePendingLoss(StreamSide side) {
     LossBound gap;
     while (admission_.TakeGap(side, &gap)) {
-      To(0).StageLoss(gap.side, gap.first_seq, gap.count);
+      shards_.front()->StageLoss(gap.side, gap.first_seq, gap.count);
     }
   }
 
@@ -1474,9 +1481,7 @@ class JoinSession {
   VecDeque<Route> route_r_;
   VecDeque<Route> route_s_;
 
-  // The shard holding a staged run (kNoShard: none). Shards are declared
-  // after their adapters, so they are destroyed first.
-  std::size_t open_ = kNoShard;
+  // Shards are declared after their adapters, so they are destroyed first.
   std::vector<ShardOutput> outputs_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -11,8 +11,9 @@
 //    (the Table 2 "with index" configuration). Entries live in a slot slab
 //    indexed by a lane-grouped key table (llhj/group_table.hpp): 8 keys +
 //    8 slot refs per group, probed 8-wide with the packed grouped-equality
-//    kernels, Swiss-table/F14 style. A flat seq -> slot table keeps expiry
-//    and expedition-end handling O(1) with no per-node allocation.
+//    kernels, Swiss-table/F14 style. A seq-ordered ring of (seq, slot)
+//    pairs finds expiry and expedition-end targets: O(1) at the oldest
+//    entry, where window expiries land, a binary search elsewhere.
 //  * ChainHashStore — the pre-grouping implementation (intrusive per-key
 //    chains, one pointer chase per duplicate). Kept verbatim as the
 //    equivalence oracle and the chain-walk baseline the ablation bench
@@ -55,9 +56,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "common/flat_hash.hpp"
 #include "common/simd.hpp"
 #include "common/types.hpp"
+#include "common/vec_deque.hpp"
 #include "llhj/group_table.hpp"
 #include "runtime/mempolicy.hpp"
 #include "stream/query_set.hpp"
@@ -359,38 +362,44 @@ class VectorStore {
 /// lanes, so a key's lanes sit at strictly increasing scan positions)
 /// makes the candidate walk yield insertion order by construction: no
 /// sort, no Seq gather, no entry-slab touch before emission (DESIGN.md
-/// Section 15). Erase/clear are O(1) via the seq -> slot table plus a
-/// tombstone flip in the key table.
+/// Section 15). Erase is a seq-ring lookup plus a tombstone flip in the key
+/// table. A store inserts in strictly increasing seq order (flow order at
+/// its node), so the ring of (seq, slot) pairs is sorted: a window expiry
+/// hits its front, anything else is a binary search, and an erase in the
+/// middle leaves a mark that is popped once it reaches the front.
 template <typename T, typename OwnKey, typename ProbeKey>
 class HashStore {
  public:
   void Insert(const Stamped<T>& t, bool expedited) {
+    insert_order_.AssertAdvance(static_cast<long long>(t.seq), "HashStore",
+                                "insert seq", /*strict=*/true);
     const int64_t key = OwnKey{}(t.value);
     const int32_t slot = AllocSlot();
     Slot& s = slots_[static_cast<std::size_t>(slot)];
     s.entry = StoreEntry<T>{t, expedited};
     s.key = key;
     table_.Insert(key, slot);
-    seq_index_.Insert(t.seq, slot);
+    seqs_.push_back(SeqSlot{t.seq, slot});
     if (t.epoch > max_epoch_) max_epoch_ = t.epoch;
     ++size_;
   }
 
   bool EraseSeq(Seq seq) {
-    const int32_t* found = seq_index_.Find(seq);
+    SeqSlot* found = FindSeq(seq);
     if (found == nullptr) return false;
-    const int32_t slot = *found;
+    const int32_t slot = found->slot;
     table_.Erase(slots_[static_cast<std::size_t>(slot)].key, slot);
-    seq_index_.Erase(seq);
+    found->slot = kErased;
+    while (!seqs_.empty() && seqs_.front().slot == kErased) seqs_.pop_front();
     free_.push_back(slot);
     --size_;
     return true;
   }
 
   bool ClearExpedited(Seq seq) {
-    const int32_t* found = seq_index_.Find(seq);
+    const SeqSlot* found = FindSeq(seq);
     if (found == nullptr) return false;
-    slots_[static_cast<std::size_t>(*found)].entry.expedited = false;
+    slots_[static_cast<std::size_t>(found->slot)].entry.expedited = false;
     return true;
   }
 
@@ -456,25 +465,20 @@ class HashStore {
   /// Visits every live entry pushed under an epoch later than `e`,
   /// newest-first (strictly descending Seq) — the same order as
   /// VectorStore's epoch walk, pinned by test_stores.cpp so every store is
-  /// interchangeable under the epoch re-sweep in the nodes. The
-  /// `max_epoch() <= e` early-out makes this free except during an epoch
-  /// transition (then it is O(live entries) for the handful of probes that
-  /// predate the boundary).
+  /// interchangeable under the epoch re-sweep in the nodes. Epochs are
+  /// monotone in flow order, so the walk runs the seq ring backwards and
+  /// stops at the first older-epoch entry: O(newer entries), and the
+  /// `max_epoch() <= e` early-out makes it free outside epoch transitions.
   template <typename F>
   void ForEachEpochAfter(Epoch e, F&& f) const {
     if (max_epoch_ <= e) return;
-    std::vector<int32_t> newer;
-    seq_index_.ForEach([&](const Seq&, const int32_t& slot) {
-      if (slots_[static_cast<std::size_t>(slot)].entry.tuple.epoch > e) {
-        newer.push_back(slot);
-      }
-    });
-    std::sort(newer.begin(), newer.end(), [&](int32_t a, int32_t b) {
-      return slots_[static_cast<std::size_t>(a)].entry.tuple.seq >
-             slots_[static_cast<std::size_t>(b)].entry.tuple.seq;
-    });
-    for (const int32_t slot : newer) {
-      f(slots_[static_cast<std::size_t>(slot)].entry);
+    for (const SeqSlot* it = seqs_.end(); it != seqs_.begin();) {
+      --it;
+      if (it->slot == kErased) continue;
+      const StoreEntry<T>& entry =
+          slots_[static_cast<std::size_t>(it->slot)].entry;
+      if (entry.tuple.epoch <= e) break;
+      f(entry);
     }
   }
 
@@ -489,11 +493,32 @@ class HashStore {
   /// prefetches of a full pipeline step (msgs_per_step-sized batches) time
   /// to land before their group is scanned.
   static constexpr std::size_t kProbeChunk = 32;
+  static constexpr int32_t kErased = -1;
 
   struct Slot {
     StoreEntry<T> entry;
     int64_t key = 0;  ///< join key, for the table-side erase
   };
+
+  /// One seq-ring record: the entry's slot, or kErased once it is gone.
+  struct SeqSlot {
+    Seq seq;
+    int32_t slot;
+  };
+
+  /// The live record of `seq`, or null. Expiries arrive oldest-first, so
+  /// the front is checked before the binary search.
+  SeqSlot* FindSeq(Seq seq) {
+    if (seqs_.empty()) return nullptr;
+    SeqSlot* it = seqs_.begin();
+    if (it->seq != seq) {
+      it = std::lower_bound(
+          seqs_.begin(), seqs_.end(), seq,
+          [](const SeqSlot& rec, Seq s) { return rec.seq < s; });
+      if (it == seqs_.end() || it->seq != seq) return nullptr;
+    }
+    return it->slot == kErased ? nullptr : it;
+  }
 
   /// Issues prefetches for the slot lines of refs_buf_[from, to).
   void PrefetchSlots(uint32_t from, uint32_t to) const {
@@ -526,9 +551,10 @@ class HashStore {
   std::vector<Slot> slots_;
   std::vector<int32_t> free_;
   GroupTable<int64_t> table_;
-  FlatMap<Seq, int32_t> seq_index_;
+  VecDeque<SeqSlot> seqs_;  // ascending seq; front is the oldest record
   std::size_t size_ = 0;
   Epoch max_epoch_ = 0;
+  [[no_unique_address]] contracts::Monotone insert_order_;
   /// Scratch reused across probes (no per-probe allocation): the candidate
   /// refs collected per chunk, already in per-probe insertion order.
   /// Stores are owned by a single node thread (external synchronization —

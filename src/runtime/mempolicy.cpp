@@ -74,7 +74,18 @@ Slab AllocateSlab(std::size_t bytes) {
   }
 #endif
   const std::size_t page_bytes = RoundUpToPage(bytes);
+#if defined(__linux__)
+  // Rung 3: a private mapping of its own. Unmapping returns it to the
+  // kernel at once; a page-aligned heap block of this size would leave a
+  // hole that the heap cannot reuse for the next, equally sized slab (each
+  // GroupTable purge allocates its replacement while the old one is live).
+  void* p = ::mmap(nullptr, page_bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  slab.addr = p;
+#else
   slab.addr = AllocatePages(page_bytes);
+#endif
   slab.bytes = page_bytes;
   slab.backing = SlabBacking::kPages;
   return slab;
@@ -86,12 +97,12 @@ void FreeSlab(Slab* slab) {
     case SlabBacking::kNone:
       break;
     case SlabBacking::kPages:
-      FreePages(slab->addr, slab->bytes);
-      break;
     case SlabBacking::kTransparentHuge:
     case SlabBacking::kHugeTlb:
 #if defined(__linux__)
       ::munmap(slab->addr, slab->bytes);
+#else
+      FreePages(slab->addr, slab->bytes);  // the only rung off Linux
 #endif
       break;
   }

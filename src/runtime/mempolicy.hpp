@@ -18,7 +18,7 @@
 // Huge-page slab ladder (rung (c) of the raw-speed ladder): AllocateSlab
 // serves the large flat allocations — grouped hash-table lane slabs,
 // VectorStore SoA key lanes — and walks MAP_HUGETLB -> THP madvise ->
-// AllocatePages, reporting which rung actually backed the memory so tests
+// plain pages (its own mmap on Linux), reporting which rung actually backed the memory so tests
 // and placement introspection can see it. Knobs (parse-and-warn via
 // common/env.hpp, re-read per allocation so tests can vary them):
 //
@@ -88,7 +88,7 @@ inline constexpr std::size_t kHugePageSize = 2u * 1024 * 1024;
 /// Which rung of the allocation ladder actually backed a slab.
 enum class SlabBacking : uint8_t {
   kNone = 0,             ///< empty slab (no allocation)
-  kPages = 1,            ///< AllocatePages (4 KB pages, aligned operator new)
+  kPages = 1,            ///< 4 KB pages: own mmap (Linux), else AllocatePages
   kTransparentHuge = 2,  ///< anonymous mmap + MADV_HUGEPAGE accepted
   kHugeTlb = 3,          ///< reserved huge pages via MAP_HUGETLB
 };
@@ -118,7 +118,7 @@ struct Slab {
 };
 
 /// Allocates `bytes` (rounded up to the backing granularity) down the
-/// ladder MAP_HUGETLB -> THP madvise -> AllocatePages. The huge rungs are
+/// ladder MAP_HUGETLB -> THP madvise -> pages. The huge rungs are
 /// attempted only on Linux, when SJOIN_HUGE_PAGES is not disabled and the
 /// request meets SJOIN_HUGE_PAGE_MIN_BYTES; every failure falls through
 /// gracefully (no reserved huge pages and no THP support still yield a

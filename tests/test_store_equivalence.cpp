@@ -294,9 +294,19 @@ TEST(StoreEquivalence, FlatHashStoreMatchesSeedHashStore) {
 // accumulates tombstoned lanes, crosses its 7/8 occupancy trigger, and
 // exercises both rehash shapes (same-size tombstone purge and doubling).
 // Two key domains: small forces long duplicate runs spilling the inline
-// candidate buffer; large forces displacement across many groups.
+// candidate buffer; large forces displacement across many groups. Inserts
+// carry rising epochs, so the epoch walk (newest-first over the grouped
+// store's seq ring) is compared too, after middle and absent-seq erases.
 TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
   using Crossing = std::tuple<std::size_t, QueryId, Seq>;
+  constexpr Seq kSeqsPerEpoch = 97;
+  auto epoch_walk = [](const auto& store, Epoch e) {
+    std::vector<Seq> seqs;
+    store.ForEachEpochAfter(e, [&](const StoreEntry<TR>& entry) {
+      seqs.push_back(entry.tuple.seq);
+    });
+    return seqs;
+  };
   for (const int32_t key_domain : {4, 4096}) {
     for (uint64_t trial = 1; trial <= 4; ++trial) {
       Rng rng(trial * 9001 + static_cast<uint64_t>(key_domain));
@@ -313,8 +323,10 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
         if (live.empty() || dice < insert_p) {
           const int32_t key =
               static_cast<int32_t>(rng.UniformInt(1, key_domain));
-          grouped.Insert(MakeTuple(key, next_seq), true);
-          chain.Insert(MakeTuple(key, next_seq), true);
+          Stamped<TR> t = MakeTuple(key, next_seq);
+          t.epoch = static_cast<Epoch>(1 + next_seq / kSeqsPerEpoch);
+          grouped.Insert(t, true);
+          chain.Insert(t, true);
           live.push_back(next_seq);
           to_clear.push_back(next_seq);
           ++next_seq;
@@ -366,6 +378,14 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
               });
           ASSERT_EQ(got, want)
               << "domain " << key_domain << " trial " << trial << " op " << op;
+          // Epoch walks from before the oldest epoch, mid-window and at the
+          // newest epoch (empty).
+          const Epoch newest = grouped.max_epoch();
+          for (const Epoch e : {Epoch{0}, newest / 2, newest - 1, newest}) {
+            ASSERT_EQ(epoch_walk(grouped, e), epoch_walk(chain, e))
+                << "domain " << key_domain << " trial " << trial << " op "
+                << op << " epoch " << e;
+          }
         }
       }
     }

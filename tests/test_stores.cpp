@@ -2,9 +2,12 @@
 // home-node assignment policies.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "llhj/home_policy.hpp"
 #include "llhj/store.hpp"
 
@@ -109,6 +112,55 @@ TEST(HashStore, EraseSeqUpdatesBuckets) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(Collect(store, 1).empty());
 }
+
+#if defined(__linux__) && !defined(SJOIN_SANITIZE)
+
+/// This process's resident set (VmRSS), in KiB; -1 when unreadable.
+long ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+// A window under FIFO churn must hold its memory: one expiry of the oldest
+// entry and one insert per op over 2,048 live entries, 1M ops. Each op
+// leaves a tombstone in the key table, so the table purges itself about
+// every thousand ops; the purge's replacement slab must not strand the old
+// one's pages, and the seq index must not grow with the churn. Growth is
+// measured from the filled store and checked after the first 100K ops
+// (about a hundred purges) and at the end. (Compiled out under
+// sanitizers, whose allocators keep freed memory in quarantine.)
+TEST(HashStore, FifoChurnHoldsResidentMemory) {
+  constexpr Seq kLive = 2'048;
+  constexpr int kOps = 1'000'000;
+  constexpr int kCheckOps = 100'000;
+  constexpr long kBoundKiB = 1'024;
+  Rng rng(17);
+  TRHash store;
+  auto next_tuple = [&](Seq seq) {
+    return Make<TR>(static_cast<int32_t>(rng.UniformInt(1, 1'024)), seq);
+  };
+  Seq next = 0;
+  for (; next < kLive; ++next) store.Insert(next_tuple(next), false);
+  const long filled_kib = ResidentKiB();
+  ASSERT_GT(filled_kib, 0) << "VmRSS unreadable";
+  for (int op = 1; op <= kOps; ++op) {
+    ASSERT_TRUE(store.EraseSeq(next - kLive));
+    store.Insert(next_tuple(next), false);
+    ++next;
+    if (op == kCheckOps || op == kOps) {
+      const long grown_kib = ResidentKiB() - filled_kib;
+      EXPECT_LT(grown_kib, kBoundKiB)
+          << "resident set grew " << grown_kib << " KiB in " << op << " ops";
+    }
+  }
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(kLive));
+}
+
+#endif  // __linux__ && !SJOIN_SANITIZE
 
 TEST(HashStore, ClearExpedited) {
   TRHash store;
