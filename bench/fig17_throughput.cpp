@@ -10,6 +10,8 @@
 // paper's "maximum throughput the system could sustain".
 #include <cstdio>
 
+#include "runtime/affinity.hpp"
+
 #include "bench_common.hpp"
 
 using namespace sjoin;

@@ -26,10 +26,10 @@
 //
 //  * Runtime dispatch — the ladder AVX-512 -> AVX2 -> SSE2 -> scalar is
 //    selected ONCE at startup from cpuid (non-x86 builds compile the scalar
-//    table only). `SJOIN_FORCE_SCALAR=1` forces the scalar table (CI proves
-//    the fallback on every PR); `SJOIN_SIMD_LEVEL=scalar|sse2|avx2|avx512`
-//    clamps to any lower rung. Tests and benches switch levels in-process
-//    via OverrideSimdLevel (always clamped to what the host supports).
+//    table only). `SJOIN_SIMD_LEVEL=scalar|sse2|avx2|avx512` clamps to any
+//    lower rung (CI runs the suite at scalar and at sse2 on every PR).
+//    Tests and benches switch levels in-process via OverrideSimdLevel
+//    (always clamped to what the host supports).
 //
 //  * Trait hooks — SimdEntryLanes<T> declares how a stored tuple type maps
 //    onto the hot key lanes (k0: int32 band/equi key, k1: optional float
@@ -108,7 +108,6 @@ namespace simd_internal {
 /// unrecognized warns on stderr and keeps the detected level.
 inline SimdLevel EnvSimdLevel() {
   SimdLevel level = DetectedSimdLevel();
-  if (env::Flag("SJOIN_FORCE_SCALAR")) return SimdLevel::kScalar;
   const char* named = env::Raw("SJOIN_SIMD_LEVEL");
   if (named != nullptr && named[0] != '\0') {
     const std::string want(named);
@@ -138,7 +137,7 @@ inline std::atomic<int>& OverrideSlot() {
 }  // namespace simd_internal
 
 /// The level the dispatched kernel table follows. Selected once at startup
-/// (cpuid clamped by SJOIN_FORCE_SCALAR / SJOIN_SIMD_LEVEL), unless a test
+/// (cpuid clamped by SJOIN_SIMD_LEVEL), unless a test
 /// or bench installed an override.
 inline SimdLevel ActiveSimdLevel() {
   const int over = simd_internal::OverrideSlot().load(std::memory_order_relaxed);

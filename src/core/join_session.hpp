@@ -52,11 +52,9 @@
 //  * At least one query must be live before the first Push.
 //  * Timestamps must be non-decreasing across both Push sides (stream
 //    order); a span push is equivalent to the per-tuple loop over its span.
-//  * Baseline engines (Kang, CellJoin) support multi-query through a union
-//    predicate plus per-match fan-out at the sink — same semantics, no
-//    shared-traversal speedup (they exist as oracles, not deployments).
-//    Being synchronous, they apply every message at once, and their epoch
-//    installs take effect (and drain) immediately at the call.
+//  * Every shard runs one of the paper's two pipelined engines, the
+//    original handshake join (HSJ) or low-latency handshake join (LLHJ);
+//    the tests hold both to one Kang reference (tests/kang_join.hpp).
 #pragma once
 
 #include <algorithm>
@@ -71,14 +69,11 @@
 #include <type_traits>
 #include <vector>
 
-#include "baseline/cell_join.hpp"
-#include "baseline/kang_join.hpp"
 #include "common/clock.hpp"
 #include "common/contracts.hpp"
 #include "common/types.hpp"
 #include "common/vec_deque.hpp"
 #include "hsj/hsj_pipeline.hpp"
-#include "llhj/home_policy.hpp"
 #include "llhj/llhj_pipeline.hpp"
 #include "runtime/backoff.hpp"
 #include "runtime/executor.hpp"
@@ -97,20 +92,14 @@
 
 namespace sjoin {
 
-/// The four join engines of this library.
+/// The two join engines of this library.
 enum class Algorithm : uint8_t {
-  kKang,        ///< sequential three-step procedure (Section 2.1)
-  kCellJoin,    ///< parallel window scan (Section 2.2.1)
   kHandshake,   ///< original handshake join (Section 2.3)
   kLowLatency,  ///< low-latency handshake join (Section 4)
 };
 
 constexpr const char* ToString(Algorithm a) {
   switch (a) {
-    case Algorithm::kKang:
-      return "kang";
-    case Algorithm::kCellJoin:
-      return "celljoin";
     case Algorithm::kHandshake:
       return "handshake";
     case Algorithm::kLowLatency:
@@ -122,8 +111,7 @@ constexpr const char* ToString(Algorithm a) {
 struct JoinConfig {
   Algorithm algorithm = Algorithm::kLowLatency;
 
-  /// Pipeline nodes (HSJ/LLHJ) or scan threads (CellJoin: parallelism - 1
-  /// workers next to the caller thread). Must be >= 1.
+  /// Pipeline nodes per shard. Must be >= 1.
   int parallelism = 4;
 
   WindowSpec window_r = WindowSpec::Count(1024);
@@ -140,7 +128,6 @@ struct JoinConfig {
   std::size_t channel_capacity = 128;
   std::size_t result_capacity = kDefaultResultCapacity;
   int msgs_per_step = 8;
-  HomePolicy home_policy = HomePolicy::kRoundRobin;
 
   /// Emit punctuations into the output stream (LLHJ only, Section 6).
   bool punctuate = false;
@@ -207,6 +194,12 @@ inline void ValidateJoinConfig(const JoinConfig& config) {
     throw std::invalid_argument(
         "JoinConfig: msgs_per_step must be >= 1, got " +
         std::to_string(config.msgs_per_step));
+  }
+  if (static_cast<uint8_t>(config.algorithm) >
+      static_cast<uint8_t>(Algorithm::kLowLatency)) {
+    throw std::invalid_argument(
+        "JoinConfig: algorithm must be handshake|llhj, got enum value " +
+        std::to_string(static_cast<int>(config.algorithm)));
   }
   if (static_cast<uint8_t>(config.placement) >
       static_cast<uint8_t>(PlacementPolicy::kNone)) {
@@ -316,9 +309,8 @@ void ValidateShardedJoinConfig(const ShardedJoinConfig& config) {
 
 /// One engine-only shard of a session: the join engine, its channels,
 /// collector and executor. The session's driver hands it messages in driver
-/// order (StageArrival/StageExpiry/StageLoss/StageEpoch/StageFlush);
-/// pipelined engines stage them into the two flows until Deliver, the
-/// synchronous baselines (Kang, CellJoin) apply each one at once. An LLHJ
+/// order (StageArrival/StageExpiry/StageLoss/StageEpoch/StageFlush) and
+/// stages them into the engine's two flows until Deliver. An LLHJ
 /// shard keeps its windows in hash-indexed stores when the predicate
 /// declares ShardKeyTraits, else in scan stores. Everything the engine
 /// delivers — results, punctuations, loss bounds, epoch drains — goes to
@@ -340,19 +332,6 @@ class JoinShard {
   /// Builds the engine with `set` (session ids `ids`) as epoch 0.
   void Start(QuerySet<Pred> set, std::vector<QueryId> ids) {
     switch (config_.algorithm) {
-      case Algorithm::kKang:
-        SetUpBaselineEpoch(std::move(set), std::move(ids));
-        kang_ = std::make_unique<KangJoin<R, S, UnionPred, FanOutSink>>(
-            &fan_out_, UnionPred{this});
-        break;
-      case Algorithm::kCellJoin: {
-        SetUpBaselineEpoch(std::move(set), std::move(ids));
-        typename CellJoin<R, S, UnionPred, FanOutSink>::Options options;
-        options.workers = config_.parallelism - 1;
-        cell_ = std::make_unique<CellJoin<R, S, UnionPred, FanOutSink>>(
-            &fan_out_, UnionPred{this}, options);
-        break;
-      }
       case Algorithm::kHandshake: {
         typename HsjPipeline<R, S, Pred>::Options options;
         options.nodes = config_.parallelism;
@@ -385,7 +364,6 @@ class JoinShard {
         options.channel_capacity = config_.channel_capacity;
         options.result_capacity = config_.result_capacity;
         options.msgs_per_step = config_.msgs_per_step;
-        options.home_policy = config_.home_policy;
         options.punctuate = config_.punctuate;
         options.placement = Placement();
         llhj_ = std::make_unique<Llhj>(options, set, std::move(ids));
@@ -413,20 +391,6 @@ class JoinShard {
         .AssertAdvance(static_cast<long long>(seq), "JoinShard",
                        kIsR ? "R arrival seq" : "S arrival seq",
                        /*strict=*/true);
-    if (!Pipelined()) {
-      DriverEvent<R, S> event;
-      event.seq = seq;
-      event.ts = ts;
-      if constexpr (kIsR) {
-        event.op = DriverOp::kArriveR;
-        event.r = tuple;
-      } else {
-        event.op = DriverOp::kArriveS;
-        event.s = tuple;
-      }
-      Apply(event);
-      return;
-    }
     FlowMsg<Tuple<kSide>> msg;
     msg.kind = MsgKind::kArrival;
     msg.seq = seq;
@@ -455,15 +419,6 @@ class JoinShard {
                        side == StreamSide::kR ? "R expiry seq"
                                               : "S expiry seq",
                        /*strict=*/true);
-    if (!Pipelined()) {
-      DriverEvent<R, S> event;
-      event.op = side == StreamSide::kR ? DriverOp::kExpireR
-                                        : DriverOp::kExpireS;
-      event.seq = seq;
-      event.ts = ts;
-      Apply(event);
-      return;
-    }
     // HSJ has no per-tuple completion notion to gate an expiry on (cf. the
     // LLHJ gate in DeliverFlow), so the staged messages enter first and the
     // expiry is delivered alone. On a whole stream (N = 1, or a replicated
@@ -495,31 +450,20 @@ class JoinShard {
     }
   }
 
-  /// Stages a loss bound at the current stream position: in-band on the
-  /// flow the shed arrivals would have taken (pipelined engines), or
-  /// straight to the output (synchronous baselines).
+  /// Stages a loss bound at the current stream position, in-band on the
+  /// flow the shed arrivals would have taken.
   void StageLoss(StreamSide side, Seq first_seq, uint64_t count) {
-    if (!Pipelined()) {
-      out_->OnLoss(side, first_seq, count);
-    } else if (side == StreamSide::kR) {
+    if (side == StreamSide::kR) {
       left_.push_back(MakeLossPunct<R>(side, first_seq, count));
     } else {
       right_.push_back(MakeLossPunct<S>(side, first_seq, count));
     }
   }
 
-  /// Installs the next query epoch at the current stream position:
-  /// pipelined engines get the in-band kEpochChange punctuation on both
-  /// flows; synchronous baselines switch (and drain) immediately.
+  /// Installs the next query epoch at the current stream position: the
+  /// in-band kEpochChange punctuation goes on both flows.
   void StageEpoch(QuerySet<Pred> set, std::vector<QueryId> ids) {
     const Epoch e = registry_->Install(std::move(set), std::move(ids));
-    if (!Pipelined()) {
-      active_snap_ = registry_->Get(e);
-      // Synchronous engines have already delivered every pre-boundary
-      // result; the install point is a drained boundary by construction.
-      out_->OnEpochDrained(e);
-      return;
-    }
     FlowMsg<R> left;
     left.kind = MsgKind::kEpochChange;
     left.epoch = e;
@@ -551,8 +495,8 @@ class JoinShard {
   /// reached the output. With nothing staged it is quiescent already.
   void Deliver() {
     if (left_.empty() && right_.empty()) return;
-    PipelinePorts<R, S> ports =
-        hsj_ != nullptr ? hsj_->ports() : llhj_->ports();
+    const PipelinePorts<R, S> ports =
+        OnEngine([](auto& engine) { return engine.ports(); });
     if (gated_ == (staged_side_ == StreamSide::kR)) {
       DeliverFlow(&left_, ports.left);
       DeliverFlow(&right_, ports.right);
@@ -570,7 +514,7 @@ class JoinShard {
   /// Delivers pending results to the output; non-threaded pipelines are
   /// advanced with their collector until quiescent.
   void Poll() {
-    if (collector_ == nullptr) return;  // Kang/Cell deliver synchronously
+    if (collector_ == nullptr) return;  // not started
     if (config_.threaded) {
       collector_->VacuumOnce();
     } else {
@@ -581,7 +525,6 @@ class JoinShard {
   /// Drains everything delivered so far to the output (end of input):
   /// returns once every result, staged ones included, reached the handler.
   void Finish() {
-    if (collector_ == nullptr) return;
     if (config_.threaded) {
       WaitQuiescentThreaded();
     } else {
@@ -598,25 +541,19 @@ class JoinShard {
 
   /// Messages queued in the pipeline's channels (result queues excluded —
   /// their occupancy is the application's polling cadence, not pipeline
-  /// pressure). Baselines are synchronous: nothing queues.
+  /// pressure).
   std::size_t backlog() const {
-    if (hsj_ != nullptr) return hsj_->ApproxChannelBacklog();
-    if (llhj_ != nullptr) return llhj_->ApproxChannelBacklog();
-    return 0;
+    return OnEngine([](auto& engine) { return engine.ApproxChannelBacklog(); });
   }
 
   uint64_t anomalies() const {
-    if (hsj_ != nullptr) return hsj_->total_anomalies();
-    if (llhj_ != nullptr) return llhj_->total_anomalies();
-    return 0;
+    return OnEngine([](auto& engine) { return engine.total_anomalies(); });
   }
 
   /// Times a node of this shard deferred arrivals on its full result ring
   /// (one per fill; thread-safe).
   uint64_t result_ring_stalls() const {
-    if (hsj_ != nullptr) return hsj_->ResultRingStalls();
-    if (llhj_ != nullptr) return llhj_->ResultRingStalls();
-    return 0;
+    return OnEngine([](auto& engine) { return engine.ResultRingStalls(); });
   }
 
   /// Placement plan the pipeline threads were pinned with (empty until a
@@ -624,7 +561,6 @@ class JoinShard {
   const PlacementPlan& placement() const { return plan_; }
 
  private:
-  using Snapshot = QueryEpochSnapshot<Pred>;
   static constexpr Seq kNoSeq = std::numeric_limits<Seq>::max();
 
   /// HashStore key functors over the predicate's declared shard keys.
@@ -648,34 +584,6 @@ class JoinShard {
                          IndexedLlhjPipeline<R, S, Pred, KeyOfR, KeyOfS>,
                          LlhjPipeline<R, S, Pred>>;
 
-  /// Baseline engines evaluate the union of the ACTIVE epoch's predicates
-  /// while scanning; the sink then fans each match out to the queries that
-  /// actually satisfied it (per-query re-evaluation only on the hit path).
-  /// Both read the shard's active snapshot at call time, so an epoch
-  /// install (which swaps the snapshot between driver events) takes effect
-  /// at exactly the next event.
-  struct UnionPred {
-    const JoinShard* shard = nullptr;
-    bool operator()(const R& r, const S& s) const {
-      return shard->active_snap_->set.AnyMatch(r, s);
-    }
-  };
-
-  struct FanOutSink {
-    JoinShard* shard = nullptr;
-    void Emit(const ResultMsg<R, S>& m) {
-      const Snapshot& snap = *shard->active_snap_;
-      snap.set.Match(m.r, m.s, [&](QueryId lane) {
-        ResultMsg<R, S> tagged = m;
-        tagged.query = snap.GlobalId(lane);
-        // Baselines evaluate at the later input's push; the active epoch
-        // IS that input's epoch.
-        tagged.epoch = snap.epoch;
-        shard->out_->OnResult(tagged);
-      });
-    }
-  };
-
   template <typename T>
   static FlowMsg<T> MakeExpiry(StreamSide side, Seq seq, Timestamp ts,
                                Seq horizon) {
@@ -688,23 +596,12 @@ class JoinShard {
     return msg;
   }
 
-  bool Pipelined() const { return hsj_ != nullptr || llhj_ != nullptr; }
-
-  void Apply(const DriverEvent<R, S>& event) {
-    if (kang_ != nullptr) {
-      kang_->OnEvent(event);
-    } else {
-      cell_->OnEvent(event);
-    }
-  }
-
-  /// Baselines keep their epochs in a shard-owned registry (no pipeline
-  /// to own one); active_snap_ is the one the union predicate reads.
-  void SetUpBaselineEpoch(QuerySet<Pred> set, std::vector<QueryId> ids) {
-    own_registry_ = std::make_unique<QueryEpochRegistry<Pred>>();
-    registry_ = own_registry_.get();
-    registry_->Install(std::move(set), std::move(ids));
-    active_snap_ = registry_->Get(0);
+  /// `f` applied to the engine, HSJ or LLHJ; a zero result before Start.
+  template <typename F>
+  auto OnEngine(F f) const {
+    if (hsj_ != nullptr) return f(*hsj_);
+    if (llhj_ != nullptr) return f(*llhj_);
+    return decltype(f(*llhj_)){};
   }
 
   int64_t HsjWindowTuples() const {
@@ -834,8 +731,8 @@ class JoinShard {
   /// the rings are left to the next Poll, which keeps the waits off the
   /// rings' cache lines. Returns true when results were delivered.
   bool ServeStagedNodes() {
-    const std::size_t staged = hsj_ != nullptr ? hsj_->StagedResultNodes()
-                                               : llhj_->StagedResultNodes();
+    const std::size_t staged =
+        OnEngine([](auto& engine) { return engine.StagedResultNodes(); });
     return staged != 0 && collector_->VacuumOnce() > 0;
   }
 
@@ -875,9 +772,9 @@ class JoinShard {
     while (stable_rounds < 5) {
       const bool delivered = collector_->VacuumOnce() > 0;
       const std::size_t backlog =
-          hsj_ != nullptr ? hsj_->ApproxBacklog() : llhj_->ApproxBacklog();
-      const uint64_t processed = hsj_ != nullptr ? hsj_->TotalProcessed()
-                                                 : llhj_->TotalProcessed();
+          OnEngine([](auto& engine) { return engine.ApproxBacklog(); });
+      const uint64_t processed =
+          OnEngine([](auto& engine) { return engine.TotalProcessed(); });
       const uint64_t collected = collector_->total_collected();
       if (backlog == 0 && processed == last_processed &&
           collected == last_collected) {
@@ -897,14 +794,10 @@ class JoinShard {
 
   JoinConfig config_;
   OutputHandler<R, S>* out_;
-  FanOutSink fan_out_{this};
   PlacementPlan plan_;
   bool placement_built_ = false;
 
-  // Epochs: the pipeline's registry, or `own_registry_` for baselines.
-  QueryEpochRegistry<Pred>* registry_ = nullptr;
-  std::unique_ptr<QueryEpochRegistry<Pred>> own_registry_;
-  std::shared_ptr<const Snapshot> active_snap_;  // baselines only
+  QueryEpochRegistry<Pred>* registry_ = nullptr;  // the engine's
 
   // The staged run: both flows in driver order, the lowest arrival seq
   // staged per side (kNoSeq: none), the side of the staged arrivals, and
@@ -924,8 +817,6 @@ class JoinShard {
   [[no_unique_address]] contracts::Monotone r_expiry_order_;
   [[no_unique_address]] contracts::Monotone s_expiry_order_;
 
-  std::unique_ptr<KangJoin<R, S, UnionPred, FanOutSink>> kang_;
-  std::unique_ptr<CellJoin<R, S, UnionPred, FanOutSink>> cell_;
   std::unique_ptr<HsjPipeline<R, S, Pred>> hsj_;
   std::unique_ptr<Llhj> llhj_;
   std::unique_ptr<Collector<R, S>> collector_;
@@ -1091,8 +982,7 @@ class JoinSession {
   /// Highest epoch known fully drained on every shard: every result of an
   /// older epoch has been delivered, and queries removed at or before that
   /// boundary have received their final punctuation. Advanced by Poll/
-  /// FinishInput as the per-node epoch markers arrive (baseline engines
-  /// drain synchronously).
+  /// FinishInput as the per-node epoch markers arrive.
   Epoch drained_epoch() const { return router_.drained_epoch(); }
 
   /// Times a pipeline node deferred arrivals because its result ring was
@@ -1291,8 +1181,8 @@ class JoinSession {
 
   /// Installs the current live membership as a new epoch on every shard at
   /// this driver-order boundary. The router learns the epoch first, so a
-  /// shard that drains it at once (the synchronous baselines) retires the
-  /// removed queries.
+  /// shard that drains it within this call (a non-threaded one) retires
+  /// the removed queries.
   void InstallEpoch(std::vector<QueryId> removed) {
     const std::vector<QueryId> ids = LiveIds();
     ++current_epoch_;

@@ -1,53 +1,31 @@
 // Home-node assignment for low-latency handshake join. Every tuple is
 // assigned a home node when it enters the pipeline (paper Section 4.1,
-// step 1); the default is round-robin "to ensure even load balancing"
-// (Section 4.3). The policy must be a pure function of the sequence number:
-// expiry messages are tagged with the home independently of the arrival, so
-// both must agree (DESIGN.md, correctness refinement 2).
+// step 1), round-robin "to ensure even load balancing" (Section 4.3). The
+// home must be a pure function of the sequence number: expiry messages are
+// tagged with the home independently of the arrival, so both must agree
+// (DESIGN.md, correctness refinement 2).
 #pragma once
 
 #include <cstdint>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace sjoin {
 
-enum class HomePolicy : uint8_t {
-  kRoundRobin,  ///< seq % nodes (paper default)
-  kBlock,       ///< contiguous blocks of `block` tuples per node
-  kHash,        ///< pseudo-random node per tuple
-};
-
-/// Deterministic seq -> home-node map.
+/// Deterministic seq -> home-node map: seq % nodes.
 class HomeAssigner {
  public:
   HomeAssigner() = default;
-  HomeAssigner(HomePolicy policy, int nodes, int block = 64)
-      : policy_(policy), nodes_(nodes), block_(block < 1 ? 1 : block) {}
+  explicit HomeAssigner(int nodes) : nodes_(nodes) {}
 
   NodeId Of(Seq seq) const {
-    const uint64_t n = static_cast<uint64_t>(nodes_);
-    switch (policy_) {
-      case HomePolicy::kRoundRobin:
-        return static_cast<NodeId>(seq % n);
-      case HomePolicy::kBlock:
-        return static_cast<NodeId>((seq / static_cast<uint64_t>(block_)) % n);
-      case HomePolicy::kHash: {
-        uint64_t state = seq + 0x1234abcdULL;
-        return static_cast<NodeId>(SplitMix64(state) % n);
-      }
-    }
-    return 0;
+    return static_cast<NodeId>(seq % static_cast<uint64_t>(nodes_));
   }
 
   int nodes() const { return nodes_; }
-  HomePolicy policy() const { return policy_; }
 
  private:
-  HomePolicy policy_ = HomePolicy::kRoundRobin;
   int nodes_ = 1;
-  int block_ = 64;
 };
 
 }  // namespace sjoin

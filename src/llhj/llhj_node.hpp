@@ -86,8 +86,7 @@ class LlhjNode : public Steppable {
   struct Config {
     NodeId id = 0;
     int nodes = 1;
-    HomeAssigner home_r;
-    HomeAssigner home_s;
+    HomeAssigner home;  ///< the same map for R and S tuples
     int msgs_per_step = 8;
   };
 
@@ -229,7 +228,7 @@ class LlhjNode : public Steppable {
     // Fig 13 lines 5-6: the leftmost node assigns the home nodes.
     if (IsLeftmost()) {
       for (std::size_t j = 0; j < k; ++j) {
-        msgs[j].home = config_.home_r.Of(msgs[j].seq);
+        msgs[j].home = config_.home.Of(msgs[j].seq);
       }
     }
     // Fig 13 line 8: match against stored copies and in-flight S — one
@@ -289,7 +288,7 @@ class LlhjNode : public Steppable {
       case MsgKind::kExpiry: {  // of an S tuple, travelling toward h_s
         Seq seq = msg->seq;
         NodeId home = msg->home;
-        if (IsLeftmost()) home = config_.home_s.Of(seq);
+        if (IsLeftmost()) home = config_.home.Of(seq);
         if (home == config_.id) {
           if (!ws_.EraseSeq(seq)) {
             tombstones_s_.Insert(seq);
@@ -352,7 +351,7 @@ class LlhjNode : public Steppable {
     // Fig 14 lines 5-6: the rightmost node assigns the home nodes.
     if (IsRightmost()) {
       for (std::size_t j = 0; j < k; ++j) {
-        msgs[j].home = config_.home_s.Of(msgs[j].seq);
+        msgs[j].home = config_.home.Of(msgs[j].seq);
       }
     }
     // Fig 14 line 8: one traversal of the R store for the whole batch;
@@ -418,7 +417,7 @@ class LlhjNode : public Steppable {
       case MsgKind::kExpiry: {  // of an R tuple, travelling toward h_r
         Seq seq = msg->seq;
         NodeId home = msg->home;
-        if (IsRightmost()) home = config_.home_r.Of(seq);
+        if (IsRightmost()) home = config_.home.Of(seq);
         if (home == config_.id) {
           if (!wr_.EraseSeq(seq)) {
             tombstones_r_.Insert(seq);

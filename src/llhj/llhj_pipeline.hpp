@@ -37,8 +37,6 @@ class LlhjPipeline {
     int nodes = 4;
     std::size_t channel_capacity = 1024;
     std::size_t result_capacity = kDefaultResultCapacity;
-    HomePolicy home_policy = HomePolicy::kRoundRobin;
-    int home_block = 64;
     bool punctuate = false;
     int msgs_per_step = 8;
     /// Hardware placement: channel rings are homed on their CONSUMER's
@@ -86,14 +84,11 @@ class LlhjPipeline {
                                               &result_stages_));
     }
 
-    const HomeAssigner home_r(options_.home_policy, n, options_.home_block);
-    const HomeAssigner home_s(options_.home_policy, n, options_.home_block);
     for (int k = 0; k < n; ++k) {
       typename Node::Config config;
       config.id = k;
       config.nodes = n;
-      config.home_r = home_r;
-      config.home_s = home_s;
+      config.home = HomeAssigner(n);
       config.msgs_per_step = options_.msgs_per_step;
       nodes_.push_back(std::make_unique<Node>(
           config, &registry_, sinks_[static_cast<std::size_t>(k)].get(),

@@ -62,17 +62,6 @@ class QuerySet {
     }
   }
 
-  /// True iff any registered predicate matches (baseline engines run with
-  /// this as their single "union" predicate and fan matches out per query
-  /// at the sink).
-  template <typename RV, typename SV>
-  bool AnyMatch(const RV& r, const SV& s) const {
-    for (const Pred& p : preds_) {
-      if (p(r, s)) return true;
-    }
-    return false;
-  }
-
   /// Match with an explicit probe direction: the stores evaluate a probe
   /// tuple against a stored entry without knowing which of the two is the
   /// predicate's R argument. kProbeIsLeft=true means pred(probe, entry)

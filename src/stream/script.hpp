@@ -1,9 +1,9 @@
 // The external driver of the paper (Section 4.2.4): it alone knows the
 // window specification and translates a trace of arrivals into an explicit
-// sequence of arrivals and expiries — the "driver script". Every engine
-// (Kang, CellJoin, HSJ, LLHJ) consumes the same script, which is what makes
-// exact oracle comparisons possible: the script fixes the per-flow total
-// orders that define the result set.
+// sequence of arrivals and expiries — the "driver script". Both engines
+// (HSJ, LLHJ) and the tests' Kang reference consume the same script, which
+// is what makes exact oracle comparisons possible: the script fixes the
+// per-flow total orders that define the result set.
 //
 // Expiry rules:
 //  * time window W:  a tuple with timestamp t_v expires strictly when the
@@ -14,8 +14,8 @@
 //
 // Flush events (kFlushR/kFlushS) are appended on request. They force the
 // original handshake join to relocate all resident tuples so that pairs
-// still separated inside the pipeline meet; LLHJ and the baselines ignore
-// them (their matching is driven entirely by arrivals). See DESIGN.md.
+// still separated inside the pipeline meet; LLHJ and the Kang reference
+// ignore them (their matching is driven entirely by arrivals). See DESIGN.md.
 #pragma once
 
 #include <cstdint>

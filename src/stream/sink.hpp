@@ -1,22 +1,15 @@
-// Result sinks: where pipeline nodes emit join matches. Nodes are templated
+// Result sink: where pipeline nodes emit join matches. Nodes are templated
 // on the sink so the hot emit path has no virtual dispatch.
-//
-//  * StagedQueueSink — per-node SPSC result ring drained by the collector,
-//    with a bounded local overflow stage (the pipelines' sink, paper
-//    Figure 15).
-//  * QueueSink  — blocking push into a result ring.
-//  * VectorSink — unbounded in-memory buffer for deterministic tests.
-//  * CountingSink — discards payloads, counts matches (throughput benches
-//    where result contents are irrelevant).
+// StagedQueueSink is a per-node SPSC result ring drained by the collector,
+// with a bounded local overflow stage (the pipelines' sink, paper
+// Figure 15).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
-#include "runtime/backoff.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "runtime/staged_channel.hpp"
@@ -114,50 +107,6 @@ class StagedQueueSink {
   bool raised_ = false;   ///< stage non-empty, counted in stages_
   bool stalled_ = false;  ///< this fill already counted as a stall
   std::atomic<uint64_t> stalls_{0};
-};
-
-/// Blocking push into a bounded SPSC result queue. Blocking is safe because
-/// the collector always drains; backoff keeps the wait cheap.
-template <typename R, typename S>
-class QueueSink {
- public:
-  explicit QueueSink(SpscQueue<ResultMsg<R, S>>* queue) : queue_(queue) {}
-
-  void Emit(const ResultMsg<R, S>& result) {
-    Backoff backoff;
-    while (!queue_->TryPush(result)) backoff.Pause();
-    ++emitted_;
-  }
-
-  uint64_t emitted() const { return emitted_; }
-
- private:
-  SpscQueue<ResultMsg<R, S>>* queue_;
-  uint64_t emitted_ = 0;
-};
-
-/// Unbounded buffer; single-threaded use only.
-template <typename R, typename S>
-class VectorSink {
- public:
-  void Emit(const ResultMsg<R, S>& result) { results_.push_back(result); }
-
-  const std::vector<ResultMsg<R, S>>& results() const { return results_; }
-  std::vector<ResultMsg<R, S>>& mutable_results() { return results_; }
-
- private:
-  std::vector<ResultMsg<R, S>> results_;
-};
-
-/// Counts matches without storing them.
-template <typename R, typename S>
-class CountingSink {
- public:
-  void Emit(const ResultMsg<R, S>&) { ++count_; }
-  uint64_t count() const { return count_; }
-
- private:
-  uint64_t count_ = 0;
 };
 
 }  // namespace sjoin

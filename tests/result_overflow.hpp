@@ -2,8 +2,8 @@
 // test_threaded. An equi-join in which every key is equal makes each
 // arrival match the whole opposite window, so the nodes' result rings
 // overflow between Polls. The session must still have delivered exactly the
-// Kang oracle's result multiset when FinishInput returns, and no result may
-// reach the handler after a punctuation that covers it.
+// Kang reference's result multiset when FinishInput returns, and no result
+// may reach the handler after a punctuation that covers it.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "core/join_session.hpp"
 #include "stream/sink.hpp"
 
+#include "kang_join.hpp"
 #include "test_util.hpp"
 
 namespace sjoin::test {
@@ -91,28 +92,22 @@ void PushOverflowPairs(Session& session, int pairs, AfterPair after_pair) {
   }
 }
 
-/// Runs `c` against the Kang oracle and checks it: the exact multiset is
-/// delivered when FinishInput returns, with no punctuation violation and
-/// no anomaly; LLHJ emits punctuations; a threaded 16-slot ring really
+/// Runs `c` against the Kang reference and checks it: the exact multiset
+/// is delivered when FinishInput returns, with no punctuation violation
+/// and no anomaly; LLHJ emits punctuations; a threaded 16-slot ring really
 /// fills.
-/// Returns the most results one round produced (oracle count).
+/// Returns the most results one round produced (reference count).
 inline uint64_t RunOverflowCase(const OverflowCase& c) {
-  JoinConfig kang;
-  kang.algorithm = Algorithm::kKang;
-  kang.parallelism = 1;
-  kang.window_r = WindowSpec::Count(c.window);
-  kang.window_s = WindowSpec::Count(c.window);
-  kang.threaded = false;
-  JoinSession<RTuple, STuple, EquiPredicate> oracle(kang);
   LivePunctuationChecker<RTuple, STuple> want;
-  oracle.AddQuery(EquiPredicate{}, &want);
+  KangReference<RTuple, STuple, EquiPredicate> reference(
+      WindowSpec::Count(c.window), WindowSpec::Count(c.window),
+      EquiPredicate{}, &want);
   uint64_t max_per_pair = 0;
   uint64_t before = 0;
-  PushOverflowPairs(oracle, c.pairs, [&] {
+  PushOverflowPairs(reference, c.pairs, [&] {
     max_per_pair = std::max(max_per_pair, want.count() - before);
     before = want.count();
   });
-  oracle.FinishInput();
 
   ShardedJoinConfig config;
   config.shard.algorithm = c.algorithm;
@@ -135,7 +130,7 @@ inline uint64_t RunOverflowCase(const OverflowCase& c) {
   // Checked right at the return of FinishInput: no Poll after it.
   EXPECT_EQ(got.count(), want.count()) << "undelivered or extra results";
   EXPECT_TRUE(got.fingerprint() == want.fingerprint())
-      << "result multiset differs from the oracle";
+      << "result multiset differs from the reference";
   EXPECT_EQ(got.violations(), 0u) << "results trailed their punctuation";
   EXPECT_EQ(session.pipeline_anomalies(), 0u);
   if (c.algorithm == Algorithm::kLowLatency) {

@@ -136,7 +136,7 @@ TEST_F(ContractsDeath, HwmSidesAreIndependent) {
 
 JoinConfig TinyConfig() {
   JoinConfig config;
-  config.algorithm = Algorithm::kKang;
+  config.algorithm = Algorithm::kLowLatency;
   config.parallelism = 1;
   config.window_r = WindowSpec::Count(4);
   config.window_s = WindowSpec::Count(4);

@@ -1,12 +1,13 @@
-// Tests for the public single-query JoinSession: all four algorithms behind
-// one push/poll API must produce identical result sets; window bookkeeping,
-// punctuation, threaded and non-threaded operation.
+// Tests for the public single-query JoinSession: both engines behind one
+// push/poll API must produce the Kang reference's result set; window
+// bookkeeping, punctuation, threaded and non-threaded operation.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/join_session.hpp"
 
+#include "kang_join.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {
@@ -62,7 +63,7 @@ TEST_P(FacadeAlgorithms, MatchesOracleNonThreaded) {
   const WindowSpec wr = WindowSpec::Time(50);
   const WindowSpec ws = WindowSpec::Time(50);
 
-  auto expected = RunFacade(Algorithm::kKang, trace, wr, ws, false);
+  auto expected = ReferenceResults(trace, wr, ws, KeyEq{});
   ASSERT_FALSE(expected.empty());
   auto actual = RunFacade(GetParam(), trace, wr, ws, /*threaded=*/false);
   EXPECT_TRUE(SameResultSet(expected, actual));
@@ -79,22 +80,19 @@ TEST_P(FacadeAlgorithms, MatchesOracleThreaded) {
   const WindowSpec wr = WindowSpec::Count(150);
   const WindowSpec ws = WindowSpec::Count(150);
 
-  auto expected = RunFacade(Algorithm::kKang, trace, wr, ws, false);
+  auto expected = ReferenceResults(trace, wr, ws, KeyEq{});
   auto actual = RunFacade(GetParam(), trace, wr, ws, /*threaded=*/true);
   EXPECT_TRUE(SameResultSet(expected, actual));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, FacadeAlgorithms,
-    ::testing::Values(Algorithm::kKang, Algorithm::kCellJoin,
-                      Algorithm::kHandshake, Algorithm::kLowLatency),
+    ::testing::Values(Algorithm::kHandshake, Algorithm::kLowLatency),
     [](const ::testing::TestParamInfo<Algorithm>& info) {
       return std::string(ToString(info.param));
     });
 
 TEST(Facade, AlgorithmNames) {
-  EXPECT_STREQ(ToString(Algorithm::kKang), "kang");
-  EXPECT_STREQ(ToString(Algorithm::kCellJoin), "celljoin");
   EXPECT_STREQ(ToString(Algorithm::kHandshake), "handshake");
   EXPECT_STREQ(ToString(Algorithm::kLowLatency), "llhj");
 }
@@ -102,7 +100,8 @@ TEST(Facade, AlgorithmNames) {
 TEST(Facade, NonMonotonicTimestampsAreClamped) {
   CollectingHandler<TR, TS> handler;
   JoinConfig config;
-  config.algorithm = Algorithm::kKang;
+  config.algorithm = Algorithm::kLowLatency;
+  config.threaded = false;
   config.window_r = WindowSpec::Time(10);
   config.window_s = WindowSpec::Time(10);
   JoinSession<TR, TS, KeyEq> joiner(config);
@@ -182,18 +181,6 @@ TEST(Facade, InterleavedPollDeliversIncrementally) {
   EXPECT_EQ(handler.results().size(), 2u);
 }
 
-TEST(Facade, CellJoinUsesWorkers) {
-  TraceConfig tc;
-  tc.events = 150;
-  tc.key_domain = 5;
-  auto trace = MakeRandomTrace(94, tc);
-  auto expected = RunFacade(Algorithm::kKang, trace, WindowSpec::Count(30),
-                            WindowSpec::Count(30), false);
-  auto actual = RunFacade(Algorithm::kCellJoin, trace, WindowSpec::Count(30),
-                          WindowSpec::Count(30), false, /*parallelism=*/3);
-  EXPECT_TRUE(SameResultSet(expected, actual));
-}
-
 TEST(Facade, StopIsIdempotentAndSafe) {
   CollectingHandler<TR, TS> handler;
   JoinConfig config;
@@ -211,8 +198,8 @@ TEST(Facade, SingleNodePipelines) {
   TraceConfig tc;
   tc.events = 120;
   auto trace = MakeRandomTrace(95, tc);
-  auto expected = RunFacade(Algorithm::kKang, trace, WindowSpec::Time(40),
-                            WindowSpec::Time(40), false);
+  auto expected = ReferenceResults(trace, WindowSpec::Time(40),
+                                   WindowSpec::Time(40), KeyEq{});
   for (Algorithm a : {Algorithm::kHandshake, Algorithm::kLowLatency}) {
     auto actual = RunFacade(a, trace, WindowSpec::Time(40),
                             WindowSpec::Time(40), false, /*parallelism=*/1);

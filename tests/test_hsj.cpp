@@ -3,9 +3,9 @@
 // flush semantics.
 #include <gtest/gtest.h>
 
-#include "baseline/kang_join.hpp"
 #include "hsj/hsj_pipeline.hpp"
 
+#include "kang_join.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {

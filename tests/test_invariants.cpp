@@ -7,10 +7,10 @@
 // much later (or as unbounded memory growth in long-running deployments).
 #include <gtest/gtest.h>
 
-#include "baseline/kang_join.hpp"
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
 
+#include "kang_join.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {

@@ -6,9 +6,9 @@
 
 #include <vector>
 
-#include "baseline/kang_join.hpp"
 #include "stream/script.hpp"
 
+#include "kang_join.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {

@@ -1,11 +1,11 @@
 // Tests for the low-latency handshake join: oracle equivalence across
-// pipeline lengths, home policies, and stores; the Table 1 matching cases;
+// pipeline lengths and stores; the Table 1 matching cases;
 // tombstones; expedition flags; and indexed operation.
 #include <gtest/gtest.h>
 
-#include "baseline/kang_join.hpp"
 #include "llhj/llhj_pipeline.hpp"
 
+#include "kang_join.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {
@@ -23,24 +23,17 @@ using test::TS;
 using test::TSKey;
 
 template <typename Pred = KeyEq>
-typename LlhjPipeline<TR, TS, Pred>::Options LlhjOptions(
-    int nodes, HomePolicy policy = HomePolicy::kRoundRobin) {
+typename LlhjPipeline<TR, TS, Pred>::Options LlhjOptions(int nodes) {
   typename LlhjPipeline<TR, TS, Pred>::Options options;
   options.nodes = nodes;
   options.channel_capacity = 64;
-  options.home_policy = policy;
   return options;
 }
 
-struct LlhjParam {
-  int nodes;
-  HomePolicy policy;
-};
-
-class LlhjOracle : public ::testing::TestWithParam<LlhjParam> {};
+class LlhjOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(LlhjOracle, MatchesKangOnRandomTimeWindows) {
-  const auto param = GetParam();
+  const int nodes = GetParam();
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     TraceConfig config;
     config.events = 240;
@@ -49,15 +42,14 @@ TEST_P(LlhjOracle, MatchesKangOnRandomTimeWindows) {
     auto script = BuildDriverScript(trace, WindowSpec::Time(60),
                                     WindowSpec::Time(60));
     auto oracle = RunKangOracle<TR, TS, KeyEq>(script);
-    auto llhj = RunLlhjSequential<KeyEq>(
-        script, LlhjOptions(param.nodes, param.policy));
+    auto llhj = RunLlhjSequential<KeyEq>(script, LlhjOptions(nodes));
     EXPECT_TRUE(SameResultSet(oracle, llhj))
-        << "nodes=" << param.nodes << " seed=" << seed;
+        << "nodes=" << nodes << " seed=" << seed;
   }
 }
 
 TEST_P(LlhjOracle, MatchesKangOnRandomCountWindows) {
-  const auto param = GetParam();
+  const int nodes = GetParam();
   for (uint64_t seed = 21; seed <= 24; ++seed) {
     TraceConfig config;
     config.events = 240;
@@ -66,28 +58,19 @@ TEST_P(LlhjOracle, MatchesKangOnRandomCountWindows) {
     auto script = BuildDriverScript(trace, WindowSpec::Count(24),
                                     WindowSpec::Count(17));
     auto oracle = RunKangOracle<TR, TS, KeyEq>(script);
-    auto llhj = RunLlhjSequential<KeyEq>(
-        script, LlhjOptions(param.nodes, param.policy));
+    auto llhj = RunLlhjSequential<KeyEq>(script, LlhjOptions(nodes));
     EXPECT_TRUE(SameResultSet(oracle, llhj))
-        << "nodes=" << param.nodes << " seed=" << seed;
+        << "nodes=" << nodes << " seed=" << seed;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PipelineShapes, LlhjOracle,
-    ::testing::Values(LlhjParam{1, HomePolicy::kRoundRobin},
-                      LlhjParam{2, HomePolicy::kRoundRobin},
-                      LlhjParam{3, HomePolicy::kRoundRobin},
-                      LlhjParam{4, HomePolicy::kRoundRobin},
-                      LlhjParam{6, HomePolicy::kRoundRobin},
-                      LlhjParam{4, HomePolicy::kBlock},
-                      LlhjParam{4, HomePolicy::kHash},
-                      LlhjParam{5, HomePolicy::kHash}),
-    [](const ::testing::TestParamInfo<LlhjParam>& info) {
-      const char* p = info.param.policy == HomePolicy::kRoundRobin ? "rr"
-                      : info.param.policy == HomePolicy::kBlock    ? "blk"
-                                                                   : "hash";
-      return "n" + std::to_string(info.param.nodes) + p;
+    ::testing::Values(1, 2, 3, 4, 6),
+    [](const ::testing::TestParamInfo<int>& info) {
+      std::string name = "n";
+      name += std::to_string(info.param);
+      return name + "rr";
     });
 
 TEST(Llhj, SingleNodeDegeneratesToKang) {

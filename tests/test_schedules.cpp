@@ -5,10 +5,10 @@
 // expedition-end misordering).
 #include <gtest/gtest.h>
 
-#include "baseline/kang_join.hpp"
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
 
+#include "kang_join.hpp"
 #include "schedule_fuzzer.hpp"
 #include "test_util.hpp"
 

@@ -2,10 +2,11 @@
 //  * config validation (clear std::invalid_argument on nonsense configs),
 //  * query-set rules (register before start, at least one query),
 //  * multi-query equivalence: one session with Q predicates produces
-//    exactly the union of Q independent single-query sessions (per-query
-//    result sets compared, threaded and non-threaded, all engines),
+//    exactly the results of Q independent single-query reference runs
+//    (per-query result sets compared, threaded and non-threaded, both
+//    engines),
 //  * batch PushR/PushS and the per-tuple loop both matching the Kang
-//    oracle, at 1 and 2 shards,
+//    reference (tests/kang_join.hpp), at 1 and 2 shards,
 //  * QueryId routing and punctuation broadcast,
 //  * result rings that overflow between Polls: the exact oracle multiset
 //    by the return of FinishInput and no result behind its punctuation
@@ -22,6 +23,7 @@
 
 #include "core/join_session.hpp"
 
+#include "kang_join.hpp"
 #include "result_overflow.hpp"
 #include "test_util.hpp"
 
@@ -90,21 +92,6 @@ void FeedBatched(Joinable& join, const Trace<TR, TS>& trace,
       join.PushS(std::span<const TS>(ss), std::span<const Timestamp>(tss));
     }
   }
-}
-
-/// The per-query oracle: an independent single-query Kang session over the
-/// same trace and windows.
-template <typename Pred>
-std::vector<ResultMsg<TR, TS>> OracleFor(const Trace<TR, TS>& trace,
-                                         WindowSpec wr, WindowSpec ws,
-                                         Pred pred) {
-  CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, Pred> joiner(
-      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false));
-  joiner.AddQuery(pred, &handler);
-  FeedPerTuple(joiner, trace);
-  joiner.FinishInput();
-  return handler.results();
 }
 
 /// A session of `shards` shards over BaseConfig. KeyEq declares no shard
@@ -262,6 +249,25 @@ TEST(SessionValidation, RejectsOutOfRangePlacement) {
   }
 }
 
+TEST(SessionValidation, RejectsOutOfRangeAlgorithm) {
+  // An unchecked value would build no engine at Start.
+  JoinConfig config;
+  config.algorithm = static_cast<Algorithm>(7);  // not an engine
+  try {
+    ValidateJoinConfig(config);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("algorithm"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("7"), std::string::npos)
+        << "error must name the offending value: " << e.what();
+  }
+  EXPECT_THROW((JoinSession<TR, TS, KeyEq>(config)), std::invalid_argument);
+  for (Algorithm ok : {Algorithm::kHandshake, Algorithm::kLowLatency}) {
+    config.algorithm = ok;
+    EXPECT_NO_THROW(ValidateJoinConfig(config));
+  }
+}
+
 // All four placement policies over an injected synthetic multi-node
 // topology produce the exact per-query oracle result sets: placement moves
 // threads and channel memory, never results. The injected topology also
@@ -301,7 +307,7 @@ TEST(SessionPlacement, PoliciesProduceIdenticalResultsOnSyntheticTopology) {
         << "policy " << ToString(policy);
 
     for (std::size_t q = 0; q < preds.size(); ++q) {
-      auto expected = OracleFor(trace, wr, ws, preds[q]);
+      auto expected = ReferenceResults(trace, wr, ws, preds[q]);
       EXPECT_TRUE(SameResultSet(expected, handlers[q].results()))
           << "policy " << ToString(policy) << " query " << q;
     }
@@ -379,7 +385,7 @@ TEST_P(SessionAlgorithms, MultiQueryMatchesIndependentJoinersNonThreaded) {
   EXPECT_EQ(session.pipeline_anomalies(), 0u);
 
   for (std::size_t q = 0; q < preds.size(); ++q) {
-    auto expected = OracleFor(trace, wr, ws, preds[q]);
+    auto expected = ReferenceResults(trace, wr, ws, preds[q]);
     EXPECT_FALSE(expected.empty()) << "weak oracle for query " << q;
     EXPECT_TRUE(SameResultSet(expected, handlers[q].results()))
         << "query " << q << " (band " << preds[q].width << ")";
@@ -413,7 +419,7 @@ TEST_P(SessionAlgorithms, MultiQueryMatchesIndependentJoinersThreaded) {
   EXPECT_EQ(session.pipeline_anomalies(), 0u);
 
   for (std::size_t q = 0; q < preds.size(); ++q) {
-    auto expected = OracleFor(trace, wr, ws, preds[q]);
+    auto expected = ReferenceResults(trace, wr, ws, preds[q]);
     EXPECT_TRUE(SameResultSet(expected, handlers[q].results()))
         << "query " << q;
   }
@@ -421,8 +427,7 @@ TEST_P(SessionAlgorithms, MultiQueryMatchesIndependentJoinersThreaded) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, SessionAlgorithms,
-    ::testing::Values(Algorithm::kKang, Algorithm::kCellJoin,
-                      Algorithm::kHandshake, Algorithm::kLowLatency),
+    ::testing::Values(Algorithm::kHandshake, Algorithm::kLowLatency),
     [](const ::testing::TestParamInfo<Algorithm>& info) {
       return std::string(ToString(info.param));
     });
@@ -466,7 +471,7 @@ TEST_P(BatchPush, SpansMatchPerTupleLoopNonThreaded) {
   auto trace = MakeRandomTrace(173, tc);
   const WindowSpec wr = WindowSpec::Time(60);
   const WindowSpec ws = WindowSpec::Time(60);
-  const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+  const auto oracle = ReferenceResults(trace, wr, ws, KeyEq{});
   ASSERT_FALSE(oracle.empty());
 
   for (int shards : {1, 2}) {
@@ -486,7 +491,7 @@ TEST_P(BatchPush, SpansMatchPerTupleLoopThreaded) {
   auto trace = MakeRandomTrace(174, tc);
   const WindowSpec wr = WindowSpec::Count(150);
   const WindowSpec ws = WindowSpec::Count(150);
-  const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+  const auto oracle = ReferenceResults(trace, wr, ws, KeyEq{});
 
   for (int shards : {1, 2}) {
     EXPECT_TRUE(SameResultSet(
@@ -519,7 +524,7 @@ TEST_P(BatchPush, TinyCountWindowsMatchPerTupleLoopNonThreaded) {
   for (int64_t window : {2, 4, 6}) {
     const WindowSpec wr = WindowSpec::Count(window);
     const WindowSpec ws = WindowSpec::Count(window);
-    const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+    const auto oracle = ReferenceResults(trace, wr, ws, KeyEq{});
     for (int shards : {1, 2}) {
       if (GetParam() == Algorithm::kHandshake && shards > 1) {
         // A thinned window this small is below the handshake join's
@@ -581,9 +586,10 @@ TEST(SessionRouting, NullHandlerCountsOnly) {
 // is attributed to the epoch of its LATER input (that is when the pair is
 // evaluated), so the expected result set of query q is: all pairs matching
 // q's predicate whose later input lies in an epoch where q was live. The
-// oracle replays the full trace through a scalar Kang joiner per query,
-// stamping each result with the replay epoch, then filters by q's live
-// interval — a frozen-set replay per epoch, exactly the acceptance model.
+// oracle replays the full trace through the Kang reference per query,
+// stamps each result with the epoch at its later input's trace position,
+// then filters by q's live interval — a frozen-set replay per epoch,
+// exactly the acceptance model.
 
 struct ChurnAction {
   std::size_t pos;        ///< applied before trace[pos]
@@ -634,51 +640,29 @@ std::size_t TotalQueries(const ChurnScenario& scenario) {
   return n;
 }
 
-/// Epoch-stamping collector for the oracle replay: every result gets the
-/// epoch active at the position of the event that emitted it.
-class EpochStampingHandler : public OutputHandler<TR, TS> {
- public:
-  explicit EpochStampingHandler(const Epoch* current) : current_(current) {}
-  void OnResult(const ResultMsg<TR, TS>& m) override {
-    ResultMsg<TR, TS> stamped = m;
-    stamped.epoch = *current_;
-    results_.push_back(stamped);
-  }
-  const std::vector<ResultMsg<TR, TS>>& results() const { return results_; }
-
- private:
-  const Epoch* current_;
-  std::vector<ResultMsg<TR, TS>> results_;
-};
-
 /// Expected results of query `q`: frozen-set Kang replay of the whole
 /// trace with q's predicate, epoch-stamped, filtered to q's live interval.
 std::vector<ResultMsg<TR, TS>> EpochOracleFor(const ChurnScenario& scenario,
                                               const Trace<TR, TS>& trace,
                                               WindowSpec wr, WindowSpec ws,
                                               QueryId q) {
-  Epoch current = 0;
-  EpochStampingHandler handler(&current);
-  JoinSession<TR, TS, KeyBand> joiner(
-      BaseConfig(Algorithm::kKang, wr, ws, /*threaded=*/false));
-  joiner.AddQuery(PredOf(scenario, q), &handler);
-  std::size_t next_action = 0;
+  // Trace position of each side's seqs (every arrival is admitted), and
+  // the epoch active there: one per mutation at or before it.
+  std::vector<std::size_t> pos_r;
+  std::vector<std::size_t> pos_s;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    while (next_action < scenario.actions.size() &&
-           scenario.actions[next_action].pos == i) {
-      ++current;
-      ++next_action;
-    }
-    if (trace[i].side == StreamSide::kR) {
-      joiner.PushR(trace[i].r, trace[i].ts);
-    } else {
-      joiner.PushS(trace[i].s, trace[i].ts);
-    }
+    (trace[i].side == StreamSide::kR ? pos_r : pos_s).push_back(i);
   }
-  joiner.FinishInput();
+  const auto epoch_at = [&](std::size_t i) {
+    Epoch epoch = 0;
+    for (const ChurnAction& a : scenario.actions) epoch += a.pos <= i ? 1 : 0;
+    return epoch;
+  };
   const auto [first, last] = LiveInterval(scenario, q);
   std::vector<ResultMsg<TR, TS>> expected;
-  for (const auto& m : handler.results()) {
+  for (ResultMsg<TR, TS> m :
+       ReferenceResults(trace, wr, ws, PredOf(scenario, q))) {
+    m.epoch = epoch_at(std::max(pos_r[m.r_seq], pos_s[m.s_seq]));
     if (m.epoch >= first && m.epoch <= last) expected.push_back(m);
   }
   return expected;
@@ -816,7 +800,7 @@ TEST_P(SessionChurn, StraddlingResultsAttributedToCorrectEpochNonThreaded) {
 }
 
 // (b) Add/remove under the THREADED executor matches the scalar
-// single-epoch oracle replay, on all four engines.
+// single-epoch oracle replay, on both engines.
 TEST_P(SessionChurn, ChurnUnderThreadedExecutorMatchesOracle) {
   TraceConfig tc;
   tc.events = 600;
@@ -844,8 +828,7 @@ TEST_P(SessionChurn, ChurnUnderThreadedExecutorMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, SessionChurn,
-    ::testing::Values(Algorithm::kKang, Algorithm::kCellJoin,
-                      Algorithm::kHandshake, Algorithm::kLowLatency),
+    ::testing::Values(Algorithm::kHandshake, Algorithm::kLowLatency),
     [](const ::testing::TestParamInfo<Algorithm>& info) {
       return std::string(ToString(info.param));
     });

@@ -6,7 +6,7 @@
 //  * partitioner properties: hash assigns every key to exactly one shard
 //    (deterministically, with all shards populated), replicate-one-side
 //    co-locates every candidate pair exactly once (fuzzed band widths),
-//  * shard-vs-single-shard oracle equality on all four engines, threaded
+//  * shard-vs-single-shard oracle equality on both engines, threaded
 //    and non-threaded, equi (hash) and band (replicate) predicates, count
 //    and time windows — exact result multisets and per-query attribution,
 //  * shard-count-1 degeneration to the plain JoinSession,
@@ -30,6 +30,7 @@
 #include "core/join_session.hpp"
 #include "stream/partitioner.hpp"
 
+#include "kang_join.hpp"
 #include "result_overflow.hpp"
 #include "test_util.hpp"
 
@@ -103,22 +104,7 @@ void FeedPerTuple(Joinable& join, const Trace<TR, TS>& trace) {
   }
 }
 
-/// Single-shard oracle: a plain non-threaded Kang session.
-template <typename Pred>
-std::vector<ResultMsg<TR, TS>> OracleFor(const Trace<TR, TS>& trace,
-                                         WindowSpec wr, WindowSpec ws,
-                                         Pred pred) {
-  CollectingHandler<TR, TS> handler;
-  JoinSession<TR, TS, Pred> session(
-      BaseShard(Algorithm::kKang, wr, ws, /*threaded=*/false));
-  session.AddQuery(pred, &handler);
-  FeedPerTuple(session, trace);
-  session.FinishInput();
-  return handler.results();
-}
-
-const Algorithm kAllEngines[] = {Algorithm::kKang, Algorithm::kCellJoin,
-                                 Algorithm::kHandshake,
+const Algorithm kAllEngines[] = {Algorithm::kHandshake,
                                  Algorithm::kLowLatency};
 
 // -- Validation --------------------------------------------------------------
@@ -255,7 +241,7 @@ TEST(Partitioner, EquiKeyContractSendsMatchingPairsToOneShard) {
 }
 
 // Replicate-one-side loses no candidate pair: fuzzed band widths, seeds and
-// shard counts, each run compared against the single-shard Kang oracle.
+// shard counts, each run compared against the Kang reference.
 TEST(Partitioner, ReplicateOneSideLosesNoCandidatePairFuzzed) {
   struct Case {
     uint64_t seed;
@@ -279,7 +265,7 @@ TEST(Partitioner, ReplicateOneSideLosesNoCandidatePairFuzzed) {
     const WindowSpec wr = WindowSpec::Count(9);
     const WindowSpec ws = WindowSpec::Count(13);
     const KeyBand pred{c.width};
-    const auto oracle = OracleFor(trace, wr, ws, pred);
+    const auto oracle = ReferenceResults(trace, wr, ws, pred);
 
     CollectingHandler<TR, TS> handler;
     ShardedJoinSession<TR, TS, KeyBand> sharded(
@@ -307,7 +293,7 @@ TEST(ShardedEquivalence, EquiHashMatchesOracleAllEngines) {
   // chase-convergence envelope (>= max(8, 2 * parallelism)).
   const WindowSpec wr = WindowSpec::Count(24);
   const WindowSpec ws = WindowSpec::Count(20);
-  const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+  const auto oracle = ReferenceResults(trace, wr, ws, KeyEq{});
   ASSERT_FALSE(oracle.empty());
 
   for (Algorithm algorithm : kAllEngines) {
@@ -347,7 +333,7 @@ TEST(ShardedEquivalence, BandReplicateMatchesOracleAllEngines) {
   const WindowSpec wr = WindowSpec::Count(11);
   const WindowSpec ws = WindowSpec::Count(16);
   const KeyBand pred{2};
-  const auto oracle = OracleFor(trace, wr, ws, pred);
+  const auto oracle = ReferenceResults(trace, wr, ws, pred);
   ASSERT_FALSE(oracle.empty());
 
   for (Algorithm algorithm : kAllEngines) {
@@ -379,7 +365,7 @@ TEST(ShardedEquivalence, TimeWindowsMatchOracleAllEngines) {
   // shards = 8 clears validation).
   const WindowSpec wr = WindowSpec::Time(60);
   const WindowSpec ws = WindowSpec::Time(48);
-  const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+  const auto oracle = ReferenceResults(trace, wr, ws, KeyEq{});
   ASSERT_FALSE(oracle.empty());
 
   for (Algorithm algorithm : kAllEngines) {
@@ -403,7 +389,7 @@ TEST(ShardedEquivalence, TimeWindowsMatchOracleAllEngines) {
 TEST(Sharded, SingleShardDegeneratesToPlainSession) {
   // shards=1 behind the sharded API must reproduce the plain session
   // exactly: same result sequence (per query, with epochs), same epochs
-  // drained, same retirements — across all four engines (non-threaded for
+  // drained, same retirements — on both engines (non-threaded for
   // a deterministic event-by-event comparison), including live churn.
   TraceConfig tc;
   tc.events = 260;
@@ -479,7 +465,7 @@ TEST(Sharded, ChurnAcrossShardsRetiresExactlyOnceWithEpochAttribution) {
   const auto trace = MakeRandomTrace(25, tc);
   const WindowSpec wr = WindowSpec::Count(12);
   const WindowSpec ws = WindowSpec::Count(12);
-  const auto oracle = OracleFor(trace, wr, ws, KeyEq{});
+  const auto oracle = ReferenceResults(trace, wr, ws, KeyEq{});
 
   for (bool threaded : {false, true}) {
     CollectingHandler<TR, TS> removed_q, kept_q, added_q;

@@ -320,39 +320,15 @@ TEST(OrderedStore, EmptyRangeProbe) {
 }
 
 TEST(HomeAssigner, RoundRobinCyclesAllNodes) {
-  HomeAssigner h(HomePolicy::kRoundRobin, 4);
+  HomeAssigner h(4);
   for (Seq seq = 0; seq < 16; ++seq) {
     EXPECT_EQ(h.Of(seq), static_cast<NodeId>(seq % 4));
   }
 }
 
-TEST(HomeAssigner, BlockAssignsContiguousRuns) {
-  HomeAssigner h(HomePolicy::kBlock, 3, 4);
-  EXPECT_EQ(h.Of(0), h.Of(3));   // same block of 4
-  EXPECT_NE(h.Of(3), h.Of(4));   // next block, next node
-  EXPECT_EQ(h.Of(4), h.Of(7));
-  EXPECT_EQ(h.Of(0), h.Of(12));  // wraps after 3 blocks
-}
-
-TEST(HomeAssigner, HashIsDeterministicAndInRange) {
-  HomeAssigner h(HomePolicy::kHash, 5);
-  std::set<NodeId> seen;
-  for (Seq seq = 0; seq < 200; ++seq) {
-    const NodeId a = h.Of(seq);
-    EXPECT_EQ(a, h.Of(seq));
-    EXPECT_GE(a, 0);
-    EXPECT_LT(a, 5);
-    seen.insert(a);
-  }
-  EXPECT_EQ(seen.size(), 5u);  // all nodes used
-}
-
 TEST(HomeAssigner, SingleNodeAlwaysZero) {
-  for (HomePolicy p :
-       {HomePolicy::kRoundRobin, HomePolicy::kBlock, HomePolicy::kHash}) {
-    HomeAssigner h(p, 1);
-    for (Seq seq = 0; seq < 20; ++seq) EXPECT_EQ(h.Of(seq), 0);
-  }
+  HomeAssigner h(1);
+  for (Seq seq = 0; seq < 20; ++seq) EXPECT_EQ(h.Of(seq), 0);
 }
 
 }  // namespace

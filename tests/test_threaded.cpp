@@ -8,13 +8,13 @@
 #include <memory>
 #include <thread>
 
-#include "baseline/kang_join.hpp"
 #include "runtime/placement.hpp"
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
 #include "runtime/executor.hpp"
 #include "stream/feeder.hpp"
 
+#include "kang_join.hpp"
 #include "result_overflow.hpp"
 #include "test_util.hpp"
 

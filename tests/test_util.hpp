@@ -1,7 +1,7 @@
 // Shared test machinery: tiny tuple schemas, predicates, random trace
-// generation, pipeline run helpers (sequential, deterministic), and
-// multiset comparison of result sets against the Kang oracle with
-// duplicate/miss diagnostics.
+// generation, pipeline run helpers (sequential, deterministic), the Kang
+// reference (kang_join.hpp), and multiset comparison of result sets
+// against it with duplicate/miss diagnostics.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "baseline/kang_join.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "hsj/hsj_pipeline.hpp"
+#include "kang_join.hpp"
 #include "llhj/llhj_pipeline.hpp"
 #include "runtime/executor.hpp"
 #include "stream/collector.hpp"
@@ -65,7 +65,7 @@ struct TSKey {
 
 // SIMD probe mappings (common/simd.hpp) for the test schema: the pipeline
 // tests thereby run the packed-compare scan path end to end — and the CI
-// forced-scalar leg (SJOIN_FORCE_SCALAR=1) re-runs the very same tests on
+// forced-scalar leg (SJOIN_SIMD_LEVEL=scalar) re-runs the very same tests on
 // the scalar fallback, pinning bit-identical results across dispatch
 // levels. Int key only: no float lane.
 namespace sjoin {
