@@ -44,7 +44,7 @@ namespace {
 
 struct Config {
   int64_t window = 16384;   ///< resident entries per sweep
-  int64_t probes = 8;       ///< k: arrival-run length (msgs_per_step shape)
+  int64_t probes = 8;       ///< k: arrival-run length (kMsgsPerStep shape)
   int64_t queries = 4;      ///< Q: registered predicates
   double duration = 0.4;    ///< seconds per (shape, level) measurement
   int64_t key_domain = kPaperKeyDomain;

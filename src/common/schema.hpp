@@ -61,23 +61,6 @@ struct SKey {
   int64_t operator()(const STuple& s) const { return s.a; }
 };
 
-/// Range-probe bounds for ordered-index acceleration of the *band* join
-/// (paper future work, Sections 7.6/9): an R tuple probes the S store for
-/// keys in [x-10, x+10] and vice versa; the band predicate still filters
-/// the y/b dimension.
-struct RBandLowForS {
-  int64_t operator()(const RTuple& r) const { return r.x - 10; }
-};
-struct RBandHighForS {
-  int64_t operator()(const RTuple& r) const { return r.x + 10; }
-};
-struct SBandLowForR {
-  int64_t operator()(const STuple& s) const { return s.a - 10; }
-};
-struct SBandHighForR {
-  int64_t operator()(const STuple& s) const { return s.a + 10; }
-};
-
 static_assert(sizeof(RTuple) == 28 || sizeof(RTuple) == 32,
               "RTuple should stay a small POD");
 

@@ -127,7 +127,6 @@ struct JoinConfig {
   /// room, which every Poll and driver wait does (DESIGN.md Section 17).
   std::size_t channel_capacity = 128;
   std::size_t result_capacity = kDefaultResultCapacity;
-  int msgs_per_step = 8;
 
   /// Emit punctuations into the output stream (LLHJ only, Section 6).
   bool punctuate = false;
@@ -189,11 +188,6 @@ inline void ValidateJoinConfig(const JoinConfig& config) {
     throw std::invalid_argument("JoinConfig: result_capacity must be > 0, "
                                 "got " +
                                 std::to_string(config.result_capacity));
-  }
-  if (config.msgs_per_step < 1) {
-    throw std::invalid_argument(
-        "JoinConfig: msgs_per_step must be >= 1, got " +
-        std::to_string(config.msgs_per_step));
   }
   if (static_cast<uint8_t>(config.algorithm) >
       static_cast<uint8_t>(Algorithm::kLowLatency)) {
@@ -312,7 +306,8 @@ void ValidateShardedJoinConfig(const ShardedJoinConfig& config) {
 /// order (StageArrival/StageExpiry/StageLoss/StageEpoch/StageFlush) and
 /// stages them into the engine's two flows until Deliver. An LLHJ
 /// shard keeps its windows in hash-indexed stores when the predicate
-/// declares ShardKeyTraits, else in scan stores. Everything the engine
+/// declares ShardKeyTraits, in key-bucketed band stores when it declares
+/// RangeKeyTraits, else in scan stores. Everything the engine
 /// delivers — results, punctuations, loss bounds, epoch drains — goes to
 /// the one OutputHandler given at construction.
 template <typename R, typename S, typename Pred>
@@ -336,7 +331,6 @@ class JoinShard {
         typename HsjPipeline<R, S, Pred>::Options options;
         options.nodes = config_.parallelism;
         options.result_capacity = config_.result_capacity;
-        options.msgs_per_step = config_.msgs_per_step;
         const int64_t window_tuples = HsjWindowTuples();
         // Segments self-balance (capacity 0), adapting to the live window.
         // HSJ correctness requires the driver's lead over the pipeline to
@@ -363,7 +357,6 @@ class JoinShard {
         options.nodes = config_.parallelism;
         options.channel_capacity = config_.channel_capacity;
         options.result_capacity = config_.result_capacity;
-        options.msgs_per_step = config_.msgs_per_step;
         options.punctuate = config_.punctuate;
         options.placement = Placement();
         llhj_ = std::make_unique<Llhj>(options, set, std::move(ids));
@@ -490,9 +483,14 @@ class JoinShard {
   /// arrivals goes first — the per-tuple wake order, expiries before the
   /// arrival — unless it holds an expiry gated on an arrival that is still
   /// staged; then the arrival flow goes first (DESIGN.md Section 8). A
-  /// non-threaded pipeline is then run, collector included, until
-  /// quiescent, so the driver never runs ahead of it and every result has
-  /// reached the output. With nothing staged it is quiescent already.
+  /// threaded pipeline then has every node's doorbell rung, not only the
+  /// entry nodes' the pushes rang: every message of the run visits every
+  /// node, so a downstream node spins through its ladder while the
+  /// upstream ones wake and probe, and takes the forwarded run without a
+  /// wake of its own (DESIGN.md Section 16). A non-threaded pipeline is
+  /// run, collector included, until quiescent, so the driver never runs
+  /// ahead of it and every result has reached the output. With nothing
+  /// staged it is quiescent already.
   void Deliver() {
     if (left_.empty() && right_.empty()) return;
     const PipelinePorts<R, S> ports =
@@ -506,7 +504,11 @@ class JoinShard {
     }
     first_staged_[0] = first_staged_[1] = kNoSeq;
     gated_ = false;
-    if (!config_.threaded) sequential_.RunUntilQuiescent();
+    if (config_.threaded) {
+      executor_->RingAll();
+    } else {
+      sequential_.RunUntilQuiescent();
+    }
   }
 
   // -- Output ----------------------------------------------------------------
@@ -560,6 +562,15 @@ class JoinShard {
   /// threaded shard starts).
   const PlacementPlan& placement() const { return plan_; }
 
+  /// Times a node thread was woken from its doorbell, and times one
+  /// parked on it (ThreadedExecutor::wakes/parks); 0 when not threaded.
+  uint64_t engine_wakes() const {
+    return executor_ != nullptr ? executor_->wakes() : 0;
+  }
+  uint64_t engine_parks() const {
+    return executor_ != nullptr ? executor_->parks() : 0;
+  }
+
  private:
   static constexpr Seq kNoSeq = std::numeric_limits<Seq>::max();
 
@@ -578,11 +589,14 @@ class JoinShard {
 
   /// The LLHJ engine: a predicate that declares its join keys (the trait
   /// hash partitioning trusts: matching pairs have equal keys) gets the
-  /// node-local hash index of paper Section 7.6, any other the scan store.
-  using Llhj =
-      std::conditional_t<KeyTraits::kEnabled,
-                         IndexedLlhjPipeline<R, S, Pred, KeyOfR, KeyOfS>,
-                         LlhjPipeline<R, S, Pred>>;
+  /// node-local hash index of paper Section 7.6; one that declares a key
+  /// radius (matching pairs have keys at most that far apart) gets the
+  /// key-bucketed band index; any other the scan store.
+  using Llhj = std::conditional_t<
+      KeyTraits::kEnabled, IndexedLlhjPipeline<R, S, Pred, KeyOfR, KeyOfS>,
+      std::conditional_t<RangeKeyTraits<Pred, R, S>::kEnabled,
+                         BandLlhjPipeline<R, S, Pred>,
+                         LlhjPipeline<R, S, Pred>>>;
 
   template <typename T>
   static FlowMsg<T> MakeExpiry(StreamSide side, Seq seq, Timestamp ts,
@@ -992,6 +1006,20 @@ class JoinSession {
   uint64_t result_ring_stalls() const {
     uint64_t n = 0;
     for (const auto& shard : shards_) n += shard->result_ring_stalls();
+    return n;
+  }
+
+  /// Times an engine thread was woken from its doorbell, and times one
+  /// parked on it, summed over every shard's nodes; 0 for a non-threaded
+  /// session. Thread-safe; the counts only grow.
+  uint64_t engine_wakes() const {
+    uint64_t n = 0;
+    for (const auto& shard : shards_) n += shard->engine_wakes();
+    return n;
+  }
+  uint64_t engine_parks() const {
+    uint64_t n = 0;
+    for (const auto& shard : shards_) n += shard->engine_parks();
     return n;
   }
 

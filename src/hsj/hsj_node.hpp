@@ -88,7 +88,6 @@ class HsjNode : public Steppable {
     /// The end node of each stream never relocates.
     int64_t segment_capacity_r = 0;
     int64_t segment_capacity_s = 0;
-    int msgs_per_step = 8;
     /// Hop budget for chasing expiries before declaring an anomaly.
     int max_expiry_hops = 0;  // 0 = derive from pipeline length
   };
@@ -211,12 +210,12 @@ class HsjNode : public Steppable {
     return false;
   }
 
-  /// Consumes up to msgs_per_step left-input messages as bursts. Runs of
+  /// Consumes up to kMsgsPerStep left-input messages as bursts. Runs of
   /// consecutive arrivals (fresh, relocated or dying) are probed against
   /// the local segment in a single pass; control messages go one by one.
   std::size_t ProcessLeftBurst() {
     return DrainBurstBudgetBatched(
-        left_in_, static_cast<std::size_t>(config_.msgs_per_step),
+        left_in_, kMsgsPerStep,
         IsArrival<R>,
         [this](FlowMsg<R>* msgs, std::size_t run) {
           return HandleLeftArrivals(msgs, run);
@@ -224,10 +223,10 @@ class HsjNode : public Steppable {
         [this](FlowMsg<R>* msg) { return HandleLeft(msg); });
   }
 
-  /// Consumes up to msgs_per_step right-input messages as bursts.
+  /// Consumes up to kMsgsPerStep right-input messages as bursts.
   std::size_t ProcessRightBurst() {
     return DrainBurstBudgetBatched(
-        right_in_, static_cast<std::size_t>(config_.msgs_per_step),
+        right_in_, kMsgsPerStep,
         IsArrival<S>,
         [this](FlowMsg<S>* msgs, std::size_t run) {
           return HandleRightArrivals(msgs, run);

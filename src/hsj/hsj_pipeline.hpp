@@ -37,7 +37,6 @@ class HsjPipeline {
     int64_t segment_capacity_s = 0;
     std::size_t channel_capacity = 1024;
     std::size_t result_capacity = kDefaultResultCapacity;
-    int msgs_per_step = 8;
     /// Hardware placement: channel rings are homed on their CONSUMER's
     /// NUMA node (node k's input rings on k's node, result rings on the
     /// collector's). An empty plan (default) binds nothing. Register the
@@ -93,7 +92,6 @@ class HsjPipeline {
       config.nodes = n;
       config.segment_capacity_r = options_.segment_capacity_r;
       config.segment_capacity_s = options_.segment_capacity_s;
-      config.msgs_per_step = options_.msgs_per_step;
       nodes_.push_back(std::make_unique<Node>(
           config, &registry_, sinks_[static_cast<std::size_t>(k)].get(),
           /*left_in=*/l2r_[static_cast<std::size_t>(k)].get(),

@@ -58,6 +58,7 @@
 #include <cstdint>
 
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/flat_hash.hpp"
@@ -87,7 +88,6 @@ class LlhjNode : public Steppable {
     NodeId id = 0;
     int nodes = 1;
     HomeAssigner home;  ///< the same map for R and S tuples
-    int msgs_per_step = 8;
   };
 
   struct Counters {
@@ -101,6 +101,8 @@ class LlhjNode : public Steppable {
   /// pipeline started with). Within an epoch the hot path reads an
   /// immutable snapshot with no synchronization; the registry mutex is
   /// touched only when an epoch punctuation switches the active snapshot.
+  /// A store type constructible from a QuerySet (BandStore) is built from
+  /// the epoch-0 set.
   LlhjNode(const Config& config, const QueryEpochRegistry<Pred>* registry,
            Sink* sink,
            SpscQueue<FlowMsg<R>>* left_in, SpscQueue<FlowMsg<R>>* right_out,
@@ -113,7 +115,9 @@ class LlhjNode : public Steppable {
         right_in_(right_in),
         right_out_(right_out),
         left_out_(left_out),
-        hwm_(hwm) {}
+        hwm_(hwm),
+        wr_(MakeStore<RStore>(registry)),
+        ws_(MakeStore<SStore>(registry)) {}
 
   /// Placement hook (runs on this node's pinned thread, before any
   /// production anywhere — see ThreadedExecutor's start barrier): pull the
@@ -135,7 +139,7 @@ class LlhjNode : public Steppable {
     if constexpr (requires(Sink* s) { s->Drain(); }) {
       progress |= sink_->Drain();
     }
-    // Each side consumes up to msgs_per_step messages per step as a burst:
+    // Each side consumes up to kMsgsPerStep messages per step as a burst:
     // the messages are processed in place off PeekBurst spans and retired
     // with a single ConsumeBurst index update, instead of one
     // acquire/release pair per message. Per-channel FIFO order and the
@@ -179,13 +183,13 @@ class LlhjNode : public Steppable {
     return false;
   }
 
-  /// Consumes up to msgs_per_step left-input messages as bursts. Runs of
+  /// Consumes up to kMsgsPerStep left-input messages as bursts. Runs of
   /// consecutive arrivals are probed against the store in a single pass
   /// (batch-aware matching); control messages are handled one by one.
   /// Stops early at a backpressure-capped arrival run.
   std::size_t ProcessLeftBurst() {
     return DrainBurstBudgetBatched(
-        left_in_, static_cast<std::size_t>(config_.msgs_per_step),
+        left_in_, kMsgsPerStep,
         IsArrival<R>,
         [this](FlowMsg<R>* msgs, std::size_t run) {
           return HandleLeftArrivals(msgs, run);
@@ -193,10 +197,10 @@ class LlhjNode : public Steppable {
         [this](FlowMsg<R>* msg) { return HandleLeft(msg); });
   }
 
-  /// Consumes up to msgs_per_step right-input messages as bursts.
+  /// Consumes up to kMsgsPerStep right-input messages as bursts.
   std::size_t ProcessRightBurst() {
     return DrainBurstBudgetBatched(
-        right_in_, static_cast<std::size_t>(config_.msgs_per_step),
+        right_in_, kMsgsPerStep,
         IsArrival<S>,
         [this](FlowMsg<S>* msgs, std::size_t run) {
           return HandleRightArrivals(msgs, run);
@@ -616,6 +620,15 @@ class LlhjNode : public Steppable {
   }
 
   // -- Helpers -----------------------------------------------------------------
+
+  template <typename Store>
+  static Store MakeStore(const QueryEpochRegistry<Pred>* registry) {
+    if constexpr (std::is_constructible_v<Store, const QuerySet<Pred>&>) {
+      return Store(registry->Get(0)->set);
+    } else {
+      return Store();
+    }
+  }
 
   static bool ConsumeTombstone(FlatSet<Seq>* tombs, Seq seq) {
     return tombs->Erase(seq);

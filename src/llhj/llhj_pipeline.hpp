@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "llhj/band_store.hpp"
 #include "llhj/home_policy.hpp"
 #include "llhj/llhj_node.hpp"
 #include "llhj/store.hpp"
@@ -38,7 +39,6 @@ class LlhjPipeline {
     std::size_t channel_capacity = 1024;
     std::size_t result_capacity = kDefaultResultCapacity;
     bool punctuate = false;
-    int msgs_per_step = 8;
     /// Hardware placement: channel rings are homed on their CONSUMER's
     /// NUMA node (node k's input rings on k's node, result rings on the
     /// collector's). An empty plan (default) binds nothing. Register the
@@ -89,7 +89,6 @@ class LlhjPipeline {
       config.id = k;
       config.nodes = n;
       config.home = HomeAssigner(n);
-      config.msgs_per_step = options_.msgs_per_step;
       nodes_.push_back(std::make_unique<Node>(
           config, &registry_, sinks_[static_cast<std::size_t>(k)].get(),
           /*left_in=*/l2r_[static_cast<std::size_t>(k)].get(),
@@ -219,5 +218,12 @@ template <typename R, typename S, typename Pred, typename RKeyFn,
 using IndexedLlhjPipeline =
     LlhjPipeline<R, S, Pred, HashStore<R, RKeyFn, SKeyFn>,
                  HashStore<S, SKeyFn, RKeyFn>>;
+
+/// LLHJ with key-bucketed node stores for band joins whose predicate
+/// declares RangeKeyTraits (llhj/band_store.hpp).
+template <typename R, typename S, typename Pred>
+using BandLlhjPipeline =
+    LlhjPipeline<R, S, Pred, BandStore<R, S, Pred, StreamSide::kR>,
+                 BandStore<R, S, Pred, StreamSide::kS>>;
 
 }  // namespace sjoin

@@ -19,6 +19,9 @@
 //    equivalence oracle and the chain-walk baseline the ablation bench
 //    measures the grouped probe path against; not used by any pipeline.
 //
+// Band joins whose predicate declares a key radius keep their windows in
+// the key-bucketed BandStore (llhj/band_store.hpp).
+//
 // R-side stores additionally carry the *expedition flag* of Section 4.2.3:
 // entries stay "expedited" until the tuple's expedition-end message returns
 // to the home node; S arrivals match only non-expedited entries to avoid
@@ -52,7 +55,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <type_traits>
 #include <vector>
 
@@ -490,7 +492,7 @@ class HashStore {
 
  private:
   /// Probe batch chunk: bounds the gather buffer while still giving the
-  /// prefetches of a full pipeline step (msgs_per_step-sized batches) time
+  /// prefetches of a full pipeline step (kMsgsPerStep-sized batches) time
   /// to land before their group is scanned.
   static constexpr std::size_t kProbeChunk = 32;
   static constexpr int32_t kErased = -1;
@@ -703,91 +705,6 @@ class ChainHashStore {
   FlatMap<int64_t, Chain> chains_;
   FlatMap<Seq, int32_t> seq_index_;
   std::size_t size_ = 0;
-  Epoch max_epoch_ = 0;
-};
-
-/// Ordered (tree) index store for band/range predicates — the "different
-/// kinds of indices" the paper names as future work (Sections 7.6 and 9).
-/// Entries are kept sorted on OwnKey; a probe visits only the key range
-/// [ProbeLow(probe), ProbeHigh(probe)], so a band join degrades from a full
-/// window scan to a range lookup (the predicate still filters remaining
-/// dimensions).
-template <typename T, typename OwnKey, typename ProbeLow, typename ProbeHigh>
-class OrderedStore {
- public:
-  void Insert(const Stamped<T>& t, bool expedited) {
-    const int64_t key = OwnKey{}(t.value);
-    tree_.emplace(key, StoreEntry<T>{t, expedited});
-    seq_to_key_.Insert(t.seq, key);
-    if (t.epoch > max_epoch_) max_epoch_ = t.epoch;
-  }
-
-  bool EraseSeq(Seq seq) {
-    const int64_t* key = seq_to_key_.Find(seq);
-    if (key == nullptr) return false;
-    auto [lo, hi] = tree_.equal_range(*key);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second.tuple.seq == seq) {
-        tree_.erase(it);
-        break;
-      }
-    }
-    seq_to_key_.Erase(seq);
-    return true;
-  }
-
-  bool ClearExpedited(Seq seq) {
-    const int64_t* key = seq_to_key_.Find(seq);
-    if (key == nullptr) return false;
-    auto [lo, hi] = tree_.equal_range(*key);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second.tuple.seq == seq) {
-        it->second.expedited = false;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  template <typename Probe, typename F>
-  void ForEach(const Probe& probe, F&& f) const {
-    auto it = tree_.lower_bound(ProbeLow{}(probe));
-    const auto end = tree_.upper_bound(ProbeHigh{}(probe));
-    for (; it != end; ++it) f(it->second);
-  }
-
-  /// Batch probe fused with query evaluation (probe-major: each probe
-  /// narrows to its own key range; the range already did the heavy lift).
-  template <bool kProbeIsLeft, typename Pred, typename ProbeT, typename F>
-  void MatchBatch(const QuerySet<Pred>& queries, const Stamped<ProbeT>* probes,
-                  std::size_t k, F&& f) const {
-    for (std::size_t j = 0; j < k; ++j) {
-      ForEach(probes[j].value, [&](const StoreEntry<T>& entry) {
-        queries.template MatchOriented<kProbeIsLeft>(
-            probes[j].value, entry.tuple.value,
-            [&](QueryId q) { f(j, q, entry); });
-      });
-    }
-  }
-
-  std::size_t size() const { return tree_.size(); }
-
-  Epoch max_epoch() const { return max_epoch_; }
-
-  /// Visits every entry pushed under an epoch later than `e` (key-ordered
-  /// trees have no epoch ordering; the early-out keeps this free outside
-  /// epoch transitions).
-  template <typename F>
-  void ForEachEpochAfter(Epoch e, F&& f) const {
-    if (max_epoch_ <= e) return;
-    for (const auto& [key, entry] : tree_) {
-      if (entry.tuple.epoch > e) f(entry);
-    }
-  }
-
- private:
-  std::multimap<int64_t, StoreEntry<T>> tree_;
-  FlatMap<Seq, int64_t> seq_to_key_;
   Epoch max_epoch_ = 0;
 };
 

@@ -51,6 +51,10 @@ class Steppable {
   virtual void OnThreadStart() {}
 };
 
+/// Messages a pipeline node consumes per input channel and Step(): the
+/// length of the arrival runs its batch-aware matching probes in one pass.
+inline constexpr std::size_t kMsgsPerStep = 8;
+
 /// Deterministic single-threaded executor.
 class SequentialExecutor {
  public:
@@ -127,6 +131,15 @@ class ThreadedExecutor {
     uint64_t n = 0;
     for (const auto& bell : doorbells_) n += bell->wakes();
     return n;
+  }
+
+  /// Rings every thread's doorbell: a parked or parking thread wakes and
+  /// steps; one with nothing to do runs its ladder and parks again. A
+  /// session rings a threaded pipeline this way when it delivers a run
+  /// that every node will see (DESIGN.md Section 16). Call from the thread
+  /// that Start()ed the executor.
+  void RingAll() {
+    for (auto& bell : doorbells_) bell->Ring();
   }
 
   /// The plan threads were placed with (valid after Start()).

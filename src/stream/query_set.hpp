@@ -14,10 +14,10 @@
 // no synchronization; the QueryEpochRegistry (mutexed, cold path only) is
 // touched once per epoch switch.
 //
-// Indexed stores (HashStore/OrderedStore) narrow the visited entries by the
-// *store's* key extractor, which is shared by all queries; registering
-// queries whose match set is not contained in the index probe range is a
-// configuration error of the caller (exactly as for a single query).
+// Indexed stores narrow the visited entries by a key shared by all queries:
+// HashStore by key equality, which every registered predicate must imply
+// (exactly as for a single query), and BandStore by the key range of the
+// widest radius in the probing epoch's set.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,8 @@
 // flush semantics.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hsj/hsj_pipeline.hpp"
 
 #include "kang_join.hpp"
@@ -85,9 +87,15 @@ INSTANTIATE_TEST_SUITE_P(
                       HsjParam{6, 3}, HsjParam{2, 0}, HsjParam{4, 0},
                       HsjParam{6, 0}),
     [](const ::testing::TestParamInfo<HsjParam>& info) {
-      return "n" + std::to_string(info.param.nodes) +
-             (info.param.cap == 0 ? "bal"
-                                  : "cap" + std::to_string(info.param.cap));
+      std::string name = "n";
+      name += std::to_string(info.param.nodes);
+      if (info.param.cap == 0) {
+        name += "bal";
+      } else {
+        name += "cap";
+        name += std::to_string(info.param.cap);
+      }
+      return name;
     });
 
 TEST(Hsj, SingleNodeDegeneratesToKang) {

@@ -7,6 +7,8 @@
 // much later (or as unbounded memory growth in long-running deployments).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
 
@@ -132,7 +134,9 @@ TEST_P(LlhjInvariants, CleanStateAfterQuiescence) {
 
 INSTANTIATE_TEST_SUITE_P(Nodes, LlhjInvariants, ::testing::Values(1, 2, 4, 6),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 class HsjInvariants : public ::testing::TestWithParam<int> {};
@@ -197,7 +201,9 @@ TEST_P(HsjInvariants, CleanStateAfterQuiescence) {
 
 INSTANTIATE_TEST_SUITE_P(Nodes, HsjInvariants, ::testing::Values(1, 2, 4, 6),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(Invariants, LlhjSurvivesAlternatingBurstTraffic) {

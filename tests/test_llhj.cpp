@@ -14,6 +14,7 @@ namespace {
 using test::KeyBand;
 using test::KeyEq;
 using test::MakeRandomTrace;
+using test::RangeBand;
 using test::RunLlhjSequential;
 using test::SameResultSet;
 using test::TR;
@@ -280,24 +281,12 @@ TEST(Llhj, IndexedStoresMatchOracle) {
   }
 }
 
-TEST(Llhj, OrderedStoresMatchOracleOnBandJoin) {
-  // Ordered (range) node-local indexes accelerating the band join — the
+TEST(Llhj, BandStoresMatchOracleOnBandJoin) {
+  // Key-bucketed node-local indexes accelerating the band join — the
   // paper's future-work configuration. The index prunes on the key
   // dimension; results must equal the scan-based oracle exactly.
-  struct TRLow {
-    int64_t operator()(const TR& r) const { return r.key - 2; }
-  };
-  struct TRHigh {
-    int64_t operator()(const TR& r) const { return r.key + 2; }
-  };
-  struct TSLow {
-    int64_t operator()(const TS& s) const { return s.key - 2; }
-  };
-  struct TSHigh {
-    int64_t operator()(const TS& s) const { return s.key + 2; }
-  };
-  using RStore = OrderedStore<TR, TRKey, TSLow, TSHigh>;
-  using SStore = OrderedStore<TS, TSKey, TRLow, TRHigh>;
+  using RStore = BandStore<TR, TS, RangeBand, StreamSide::kR>;
+  using SStore = BandStore<TR, TS, RangeBand, StreamSide::kS>;
 
   for (uint64_t seed = 101; seed <= 105; ++seed) {
     TraceConfig config;
@@ -306,13 +295,13 @@ TEST(Llhj, OrderedStoresMatchOracleOnBandJoin) {
     auto trace = MakeRandomTrace(seed, config);
     auto script = BuildDriverScript(trace, WindowSpec::Count(24),
                                     WindowSpec::Count(20));
-    auto oracle = RunKangOracle<TR, TS, KeyBand>(script, KeyBand{2});
+    auto oracle = RunKangOracle<TR, TS, RangeBand>(script, RangeBand{2});
 
-    typename LlhjPipeline<TR, TS, KeyBand, RStore, SStore>::Options options;
+    typename LlhjPipeline<TR, TS, RangeBand, RStore, SStore>::Options options;
     options.nodes = 4;
     options.channel_capacity = 64;
-    auto llhj = RunLlhjSequential<KeyBand, RStore, SStore>(script, options,
-                                                           KeyBand{2});
+    auto llhj = RunLlhjSequential<RangeBand, RStore, SStore>(script, options,
+                                                             RangeBand{2});
     EXPECT_TRUE(SameResultSet(oracle, llhj)) << "seed " << seed;
   }
 }

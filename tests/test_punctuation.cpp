@@ -311,13 +311,16 @@ ResultMsg<TR, TS> Result(Seq r_seq, QueryId query = 0, Epoch epoch = 0) {
 class BurstLog : public OutputHandler<TR, TS> {
  public:
   void OnResult(const ResultMsg<TR, TS>& m) override {
-    events.push_back("r" + std::to_string(m.r_seq));
+    std::string e = "r";
+    e += std::to_string(m.r_seq);
+    events.push_back(e);
     seqs.push_back(m.r_seq);
   }
   void OnResultBurst(const ResultMsg<TR, TS>* run, std::size_t n) override {
     std::string e = "b";
     for (std::size_t i = 0; i < n; ++i) {
-      e += (i == 0 ? "" : ",") + std::to_string(run[i].r_seq);
+      if (i != 0) e += ",";
+      e += std::to_string(run[i].r_seq);
       seqs.push_back(run[i].r_seq);
     }
     events.push_back(e);

@@ -5,6 +5,8 @@
 // expedition-end misordering).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
 
@@ -30,9 +32,12 @@ struct FuzzParam {
 };
 
 std::string FuzzName(const ::testing::TestParamInfo<FuzzParam>& info) {
-  return "n" + std::to_string(info.param.nodes) + "s" +
-         std::to_string(info.param.seed) +
-         (info.param.count_windows ? "cnt" : "time");
+  std::string name = "n";
+  name += std::to_string(info.param.nodes);
+  name += "s";
+  name += std::to_string(info.param.seed);
+  name += info.param.count_windows ? "cnt" : "time";
+  return name;
 }
 
 DriverScript<TR, TS> FuzzScript(const FuzzParam& param) {

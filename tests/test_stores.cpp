@@ -1,5 +1,5 @@
-// Tests for the LLHJ node-local window stores (scan and hash-index) and the
-// home-node assignment policies.
+// Tests for the LLHJ node-local window stores (scan, hash-index and
+// key-bucketed band index) and the home-node assignment policy.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "llhj/band_store.hpp"
 #include "llhj/home_policy.hpp"
 #include "llhj/store.hpp"
 
@@ -181,30 +182,11 @@ TEST(HashStore, ClearExpedited) {
   EXPECT_FALSE(store.ClearExpedited(99));
 }
 
-// Range-probe bounds for the test schema: |r.key - s.key| <= 1.
-struct TRBandLow {
-  int64_t operator()(const TR& r) const { return r.key - 1; }
-};
-struct TRBandHigh {
-  int64_t operator()(const TR& r) const { return r.key + 1; }
-};
-struct TSBandLow {
-  int64_t operator()(const TS& s) const { return s.key - 1; }
-};
-struct TSBandHigh {
-  int64_t operator()(const TS& s) const { return s.key + 1; }
-};
+using TRBand = BandStore<TR, TS, test::RangeBand, StreamSide::kR>;
 
-using TROrdered = OrderedStore<TR, TRKey, TSBandLow, TSBandHigh>;
-
-std::vector<Seq> CollectOrdered(const TROrdered& store, int32_t probe_key) {
-  TS probe;
-  probe.key = probe_key;
-  std::vector<Seq> seqs;
-  store.ForEach(probe, [&](const StoreEntry<TR>& e) {
-    seqs.push_back(e.tuple.seq);
-  });
-  return seqs;
+/// An R-side band store whose epoch-0 query is |r.key - s.key| <= width.
+TRBand MakeBandStore(int32_t width = 1) {
+  return TRBand(QuerySet<test::RangeBand>(test::RangeBand{width}));
 }
 
 // -- Epoch-walk ordering contract --------------------------------------------
@@ -223,8 +205,7 @@ Stamped<T> MakeEpoch(int32_t key, Seq seq, Epoch epoch) {
 }
 
 template <typename Store>
-void CheckEpochWalkNewestFirst() {
-  Store store;
+void CheckEpochWalkNewestFirst(Store& store) {
   // Epochs are monotone in flow order (the runtime's invariant): seqs
   // 0..29 under epoch 1, 30..59 under epoch 2, 60..89 under epoch 3.
   for (Seq s = 0; s < 90; ++s) {
@@ -252,50 +233,58 @@ void CheckEpochWalkNewestFirst() {
 }
 
 TEST(EpochWalk, VectorStoreVisitsNewestFirst) {
-  CheckEpochWalkNewestFirst<VectorStore<TR>>();
+  VectorStore<TR> store;
+  CheckEpochWalkNewestFirst(store);
 }
 
 TEST(EpochWalk, GroupedHashStoreVisitsNewestFirst) {
-  CheckEpochWalkNewestFirst<HashStore<TR, TRKey, TSKey>>();
+  HashStore<TR, TRKey, TSKey> store;
+  CheckEpochWalkNewestFirst(store);
 }
 
 TEST(EpochWalk, ChainHashStoreVisitsNewestFirst) {
-  CheckEpochWalkNewestFirst<ChainHashStore<TR, TRKey, TSKey>>();
+  ChainHashStore<TR, TRKey, TSKey> store;
+  CheckEpochWalkNewestFirst(store);
 }
 
-TEST(OrderedStore, RangeProbeVisitsOnlyBand) {
-  TROrdered store;
+TEST(EpochWalk, BandStoreVisitsNewestFirst) {
+  TRBand store = MakeBandStore();
+  CheckEpochWalkNewestFirst(store);
+}
+
+TEST(BandStore, RangeProbeVisitsOnlyBand) {
+  TRBand store = MakeBandStore();
   store.Insert(Make<TR>(1, 0), false);
   store.Insert(Make<TR>(3, 1), false);
   store.Insert(Make<TR>(5, 2), false);
   store.Insert(Make<TR>(4, 3), false);
-  // Probe key 4 with band 1 -> keys 3..5.
-  auto seqs = CollectOrdered(store, 4);
+  // Probe key 4 with band 1 -> keys 3..5 (key 1 shares a bucket with 3).
+  auto seqs = Collect(store, 4);
   EXPECT_EQ(std::set<Seq>(seqs.begin(), seqs.end()),
             (std::set<Seq>{1, 2, 3}));
 }
 
-TEST(OrderedStore, DuplicateKeysAllVisited) {
-  TROrdered store;
+TEST(BandStore, DuplicateKeysAllVisited) {
+  TRBand store = MakeBandStore();
   store.Insert(Make<TR>(7, 0), false);
   store.Insert(Make<TR>(7, 1), false);
   store.Insert(Make<TR>(7, 2), false);
-  EXPECT_EQ(CollectOrdered(store, 7).size(), 3u);
+  EXPECT_EQ(Collect(store, 7).size(), 3u);
 }
 
-TEST(OrderedStore, EraseSeqFromDuplicateBucket) {
-  TROrdered store;
+TEST(BandStore, EraseSeqFromDuplicateBucket) {
+  TRBand store = MakeBandStore();
   store.Insert(Make<TR>(7, 0), false);
   store.Insert(Make<TR>(7, 1), false);
   EXPECT_TRUE(store.EraseSeq(0));
   EXPECT_EQ(store.size(), 1u);
-  auto seqs = CollectOrdered(store, 7);
+  auto seqs = Collect(store, 7);
   EXPECT_EQ(seqs, std::vector<Seq>{1});
   EXPECT_FALSE(store.EraseSeq(0));
 }
 
-TEST(OrderedStore, ExpeditionFlag) {
-  TROrdered store;
+TEST(BandStore, ExpeditionFlag) {
+  TRBand store = MakeBandStore();
   store.Insert(Make<TR>(2, 5), true);
   TS probe;
   probe.key = 2;
@@ -313,10 +302,36 @@ TEST(OrderedStore, ExpeditionFlag) {
   EXPECT_EQ(expedited, 0);
 }
 
-TEST(OrderedStore, EmptyRangeProbe) {
-  TROrdered store;
+TEST(BandStore, EmptyRangeProbe) {
+  TRBand store = MakeBandStore();
   store.Insert(Make<TR>(100, 0), false);
-  EXPECT_TRUE(CollectOrdered(store, 50).empty());
+  EXPECT_TRUE(Collect(store, 50).empty());
+}
+
+// The bucket width is the smallest power of two of at least 2R + 1, R the
+// widest radius of the epoch-0 set; a middle erase leaves the rest intact
+// and an absent or repeated erase reports false.
+TEST(BandStore, BucketWidthAndMiddleErase) {
+  QuerySet<test::RangeBand> queries;
+  queries.Add(test::RangeBand{3});
+  queries.Add(test::RangeBand{10});
+  TRBand store(queries);
+  EXPECT_EQ(store.bucket_shift(), 5);  // 2 * 10 + 1 = 21 -> W = 32
+  for (Seq s = 0; s < 6; ++s) {
+    store.Insert(Make<TR>(static_cast<int32_t>(s) * 8, s), false);
+  }
+  EXPECT_EQ(store.bucket_count(), 2u);  // keys 0..24 and 32, 40
+  EXPECT_TRUE(store.EraseSeq(2));
+  EXPECT_FALSE(store.EraseSeq(2));
+  EXPECT_FALSE(store.EraseSeq(17));
+  EXPECT_EQ(store.size(), 5u);
+  auto seqs = Collect(store, 40);  // |key - 40| <= 10 -> keys 32, 40
+  EXPECT_EQ(std::set<Seq>(seqs.begin(), seqs.end()), (std::set<Seq>{4, 5}));
+  for (Seq s : {Seq{0}, Seq{1}, Seq{3}, Seq{4}, Seq{5}}) {
+    EXPECT_TRUE(store.EraseSeq(s));
+  }
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.bucket_count(), 0u);
 }
 
 TEST(HomeAssigner, RoundRobinCyclesAllNodes) {

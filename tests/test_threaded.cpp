@@ -1,13 +1,15 @@
 // Integration tests with real threads: full pipelines (feeder, pinned node
 // threads, collector) must produce exactly the oracle result set, under
 // regular and tiny channel and result-ring capacities, with punctuation
-// invariants holding live.
+// invariants holding live; an idle threaded session woken push by push
+// stays exact, and its engine wake/park counters count.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
 #include <thread>
 
+#include "core/join_session.hpp"
 #include "runtime/placement.hpp"
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
@@ -267,6 +269,63 @@ TEST(ThreadedPlacement, AllPoliciesProduceIdenticalResults) {
     RunThreaded(pipeline, script, /*batch=*/8, &handler, &pipeline.hwm());
     EXPECT_TRUE(SameResultSet(oracle, handler.results()))
         << "policy " << ToString(policy);
+  }
+}
+
+// A session's engine wake and park counters sum its node threads'
+// doorbells and read 0 without engine threads. A threaded 3-node band
+// session fed one tuple at a time, with every node parked again before the
+// next push, is woken by the pushes (each push rings the whole pipeline)
+// and delivers exactly the reference results.
+TEST(ThreadedSession, IdlePipelineWokenPushByPushStaysExact) {
+  TraceConfig tc;
+  tc.events = 150;
+  tc.key_domain = 6;
+  const auto trace = MakeRandomTrace(77, tc);
+  const WindowSpec w = WindowSpec::Count(40);
+  const auto expected = ReferenceResults(trace, w, w, test::RangeBand{1});
+  for (const bool threaded : {false, true}) {
+    JoinConfig config;
+    config.algorithm = Algorithm::kLowLatency;
+    config.parallelism = 3;
+    config.window_r = w;
+    config.window_s = w;
+    config.threaded = threaded;
+    JoinSession<TR, TS, test::RangeBand> session(config);
+    EXPECT_EQ(session.engine_wakes(), 0u);
+    EXPECT_EQ(session.engine_parks(), 0u);
+    CollectingHandler<TR, TS> handler;
+    session.AddQuery(test::RangeBand{1}, &handler);
+    session.Start();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    for (const auto& e : trace) {
+      // Idle: every node thread has parked (about) once since the last push.
+      const uint64_t parked = session.engine_parks();
+      while (threaded && session.engine_parks() < parked + 3) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "engine threads never parked";
+        std::this_thread::yield();
+      }
+      if (e.side == StreamSide::kR) {
+        session.PushR(e.r, e.ts);
+      } else {
+        session.PushS(e.s, e.ts);
+      }
+      session.Poll();
+    }
+    session.FinishInput();
+    session.Stop();
+    EXPECT_EQ(session.pipeline_anomalies(), 0u);
+    EXPECT_TRUE(SameResultSet(expected, handler.results()))
+        << (threaded ? "threaded" : "sequential");
+    if (threaded) {
+      EXPECT_GT(session.engine_parks(), trace.size());
+      EXPECT_GT(session.engine_wakes(), 0u) << "no push woke a parked node";
+    } else {
+      EXPECT_EQ(session.engine_wakes(), 0u);
+      EXPECT_EQ(session.engine_parks(), 0u);
+    }
   }
 }
 

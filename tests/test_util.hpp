@@ -54,6 +54,16 @@ struct KeyBand {
   }
 };
 
+/// KeyBand under another type, which declares its key radius
+/// (RangeKeyTraits, below): LLHJ sessions index its windows in BandStores,
+/// while KeyBand sessions keep the scan store, so both stay covered.
+struct RangeBand {
+  int32_t width = 1;
+  bool operator()(const TR& r, const TS& s) const {
+    return r.key >= s.key - width && r.key <= s.key + width;
+  }
+};
+
 struct TRKey {
   int64_t operator()(const TR& r) const { return r.key; }
 };
@@ -104,6 +114,36 @@ struct SimdProbeTraits<test::KeyBand, test::TS, test::TR> {
   static int32_t Hi0(const test::KeyBand& p, const test::TS& s) {
     return s.key + p.width;
   }
+};
+
+template <>
+struct SimdProbeTraits<test::RangeBand, test::TR, test::TS> {
+  static constexpr bool kEnabled = true;
+  static constexpr SimdPredShape kShape = SimdPredShape::kBandEntry;
+  static constexpr bool kUseF32 = false;
+  static int32_t Band0(const test::RangeBand& p) { return p.width; }
+  static int32_t P0(const test::TR& r) { return r.key; }
+};
+
+template <>
+struct SimdProbeTraits<test::RangeBand, test::TS, test::TR> {
+  static constexpr bool kEnabled = true;
+  static constexpr SimdPredShape kShape = SimdPredShape::kBandProbe;
+  static constexpr bool kUseF32 = false;
+  static int32_t Lo0(const test::RangeBand& p, const test::TS& s) {
+    return s.key - p.width;
+  }
+  static int32_t Hi0(const test::RangeBand& p, const test::TS& s) {
+    return s.key + p.width;
+  }
+};
+
+template <>
+struct RangeKeyTraits<test::RangeBand, test::TR, test::TS> {
+  static constexpr bool kEnabled = true;
+  static int64_t KeyR(const test::TR& r) { return r.key; }
+  static int64_t KeyS(const test::TS& s) { return s.key; }
+  static int64_t Radius(const test::RangeBand& p) { return p.width; }
 };
 
 template <>
