@@ -26,13 +26,14 @@
 // slab-backed pool per store (no heap allocation per bucket), 12 bytes per
 // record (ordinal, int key, float key) against VectorStore's 16 bytes of
 // Seq/key lanes at its doubling ring capacity. A bucket wastes at most its
-// head and tail blocks' free slots, which stays in budget while buckets
-// hold enough entries: a store whose buckets average fewer than kMinFill
-// entries — keys sparse against W — doubles W and rebuilds, and a widened
-// store whose buckets grew dense narrows W back toward the epoch-0 width.
-// A wider W only costs scan length, never exactness. The fill is checked
-// once per window's worth of inserts, so rebuilds, O(window) each, stay
-// amortized.
+// head and tail blocks' free slots. Per ring slot, VectorStore spends
+// 24 bytes more than this store's ring (8 of padding, 16 of lanes), so the
+// lanes stay in budget while the blocks in use hold at most two records
+// per ring slot. A store whose keys are too sparse against W to keep that
+// doubles W and rebuilds; a wider W only costs scan length, never
+// exactness. The rule is judged at erases, that is once the window has
+// filled, so a store still filling is never widened for the sparse keys
+// it starts with; W never narrows.
 //
 // Out-of-order erases (an expiry whose tuple was tombstoned, then stored
 // late) mark the ring slot dead instead of moving entries, so the lane
@@ -72,8 +73,9 @@ struct RangeKeyTraits {
 };
 
 /// The paper's band predicate: r.x within s.a +- x_band (the y/b band is
-/// left to the predicate). The SIMD kernels wrap where the bounds overflow
-/// int32, which only ever drops matches, so the contract holds there too.
+/// left to the predicate). The contract is only guaranteed for keys at
+/// least x_band away from INT32_MIN/INT32_MAX: nearer, the predicate's
+/// int32 bounds overflow.
 template <>
 struct RangeKeyTraits<BandPredicate, RTuple, STuple> {
   static constexpr bool kEnabled = true;
@@ -84,8 +86,8 @@ struct RangeKeyTraits<BandPredicate, RTuple, STuple> {
 
 /// The window store of side kSide (R or S) of a band join of R and S under
 /// Pred (see the header for layout and budget). Same concept as
-/// VectorStore: Insert, EraseSeq, ClearExpedited, ForEach, MatchBatch,
-/// ForEachEpochAfter, size, max_epoch.
+/// VectorStore, less the probe-agnostic ForEach: Insert, EraseSeq,
+/// ClearExpedited, MatchBatch, ForEachEpochAfter, size, max_epoch.
 template <typename R, typename S, typename Pred, StreamSide kSide>
 class BandStore {
   using Traits = RangeKeyTraits<Pred, R, S>;
@@ -111,9 +113,7 @@ class BandStore {
   /// `epoch0` is the query set the pipeline starts with: its widest radius
   /// sets the initial bucket width.
   explicit BandStore(const QuerySet<Pred>& epoch0)
-      : radius0_(WidestRadius(epoch0)),
-        base_shift_(ShiftFor(radius0_)),
-        shift_(base_shift_) {}
+      : shift_(ShiftFor(WidestRadius(epoch0))) {}
 
   void Insert(const Stamped<T>& t, bool expedited) {
     insert_order_.AssertAdvance(static_cast<long long>(t.seq), "BandStore",
@@ -126,12 +126,11 @@ class BandStore {
     Append(BucketOf(OwnKey(t.value)), ord, t.value);
     if (t.epoch > max_epoch_) max_epoch_ = t.epoch;
     ++size_;
-    MaybeRebucket();
   }
 
   /// Window expiry. The oldest entry, where expiries land, is O(1); any
   /// other is a binary search over the seq-ordered ring. Returns false when
-  /// `seq` is not stored.
+  /// `seq` is not stored. Widens the buckets when they are over budget.
   bool EraseSeq(Seq seq) {
     if (size_ == 0) return false;
     uint64_t ord = head_;  // the head is always live
@@ -144,6 +143,10 @@ class BandStore {
     SetFlag(&dead_, ord, true);
     --size_;
     while (head_ != tail_ && Flag(dead_, head_)) ++head_;
+    while (blocks_live_ * std::size_t{kBlock} > 2 * entries_.size() &&
+           shift_ < kMaxShift) {
+      Rebucket(shift_ + 1);
+    }
     return true;
   }
 
@@ -161,24 +164,6 @@ class BandStore {
       }
     }
     return false;
-  }
-
-  /// Visits the entries whose key lies within the epoch-0 radius of the
-  /// probe's key (bucket by bucket, insertion order within a bucket).
-  template <typename F>
-  void ForEach(const ProbeT& probe, F&& f) const {
-    const int64_t key = ProbeKey(probe);
-    const int64_t lo = SaturatingAdd(key, -radius0_);
-    const int64_t hi = SaturatingAdd(key, radius0_);
-    ForEachBucketNear(key, radius0_, [&](const Bucket& bucket) {
-      ForEachSegment(bucket, [&](uint32_t block, uint32_t from, uint32_t n) {
-        for (uint32_t i = from; i < from + n; ++i) {
-          const uint64_t ord = Ord(block)[i];
-          const int64_t own = OwnKey(entries_[Pos(ord)].value);
-          if (own >= lo && own <= hi) f(Entry(ord));
-        }
-      });
-    });
   }
 
   /// Batch probe fused with query evaluation (same shape as
@@ -236,11 +221,6 @@ class BandStore {
   static constexpr int64_t kMaxRadius = int64_t{1} << 60;
   /// Records per pool block.
   static constexpr uint32_t kBlock = 32;
-  /// Rebuild rules (MaybeRebucket): keep at least kMinFill entries per
-  /// bucket once a store has more than kSmallBuckets buckets.
-  static constexpr std::size_t kMinFill = kBlock;
-  static constexpr std::size_t kSmallBuckets = 16;
-  static constexpr std::size_t kCheckInterval = 256;
 
   /// One bucket: its records, oldest first, fill the block chain
   /// first -> ... -> last from slot `head` of `first` on.
@@ -424,7 +404,7 @@ class BandStore {
     mask_ = next_mask;
   }
 
-  // -- block pool --------------------------------------------------------------
+  // -- block pool ------------------------------------------------------------
 
   /// Block `block` of a lane (const when the lane is).
   template <typename Lane>
@@ -449,12 +429,14 @@ class BandStore {
       block = blocks_used_++;
     }
     Next(block) = kNil;
+    ++blocks_live_;
     return block;
   }
 
   void FreeBlock(uint32_t block) {
     Next(block) = free_block_;
     free_block_ = block;
+    --blocks_live_;
   }
 
   /// Doubles the pool (at least 64 blocks). Slab pages are touched only
@@ -585,22 +567,6 @@ class BandStore {
     --live_buckets_;
   }
 
-  /// Applies the fill rules of the header once per window's worth of
-  /// inserts (at least kCheckInterval): widen W while buckets are sparse;
-  /// narrow a widened store while the narrower width, which at most
-  /// doubles the bucket count, would keep twice kMinFill per bucket.
-  void MaybeRebucket() {
-    if (++inserts_since_check_ < std::max(size_, kCheckInterval)) return;
-    inserts_since_check_ = 0;
-    while (live_buckets_ > kSmallBuckets &&
-           live_buckets_ * kMinFill > size_ && shift_ < kMaxShift) {
-      Rebucket(shift_ + 1);
-    }
-    while (shift_ > base_shift_ && live_buckets_ * 4 * kMinFill <= size_) {
-      Rebucket(shift_ - 1);
-    }
-  }
-
   /// Rebuilds every bucket at width 2^shift, in insertion order, reusing
   /// the pool from its first block.
   void Rebucket(int shift) {
@@ -609,6 +575,7 @@ class BandStore {
     index_.Clear();
     live_buckets_ = 0;
     blocks_used_ = 0;
+    blocks_live_ = 0;
     free_block_ = kNil;
     shift_ = shift;
     for (uint64_t ord = head_; ord != tail_; ++ord) {
@@ -618,9 +585,7 @@ class BandStore {
     }
   }
 
-  int64_t radius0_;  ///< widest radius of the epoch-0 set
-  int base_shift_;   ///< log2 of the epoch-0 bucket width
-  int shift_;        ///< log2 of the current bucket width
+  int shift_;  ///< log2 of the bucket width
 
   // Insertion-order ring: ordinals [head_, tail_) at ord & mask_, with a
   // dead bit and an expedition bit per slot.
@@ -635,20 +600,20 @@ class BandStore {
 
   // The block pool: block b holds records [b * kBlock, (b + 1) * kBlock)
   // of each lane and its chain's next block in next_[b]. Blocks
-  // [0, blocks_used_) have been handed out; the free ones chain through
-  // next_ from free_block_.
+  // [0, blocks_used_) have been handed out, blocks_live_ of them to
+  // buckets; the free ones chain through next_ from free_block_.
   SlabArray<uint32_t> ord_lane_;
   SlabArray<int32_t> k0_lane_;
   SlabArray<float> k1_lane_;
   SlabArray<uint32_t> next_;
   uint32_t blocks_used_ = 0;
+  std::size_t blocks_live_ = 0;
   uint32_t free_block_ = kNil;
 
   std::vector<Bucket> buckets_;
   std::vector<uint32_t> free_;       ///< released slots of buckets_
   FlatMap<int64_t, uint32_t> index_;  ///< bucket id -> slot in buckets_
   std::size_t live_buckets_ = 0;
-  std::size_t inserts_since_check_ = 0;
   [[no_unique_address]] contracts::Monotone insert_order_;
 };
 

@@ -610,8 +610,9 @@ void RunBandLockstep(Band* band, const std::vector<QuerySet<Pred>>& sets,
   }
 }
 
-// Radius 0 sizes the buckets at W = 1; the later sets add radius 10 and a
-// radius of 100, far wider than W, so a probe spans hundreds of buckets.
+// Radius 0 sizes the buckets at W = 1 (the fill rule widens them a few
+// times once the window of ~300 turns over); the later sets add radius 10
+// and a radius of 100, far wider than W, so a probe spans dozens of buckets.
 // Keys are negative as often as positive; the narrow key span fills each
 // bucket past one lane block, so middle erases move records across blocks.
 // Both sides: the R store under S probes (bounds on the probe) and the S
@@ -683,8 +684,8 @@ TEST(BandStoreEquivalence, PaperBandPredicateMultiQueryAcrossEpochs) {
 
 // Keys at INT32_MIN/INT32_MAX and spread over the whole int32 range: the
 // bucket bounds stay exact in int64, a radius of 2^31 covers every key,
-// and sparse keys widen the buckets (the fill rule) until the dense last
-// three quarters narrow them back to the epoch-0 width.
+// and sparse keys widen the buckets (the fill rule), which then stay wide
+// through the dense last three quarters.
 TEST(BandStoreEquivalence, ExtremeAndSparseKeysRebucketExactly) {
   constexpr int kOps = 8000;
   std::vector<QuerySet<WideBand>> sets(3);
@@ -695,8 +696,7 @@ TEST(BandStoreEquivalence, ExtremeAndSparseKeysRebucketExactly) {
   constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
   constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
   Rng rng(21);
-  // Dense keys sit in one bucket at each end of the int32 range, so a
-  // window of ~300 fills its buckets past the narrowing threshold.
+  // Dense keys sit in one bucket at each end of the int32 range.
   auto key = [&](bool sparse) {
     const double dice = rng.UniformDouble();
     if (sparse && dice < 0.5) {
@@ -714,15 +714,15 @@ TEST(BandStoreEquivalence, ExtremeAndSparseKeysRebucketExactly) {
   RunBandLockstep<false, test::TR, test::TS>(
       &band, sets,
       [&](int op) {
-        widest = std::max(widest, band.bucket_shift());
+        EXPECT_GE(band.bucket_shift(), widest) << "W narrowed at op " << op;
+        widest = band.bucket_shift();
         return test::TR{key(op < kOps / 4), 0};
       },
       [&] { return test::TS{probe_key(), 0}; }, &rng, kOps, "extreme keys");
   EXPECT_GT(widest, 5) << "sparse keys never widened the buckets";
-  EXPECT_EQ(band.bucket_shift(), 5) << "dense keys never narrowed them back";
 }
 
-// -- Band sessions against the Kang reference ----------------------------------
+// -- Band sessions against the Kang reference --------------------------------
 
 /// Expected (r_seq, s_seq, epoch) results of query `pred` registered at
 /// trace position `from` (epoch `epoch`; 0 = before the first push):

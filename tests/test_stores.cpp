@@ -189,6 +189,28 @@ TRBand MakeBandStore(int32_t width = 1) {
   return TRBand(QuerySet<test::RangeBand>(test::RangeBand{width}));
 }
 
+/// The entries a band store matches for one S probe of key `probe_key`
+/// under the single query |r.key - s.key| <= width.
+std::vector<StoreEntry<TR>> ProbeBand(const TRBand& store, int32_t probe_key,
+                                      int32_t width = 1) {
+  Stamped<TS> probe;
+  probe.value.key = probe_key;
+  std::vector<StoreEntry<TR>> out;
+  store.MatchBatch</*kProbeIsLeft=*/false>(
+      QuerySet<test::RangeBand>(test::RangeBand{width}), &probe, 1,
+      [&](std::size_t, QueryId, const StoreEntry<TR>& e) { out.push_back(e); });
+  return out;
+}
+
+std::vector<Seq> CollectBand(const TRBand& store, int32_t probe_key,
+                             int32_t width = 1) {
+  std::vector<Seq> seqs;
+  for (const auto& e : ProbeBand(store, probe_key, width)) {
+    seqs.push_back(e.tuple.seq);
+  }
+  return seqs;
+}
+
 // -- Epoch-walk ordering contract --------------------------------------------
 
 // ForEachEpochAfter visits exactly the live entries inserted under an epoch
@@ -259,7 +281,7 @@ TEST(BandStore, RangeProbeVisitsOnlyBand) {
   store.Insert(Make<TR>(5, 2), false);
   store.Insert(Make<TR>(4, 3), false);
   // Probe key 4 with band 1 -> keys 3..5 (key 1 shares a bucket with 3).
-  auto seqs = Collect(store, 4);
+  auto seqs = CollectBand(store, 4);
   EXPECT_EQ(std::set<Seq>(seqs.begin(), seqs.end()),
             (std::set<Seq>{1, 2, 3}));
 }
@@ -269,7 +291,7 @@ TEST(BandStore, DuplicateKeysAllVisited) {
   store.Insert(Make<TR>(7, 0), false);
   store.Insert(Make<TR>(7, 1), false);
   store.Insert(Make<TR>(7, 2), false);
-  EXPECT_EQ(Collect(store, 7).size(), 3u);
+  EXPECT_EQ(CollectBand(store, 7).size(), 3u);
 }
 
 TEST(BandStore, EraseSeqFromDuplicateBucket) {
@@ -278,7 +300,7 @@ TEST(BandStore, EraseSeqFromDuplicateBucket) {
   store.Insert(Make<TR>(7, 1), false);
   EXPECT_TRUE(store.EraseSeq(0));
   EXPECT_EQ(store.size(), 1u);
-  auto seqs = Collect(store, 7);
+  auto seqs = CollectBand(store, 7);
   EXPECT_EQ(seqs, std::vector<Seq>{1});
   EXPECT_FALSE(store.EraseSeq(0));
 }
@@ -286,26 +308,20 @@ TEST(BandStore, EraseSeqFromDuplicateBucket) {
 TEST(BandStore, ExpeditionFlag) {
   TRBand store = MakeBandStore();
   store.Insert(Make<TR>(2, 5), true);
-  TS probe;
-  probe.key = 2;
-  int expedited = 0;
-  store.ForEach(probe, [&](const StoreEntry<TR>& e) {
-    expedited += e.expedited ? 1 : 0;
-  });
-  EXPECT_EQ(expedited, 1);
+  auto matched = ProbeBand(store, 2);
+  ASSERT_EQ(matched.size(), 1u);
+  EXPECT_TRUE(matched[0].expedited);
   EXPECT_TRUE(store.ClearExpedited(5));
   EXPECT_FALSE(store.ClearExpedited(99));
-  expedited = 0;
-  store.ForEach(probe, [&](const StoreEntry<TR>& e) {
-    expedited += e.expedited ? 1 : 0;
-  });
-  EXPECT_EQ(expedited, 0);
+  matched = ProbeBand(store, 2);
+  ASSERT_EQ(matched.size(), 1u);
+  EXPECT_FALSE(matched[0].expedited);
 }
 
 TEST(BandStore, EmptyRangeProbe) {
   TRBand store = MakeBandStore();
   store.Insert(Make<TR>(100, 0), false);
-  EXPECT_TRUE(Collect(store, 50).empty());
+  EXPECT_TRUE(CollectBand(store, 50).empty());
 }
 
 // The bucket width is the smallest power of two of at least 2R + 1, R the
@@ -325,13 +341,58 @@ TEST(BandStore, BucketWidthAndMiddleErase) {
   EXPECT_FALSE(store.EraseSeq(2));
   EXPECT_FALSE(store.EraseSeq(17));
   EXPECT_EQ(store.size(), 5u);
-  auto seqs = Collect(store, 40);  // |key - 40| <= 10 -> keys 32, 40
+  auto seqs = CollectBand(store, 40, 10);  // keys 32, 40
   EXPECT_EQ(std::set<Seq>(seqs.begin(), seqs.end()), (std::set<Seq>{4, 5}));
   for (Seq s : {Seq{0}, Seq{1}, Seq{3}, Seq{4}, Seq{5}}) {
     EXPECT_TRUE(store.EraseSeq(s));
   }
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.bucket_count(), 0u);
+}
+
+// The fill rule: buckets are judged at erases, so a store still filling
+// keeps the epoch-0 width however sparse its keys. Dense keys (the Fig. 17
+// band workload's share of 10,000 keys of 1..10,000 under band 10) stay
+// at W = 32 through a full window of churn. Sparse keys widen W at the
+// first erase until the blocks in use hold at most two records per ring
+// slot: 1,000 entries ring at 1,024 slots, so at most 64 blocks, each
+// live bucket holding one or more.
+TEST(BandStore, WidensOnlyOverBudgetOnceFilled) {
+  Rng rng(17);
+  TRBand dense = MakeBandStore(10);
+  constexpr Seq kDense = 10'000;
+  auto dense_key = [&] {
+    return static_cast<int32_t>(rng.UniformInt(1, 10'000));
+  };
+  for (Seq s = 0; s < kDense; ++s) {
+    dense.Insert(Make<TR>(dense_key(), s), false);
+  }
+  EXPECT_EQ(dense.bucket_shift(), 5);
+  for (Seq s = kDense; s < 3 * kDense; ++s) {
+    ASSERT_TRUE(dense.EraseSeq(s - kDense));
+    dense.Insert(Make<TR>(dense_key(), s), false);
+  }
+  EXPECT_EQ(dense.bucket_shift(), 5) << "dense keys widened the buckets";
+
+  TRBand sparse = MakeBandStore(10);
+  constexpr Seq kSparse = 1'000;
+  auto sparse_key = [&] {
+    return static_cast<int32_t>(rng.UniformInt(-(1 << 30), 1 << 30));
+  };
+  for (Seq s = 0; s < kSparse; ++s) {
+    sparse.Insert(Make<TR>(sparse_key(), s), false);
+  }
+  EXPECT_EQ(sparse.bucket_shift(), 5) << "judged while filling";
+  ASSERT_TRUE(sparse.EraseSeq(0));
+  const int widened = sparse.bucket_shift();
+  EXPECT_GT(widened, 5);
+  EXPECT_LE(sparse.bucket_count(), 64u);
+  for (Seq s = kSparse; s < 3 * kSparse; ++s) {
+    ASSERT_TRUE(sparse.EraseSeq(s - kSparse + 1));
+    sparse.Insert(Make<TR>(sparse_key(), s), false);
+    ASSERT_LE(sparse.bucket_count(), 64u) << "op " << s;
+    ASSERT_GE(sparse.bucket_shift(), widened) << "W narrowed";
+  }
 }
 
 TEST(HomeAssigner, RoundRobinCyclesAllNodes) {
