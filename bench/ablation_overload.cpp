@@ -10,7 +10,7 @@
 // Expected shape:
 //   * 1x (sub-saturation): zero sheds and zero anomalies under EVERY
 //     policy — admission control must be inert when the budget is met;
-//   * 10x with `none`: bounded queues backpressure the paced feeder and
+//   * 10x with `none`: bounded queues backpressure the paced driver and
 //     result latency grows without bound (p99 far past the budget);
 //   * 10x with `drop_newest` / `sample`: the controller sheds at ingest
 //     and p99 stays near the configured budget;
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
               window_s, base_rate, nodes, batch, budget_ms, duration);
 
   const std::vector<std::string> policies = {"none", "drop_newest",
-                                             "drop_oldest", "sample"};
+                                             "sample"};
   const std::vector<double> loads = {1.0, 2.0, 10.0};
 
   JsonEmitter json(flags, "ablation_overload");
@@ -93,17 +93,13 @@ int main(int argc, char** argv) {
       workload.paced = true;
       workload.seed = seed;
 
-      AdmissionController::Options adm;
-      adm.budget_ns = static_cast<int64_t>(budget_ms * 1e6);
-      adm.policy = ParseOverloadPolicy(policy_name);
-      AdmissionController admission(adm);
-
       Cell cell;
       cell.policy = policy_name;
       cell.load = load;
       cell.stats = RunLlhjBench(nodes, workload, batch, duration,
                                 /*punctuate=*/true, /*sort_output=*/false,
-                                &admission);
+                                static_cast<int64_t>(budget_ms * 1e3),
+                                ParseOverloadPolicy(policy_name));
       const RunStats& s = cell.stats;
       std::printf("  %-12s %4.0fx  %10.0f  %9.3f  %9.3f  %9.3f  %7llu  "
                   "%7llu\n",

@@ -29,11 +29,10 @@ int main(int argc, char** argv) {
     workload.ws = WindowSpec::Count(window);
     workload.paced = false;
 
-    typename LlhjPipeline<RTuple, STuple, BandPredicate>::Options options;
-    options.nodes = nodes;
-    options.channel_capacity = capacity;
-    LlhjPipeline<RTuple, STuple, BandPredicate> pipeline(options);
-    RunStats stats = RunPipelineBench(pipeline, workload, batch, duration);
+    JoinConfig config = BenchConfig(Algorithm::kLowLatency, nodes, workload);
+    config.channel_capacity = capacity;
+    RunStats stats = RunPipelineBench(config, BandPredicate{}, workload,
+                                      batch, duration);
 
     std::printf("%10zu  %16.0f  %14llu\n", capacity,
                 stats.throughput_per_stream(),

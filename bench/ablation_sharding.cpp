@@ -1,5 +1,5 @@
 // Ablation: sharded multi-pipeline scale-out (DESIGN.md Section 13). The
-// same equi workload runs through a ShardedJoinSession at 1, 2 and 4
+// same equi workload runs through a JoinSession at 1, 2 and 4
 // shards, hash-partitioned on the join key. EquiPredicate declares its
 // join keys, so every shard probes a hash index: a probe visits only its
 // key's candidates, which all sit on one shard, and the non-threaded
@@ -94,7 +94,7 @@ ShardRunStats Run(const Config& c, const Streams& in, int shards) {
   config.shards = shards;
   config.partition = PartitionPolicy::kHashKey;  // EquiPredicate shard keys
 
-  ShardedJoinSession<RTuple, STuple, EquiPredicate> session(config);
+  JoinSession<RTuple, STuple, EquiPredicate> session(config);
   HashingHandler handler;
   session.AddQuery(EquiPredicate{}, &handler);
 

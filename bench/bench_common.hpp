@@ -1,11 +1,12 @@
 // Shared benchmark harness: flag parsing, the paper's band-join workload,
-// and a threaded pipeline runner that measures throughput and latency the
-// way the paper does (Section 7.1):
+// and a session runner that measures throughput and latency the way the
+// paper does (Section 7.1):
 //
 //  * streams R and S with symmetric rates, join attributes uniform in
 //    1..10000 (band join, ~1:250,000 hit rate);
 //  * a driver that batches tuples (64 by default) before pushing them into
-//    the pipeline — batching delay is part of measured latency;
+//    the pipeline — batching delay is part of measured latency. The driver
+//    is the JoinSession's own: a batch of B is a span push of B tuples;
 //  * throughput experiments feed at maximum rate against backpressure
 //    ("max sustained throughput without dropping data");
 //  * latency experiments pace arrivals against the wall clock and report
@@ -15,30 +16,23 @@
 // configuration so EXPERIMENTS.md can record paper-vs-measured faithfully.
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/schema.hpp"
 #include "core/join_session.hpp"
-#include "hsj/hsj_pipeline.hpp"
-#include "llhj/llhj_pipeline.hpp"
-#include "runtime/executor.hpp"
-#include "stream/admission.hpp"
-#include "stream/collector.hpp"
-#include "stream/feeder.hpp"
 #include "stream/generator.hpp"
 #include "stream/handlers.hpp"
 #include "stream/latency_model.hpp"
 #include "stream/sorter.hpp"
-#include "stream/source.hpp"
+#include "stream/stats.hpp"
 
 namespace sjoin::bench {
 
@@ -108,19 +102,6 @@ struct Workload {
   }
 };
 
-inline std::unique_ptr<GeneratedSource<RTuple, STuple>> MakeBandSource(
-    const Workload& workload) {
-  typename GeneratedSource<RTuple, STuple>::Options options;
-  options.wr = workload.wr;
-  options.ws = workload.ws;
-  options.period_us = workload.period_us();
-  options.seed = workload.seed;
-  const int64_t domain = workload.key_domain;
-  return std::make_unique<GeneratedSource<RTuple, STuple>>(
-      [domain](Rng& rng) { return MakeBandR(rng, domain); },
-      [domain](Rng& rng) { return MakeBandS(rng, domain); }, options);
-}
-
 /// Outcome of one timed pipeline run.
 struct RunStats {
   double wall_seconds = 0.0;
@@ -150,152 +131,182 @@ struct RunStats {
   }
 };
 
-/// The default hardware placement of the figure benches: pipeline nodes
-/// over neighbouring cores of the detected topology, helpers on leftover
-/// cores, channel rings homed on their consumer's NUMA node. On
-/// single-socket hosts this degrades to the historical flat sibling-order
-/// pinning.
-inline PlacementPlan AutoPlacement(int nodes) {
-  return PlacementPlan::Build(Topology::Detect(), PlacementPolicy::kAuto,
-                              nodes, kHelperCount);
+/// Records each result's latency and forwards every callback to `next`
+/// (optional), counting punctuations and loss bounds on the way. A paced
+/// run measures from the due time of the later input (the run's start plus
+/// the result's event time), so the batching delay stays in the number; a
+/// closed-loop run from the push of the later input.
+class BenchRecorder : public OutputHandler<RTuple, STuple> {
+ public:
+  explicit BenchRecorder(OutputHandler<RTuple, STuple>* next)
+      : next_(next), series_(1'000'000'000) {}
+
+  /// Starts the per-second series at `start_ns`; `paced` measures results
+  /// from their due time at start_ns + ts.
+  void Start(int64_t start_ns, bool paced) {
+    series_.Anchor(start_ns);
+    anchor_ = paced ? start_ns : 0;
+  }
+
+  void OnResult(const ResultMsg<RTuple, STuple>& m) override {
+    const int64_t now = NowNs();
+    const int64_t latency_ns =
+        now - (anchor_ != 0 ? anchor_ + m.ts * 1000 : m.ready_wall_ns);
+    overall_.Add(NsToMs(latency_ns));
+    series_.Add(now, NsToMs(latency_ns));
+    histogram_.Add(latency_ns);
+    if (next_ != nullptr) next_->OnResult(m);
+  }
+  void OnPunctuation(Timestamp tp) override {
+    ++punctuations_;
+    if (next_ != nullptr) next_->OnPunctuation(tp);
+  }
+  void OnLoss(StreamSide side, Seq first_seq, uint64_t count) override {
+    ++loss_bounds_;
+    if (next_ != nullptr) next_->OnLoss(side, first_seq, count);
+  }
+
+  const RunningStat& overall() const { return overall_; }
+  const TimeSeriesStat& series() const { return series_; }
+  const LatencyHistogram& histogram() const { return histogram_; }
+  uint64_t punctuations() const { return punctuations_; }
+  uint64_t loss_bounds() const { return loss_bounds_; }
+
+ private:
+  OutputHandler<RTuple, STuple>* next_;
+  int64_t anchor_ = 0;
+  RunningStat overall_;
+  TimeSeriesStat series_;
+  LatencyHistogram histogram_;
+  uint64_t punctuations_ = 0;
+  uint64_t loss_bounds_ = 0;
+};
+
+/// Session configuration of a figure bench: `nodes` pipeline nodes on
+/// their own threads, placed by the default (auto) policy, over the
+/// workload's windows.
+inline JoinConfig BenchConfig(Algorithm algorithm, int nodes,
+                              const Workload& workload) {
+  JoinConfig config;
+  config.algorithm = algorithm;
+  config.parallelism = nodes;
+  config.window_r = workload.wr;
+  config.window_s = workload.ws;
+  return config;
 }
 
-/// Runs `pipeline` threaded against a band workload for `duration_s`.
-/// The collector runs on the calling thread. When `sort_output` is true a
-/// PunctuationSorter is placed behind the collector (requires punctuate).
-/// A pipeline built with a placement plan gets its node threads placed by
-/// the SAME plan (feeder as the feeder-helper); an unplaced pipeline keeps
-/// the flat auto layout.
-template <typename Pipeline>
-RunStats RunPipelineBench(Pipeline& pipeline, const Workload& workload,
-                          int batch_size, double duration_s,
-                          bool sort_output = false,
-                          AdmissionController* admission = nullptr) {
-  auto source = MakeBandSource(workload);
-  typename Feeder<RTuple, STuple>::Options feeder_options;
-  feeder_options.batch_size = batch_size;
-  feeder_options.paced = workload.paced;
-  feeder_options.admission = admission;
-  if (admission != nullptr) {
-    // Whole-pipeline occupancy for the admission projection: without it
-    // the controller only notices saturation once backpressure has
-    // cascaded back through every internal ring.
-    feeder_options.backlog_probe = [&pipeline] {
-      return pipeline.ApproxChannelBacklog();
-    };
-  }
-  Feeder<RTuple, STuple> feeder(pipeline.ports(), source.get(),
-                                feeder_options);
-
-  CountingHandler<RTuple, STuple> counter;
-  PunctuationSorter<RTuple, STuple> sorter(&counter);
-  OutputHandler<RTuple, STuple>* tail = &counter;
-  if (sort_output) tail = &sorter;
-  LatencyRecorder<RTuple, STuple> latency(tail);
-  // Close the admission control loop: every observed result latency feeds
-  // the controller's EWMA (the projection it sheds against).
-  if (admission != nullptr) {
-    latency.ObserveInto(admission);
-  }
-  auto collector = pipeline.MakeCollector(&latency);
-
-  auto executor =
-      pipeline.placement().empty()
-          ? std::make_unique<ThreadedExecutor>()
-          : std::make_unique<ThreadedExecutor>(pipeline.placement());
-  ThreadedExecutor& exec = *executor;
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.AddHelper(&feeder);
-  // The calling thread vacuums the result rings: adopt them before the
-  // node threads start producing.
-  collector->PrefaultQueues();
-
+/// Runs a JoinSession built from `config` with the one query `pred` on the
+/// band workload for `duration_s`; the calling thread is the session's
+/// driver and collector. Group g is a span push of `batch` R tuples, then
+/// one of `batch` S tuples, and the R span precedes the S span in event
+/// time too, so the session never clamps a timestamp (batch 1 alternates
+/// R and S). Closed loop: both spans, then a Poll. Paced: a span is pushed
+/// when its last tuple is due, and the driver spin-polls in between. When
+/// `sort_output` is true a PunctuationSorter sits in the query's handler
+/// chain (requires punctuate).
+template <typename Pred>
+RunStats RunPipelineBench(const JoinConfig& config, Pred pred,
+                          const Workload& workload, int batch,
+                          double duration_s, bool sort_output = false) {
+  JoinSession<RTuple, STuple, Pred> session(config);
+  PunctuationSorter<RTuple, STuple> sorter(nullptr);
+  BenchRecorder recorder(sort_output ? &sorter : nullptr);
+  session.AddQuery(pred, &recorder);
+  session.Start();
   const int64_t start = NowNs();
-  latency.Anchor(start);
-  exec.Start();
+  recorder.Start(start, workload.paced);
 
-  const int64_t deadline =
-      start + static_cast<int64_t>(duration_s * 1e9);
-  while (NowNs() < deadline) {
-    if (collector->VacuumOnce() == 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+  const auto b = static_cast<int64_t>(batch);
+  const int64_t period = workload.period_us();
+  // Event time of tuple i (of `batch`) of group g's span of side `s_side`.
+  const auto ts = [&](int64_t g, bool s_side, int64_t i) -> Timestamp {
+    return (g * 2 * b + (s_side ? b : 0) + i) * period;
+  };
+  Rng rng(workload.seed);
+  std::vector<RTuple> rs(static_cast<std::size_t>(batch));
+  std::vector<STuple> ss(static_cast<std::size_t>(batch));
+  std::vector<Timestamp> tss(static_cast<std::size_t>(batch));
+  const int64_t deadline = start + static_cast<int64_t>(duration_s * 1e9);
+  uint64_t pushed = 0;
+  for (int64_t g = 0;; ++g) {
+    if (workload.paced ? start + ts(g, false, b - 1) * 1000 > deadline
+                       : NowNs() >= deadline) {
+      break;
     }
-  }
-  feeder.RequestStop();
-  // Drain to quiescence before stopping the nodes: the feeder first
-  // flushes its outbox (including any pending loss punctuations), then the
-  // nodes chew through the channel backlog. At heavy overload that backlog
-  // is thousands of expensive probes, so a fixed grace period would cut
-  // the run with messages — and their loss accounting — still in flight.
-  // Quiet = feeder done, channels empty, and a vacuum that found nothing;
-  // require a stretch of consecutive quiet rounds so staged sink residues
-  // (drained by the next node step) are not mistaken for quiescence.
-  const int64_t settle_deadline = NowNs() + 5'000'000'000;
-  int quiet = 0;
-  while (NowNs() < settle_deadline && quiet < 50) {
-    const bool vacuumed = collector->VacuumOnce() > 0;
-    if (!vacuumed && feeder.finished() &&
-        pipeline.ApproxChannelBacklog() == 0) {
-      ++quiet;
-    } else {
-      quiet = 0;
+    for (const bool s_side : {false, true}) {
+      for (int64_t i = 0; i < b; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        tss[k] = ts(g, s_side, i);
+        if (s_side) {
+          ss[k] = MakeBandS(rng, workload.key_domain);
+        } else {
+          rs[k] = MakeBandR(rng, workload.key_domain);
+        }
+      }
+      if (workload.paced) {
+        const int64_t due = start + tss.back() * 1000;
+        while (NowNs() < due) session.Poll();
+      }
+      if (s_side) {
+        session.PushS(std::span<const STuple>(ss), tss);
+      } else {
+        session.PushR(std::span<const RTuple>(rs), tss);
+      }
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    pushed += static_cast<uint64_t>(b);
+    if (!workload.paced) session.Poll();
   }
+  session.FinishInput();
   const int64_t end = NowNs();
-  exec.Stop();
-  collector->VacuumOnce();
+  session.Stop();
 
   RunStats stats;
   stats.wall_seconds = NsToSec(end - start);
-  stats.arrivals_r = feeder.arrivals_pushed(StreamSide::kR);
-  stats.arrivals_s = feeder.arrivals_pushed(StreamSide::kS);
-  stats.results = collector->total_collected();
-  stats.punctuations = collector->punctuations_emitted();
-  stats.latency_ms = latency.overall();
-  stats.latency_series = latency.series();
-  stats.latency_hist = latency.histogram();
+  stats.shed_r = session.tuples_shed(StreamSide::kR);
+  stats.shed_s = session.tuples_shed(StreamSide::kS);
+  stats.arrivals_r = pushed - stats.shed_r;
+  stats.arrivals_s = pushed - stats.shed_s;
+  stats.results = session.results_collected();
+  stats.punctuations = recorder.punctuations();
+  stats.latency_ms = recorder.overall();
+  stats.latency_series = recorder.series();
+  stats.latency_hist = recorder.histogram();
   stats.max_sorter_buffer = sorter.max_buffered();
-  stats.anomalies = pipeline.total_anomalies();
-  if (admission != nullptr) {
-    stats.shed_r = admission->shed_count(StreamSide::kR);
-    stats.shed_s = admission->shed_count(StreamSide::kS);
-  }
-  stats.lost_reported_r = collector->lost(StreamSide::kR);
-  stats.lost_reported_s = collector->lost(StreamSide::kS);
-  stats.loss_bounds = collector->loss_bounds();
+  stats.anomalies = session.pipeline_anomalies();
+  stats.lost_reported_r = session.tuples_lost_reported(StreamSide::kR);
+  stats.lost_reported_s = session.tuples_lost_reported(StreamSide::kS);
+  stats.loss_bounds = recorder.loss_bounds();
   return stats;
 }
 
-/// Convenience: builds and runs an HSJ pipeline on the band workload.
-/// Segments self-balance; `window_tuples` bounds the entry channels so the
-/// driver cannot run a window ahead of the pipeline (bounded-lag regime).
+/// Convenience: a handshake-join session on the band workload. Channels
+/// hold a quarter window (64..1,024 slots); `window_tuples` also sizes the
+/// segments of time windows (hsj_window_tuples_hint).
 inline RunStats RunHsjBench(int nodes, const Workload& workload,
                             int64_t window_tuples, int batch,
                             double duration_s) {
-  typename HsjPipeline<RTuple, STuple, BandPredicate>::Options options;
-  options.nodes = nodes;
-  options.channel_capacity = static_cast<std::size_t>(
-      std::max<int64_t>(64, std::min<int64_t>(1024, window_tuples / 4)));
-  options.placement = AutoPlacement(nodes);
-  HsjPipeline<RTuple, STuple, BandPredicate> pipeline(options);
-  return RunPipelineBench(pipeline, workload, batch, duration_s);
+  JoinConfig config = BenchConfig(Algorithm::kHandshake, nodes, workload);
+  config.channel_capacity = static_cast<std::size_t>(
+      std::clamp<int64_t>(window_tuples / 4, 64, 1024));
+  config.hsj_window_tuples_hint = window_tuples;
+  return RunPipelineBench(config, BandPredicate{}, workload, batch,
+                          duration_s);
 }
 
-/// Convenience: builds and runs an LLHJ pipeline on the band workload.
-/// `admission` (optional) wires latency-budget overload control into the
-/// feeder — shed/loss accounting then lands in the returned RunStats.
+/// Convenience: a low-latency handshake-join session on the band workload.
+/// A latency budget (microseconds) with a shedding policy turns on the
+/// session's overload control; sheds and losses land in the RunStats.
 inline RunStats RunLlhjBench(int nodes, const Workload& workload, int batch,
                              double duration_s, bool punctuate = false,
                              bool sort_output = false,
-                             AdmissionController* admission = nullptr) {
-  typename LlhjPipeline<RTuple, STuple, BandPredicate>::Options options;
-  options.nodes = nodes;
-  options.punctuate = punctuate || sort_output;
-  options.placement = AutoPlacement(nodes);
-  LlhjPipeline<RTuple, STuple, BandPredicate> pipeline(options);
-  return RunPipelineBench(pipeline, workload, batch, duration_s, sort_output,
-                          admission);
+                             int64_t latency_budget_us = 0,
+                             OverloadPolicy policy = OverloadPolicy::kNone) {
+  JoinConfig config = BenchConfig(Algorithm::kLowLatency, nodes, workload);
+  config.punctuate = punctuate || sort_output;
+  config.latency_budget_us = latency_budget_us;
+  config.overload_policy = policy;
+  return RunPipelineBench(config, BandPredicate{}, workload, batch,
+                          duration_s, sort_output);
 }
 
 /// One flat JSON object, assembled field by field. Values are numbers or

@@ -73,8 +73,7 @@ void RunPushApi(bool batched, double window_s, double rate, int nodes,
   config.window_s = WindowSpec::Time(static_cast<int64_t>(window_s * 1e6));
   config.threaded = true;
 
-  CountingHandler<RTuple, STuple> counter;
-  LatencyRecorder<RTuple, STuple> latency(&counter);
+  BenchRecorder latency(nullptr);
   JoinSession<RTuple, STuple, BandPredicate> session(config);
   session.AddQuery(BandPredicate{}, &latency);
 
@@ -99,6 +98,7 @@ void RunPushApi(bool batched, double window_s, double rate, int nodes,
   // so their result sets are comparable; only the ingestion API differs.
   const std::size_t chunk = static_cast<std::size_t>(batch);
   const int64_t start = NowNs();
+  latency.Start(start, /*paced=*/false);
   for (std::size_t i = 0; i < rs.size(); i += chunk) {
     const std::size_t n = std::min(chunk, rs.size() - i);
     if (batched) {

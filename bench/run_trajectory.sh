@@ -19,6 +19,11 @@
 #   ablation_overload    -> BENCH_ABLATION_OVERLOAD.json     (appended)
 #   ablation_sharding    -> BENCH_ABLATION_SHARDING.json     (appended)
 #
+# Untracked (smoke only, so CI proves they still run and emit rows; tracking
+# them is ROADMAP item 8): fig05_hsj_latency, fig18_latency_vs_cores,
+# fig20_llhj_batch4, fig21_sorter_buffer, table2_index, ablation_batch and
+# ablation_queue_capacity.
+#
 # --smoke: CI mode. Runs every tracked bench at short duration, writes the
 # JSON rows to a throwaway directory (override with SMOKE_OUT=dir, e.g. so
 # CI can upload the rows as a failure artifact) instead of the repo
@@ -182,6 +187,33 @@ run ablation_sharding --tuples="$SHARD_TUPLES" --window="$SHARD_WINDOW" \
   --domain="$SHARD_DOMAIN" --assert=1 \
   --json_out="$OUT/BENCH_ABLATION_SHARDING.json" "${TAGS[@]}"
 check_rows ablation_sharding "$OUT/BENCH_ABLATION_SHARDING.json"
+
+# Untracked benches on the same session harness, smoke size only: their
+# rows go to the throwaway directory and pass the same row/schema checks.
+if [[ "$SMOKE" == "1" ]]; then
+  run fig05_hsj_latency --duration=0.5 --window=1 --nodes=2 \
+    --json_out="$OUT/BENCH_FIG05_HSJ_LATENCY.json" "${TAGS[@]}"
+  check_rows fig05_hsj_latency "$OUT/BENCH_FIG05_HSJ_LATENCY.json"
+  run fig18_latency_vs_cores --duration=0.5 --window=1 --nodes=1,2 \
+    --json_out="$OUT/BENCH_FIG18_LATENCY_VS_CORES.json" "${TAGS[@]}"
+  check_rows fig18_latency_vs_cores "$OUT/BENCH_FIG18_LATENCY_VS_CORES.json"
+  run fig20_llhj_batch4 --duration=0.5 --window=1 --nodes=2 \
+    --json_out="$OUT/BENCH_FIG20_LLHJ_BATCH4.json" "${TAGS[@]}"
+  check_rows fig20_llhj_batch4 "$OUT/BENCH_FIG20_LLHJ_BATCH4.json"
+  run fig21_sorter_buffer --duration=0.5 --window=1 --nodes=1,2 \
+    --json_out="$OUT/BENCH_FIG21_SORTER_BUFFER.json" "${TAGS[@]}"
+  check_rows fig21_sorter_buffer "$OUT/BENCH_FIG21_SORTER_BUFFER.json"
+  run table2_index --duration=0.3 --nodes=2 --window_tuples=4096 \
+    --json_out="$OUT/BENCH_TABLE2_INDEX.json" "${TAGS[@]}"
+  check_rows table2_index "$OUT/BENCH_TABLE2_INDEX.json"
+  run ablation_batch --duration=0.3 --nodes=2 \
+    --json_out="$OUT/BENCH_ABLATION_BATCH.json" "${TAGS[@]}"
+  check_rows ablation_batch "$OUT/BENCH_ABLATION_BATCH.json"
+  run ablation_queue_capacity --duration=0.3 --nodes=2 \
+    --window_tuples=4096 \
+    --json_out="$OUT/BENCH_ABLATION_QUEUE_CAPACITY.json" "${TAGS[@]}"
+  check_rows ablation_queue_capacity "$OUT/BENCH_ABLATION_QUEUE_CAPACITY.json"
+fi
 
 # Schema drift gate (smoke only): every appended row must be valid JSON
 # carrying the bench/host/stamp tags, and the latency-tracking benches must

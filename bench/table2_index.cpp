@@ -16,12 +16,35 @@
 using namespace sjoin;
 using namespace sjoin::bench;
 
+// The scan rows: the paper's predicates under types that declare no key
+// traits (ShardKeyTraits, RangeKeyTraits), so the session keeps its windows
+// in scan stores. They keep the originals' SIMD probe mappings.
+struct ScanEqui : EquiPredicate {};
+struct ScanBand : BandPredicate {};
+
+namespace sjoin {
+template <>
+struct SimdProbeTraits<ScanEqui, RTuple, STuple>
+    : SimdProbeTraits<EquiPredicate, RTuple, STuple> {};
+template <>
+struct SimdProbeTraits<ScanEqui, STuple, RTuple>
+    : SimdProbeTraits<EquiPredicate, STuple, RTuple> {};
+template <>
+struct SimdProbeTraits<ScanBand, RTuple, STuple>
+    : SimdProbeTraits<BandPredicate, RTuple, STuple> {};
+template <>
+struct SimdProbeTraits<ScanBand, STuple, RTuple>
+    : SimdProbeTraits<BandPredicate, STuple, RTuple> {};
+}  // namespace sjoin
+
 namespace {
 
-template <typename Pipeline>
-RunStats RunEqui(Pipeline& pipeline, const Workload& workload, int batch,
-                 double duration) {
-  return RunPipelineBench(pipeline, workload, batch, duration);
+template <typename Pred>
+double Tput(Algorithm algorithm, Pred pred, int nodes,
+            const Workload& workload, int batch, double duration) {
+  return RunPipelineBench(BenchConfig(algorithm, nodes, workload), pred,
+                          workload, batch, duration)
+      .throughput_per_stream();
 }
 
 }  // namespace
@@ -55,39 +78,17 @@ int main(int argc, char** argv) {
   JsonEmitter json(flags, "table2_index");
   std::printf("%-42s %18s\n", "algorithm", "throughput (t/s)");
 
-  double hsj_tput, llhj_tput, idx_tput;
-  {
-    typename HsjPipeline<RTuple, STuple, EquiPredicate>::Options options;
-    options.nodes = nodes;
-    options.segment_capacity_r =
-        HsjPipeline<RTuple, STuple, EquiPredicate>::SegmentCapacityFor(
-            window, nodes);
-    options.segment_capacity_s = options.segment_capacity_r;
-    HsjPipeline<RTuple, STuple, EquiPredicate> pipeline(options);
-    RunStats stats = RunEqui(pipeline, workload, batch, duration);
-    hsj_tput = stats.throughput_per_stream();
-    std::printf("%-42s %18.0f\n", "handshake join (scan)", hsj_tput);
-  }
-  {
-    typename LlhjPipeline<RTuple, STuple, EquiPredicate>::Options options;
-    options.nodes = nodes;
-    LlhjPipeline<RTuple, STuple, EquiPredicate> pipeline(options);
-    RunStats stats = RunEqui(pipeline, workload, batch, duration);
-    llhj_tput = stats.throughput_per_stream();
-    std::printf("%-42s %18.0f\n", "low-latency handshake join (scan)",
-                llhj_tput);
-  }
-  {
-    using Indexed =
-        IndexedLlhjPipeline<RTuple, STuple, EquiPredicate, RKey, SKey>;
-    typename Indexed::Options options;
-    options.nodes = nodes;
-    Indexed pipeline(options);
-    RunStats stats = RunEqui(pipeline, workload, batch, duration);
-    idx_tput = stats.throughput_per_stream();
-    std::printf("%-42s %18.0f\n", "low-latency handshake join with index",
-                idx_tput);
-  }
+  const double hsj_tput = Tput(Algorithm::kHandshake, ScanEqui{}, nodes,
+                                workload, batch, duration);
+  std::printf("%-42s %18.0f\n", "handshake join (scan)", hsj_tput);
+  const double llhj_tput = Tput(Algorithm::kLowLatency, ScanEqui{}, nodes,
+                                workload, batch, duration);
+  std::printf("%-42s %18.0f\n", "low-latency handshake join (scan)",
+              llhj_tput);
+  const double idx_tput = Tput(Algorithm::kLowLatency, EquiPredicate{},
+                               nodes, workload, batch, duration);
+  std::printf("%-42s %18.0f\n", "low-latency handshake join with index",
+              idx_tput);
 
   std::printf("\nspeedup index vs scan-llhj: %.1fx (paper: %.1fx on 40 "
               "cores; the multiple grows with the window since scan cost "
@@ -112,24 +113,12 @@ int main(int argc, char** argv) {
   Workload band = workload;
   band.key_domain = kPaperKeyDomain;  // the paper's band workload
 
-  double band_scan, band_idx;
-  {
-    typename LlhjPipeline<RTuple, STuple, BandPredicate>::Options options;
-    options.nodes = nodes;
-    LlhjPipeline<RTuple, STuple, BandPredicate> pipeline(options);
-    RunStats stats = RunPipelineBench(pipeline, band, batch, duration);
-    band_scan = stats.throughput_per_stream();
-    std::printf("%-42s %18.0f\n", "llhj band join (scan)", band_scan);
-  }
-  {
-    using Indexed = BandLlhjPipeline<RTuple, STuple, BandPredicate>;
-    typename Indexed::Options options;
-    options.nodes = nodes;
-    Indexed pipeline(options);
-    RunStats stats = RunPipelineBench(pipeline, band, batch, duration);
-    band_idx = stats.throughput_per_stream();
-    std::printf("%-42s %18.0f\n", "llhj band join (range index)", band_idx);
-  }
+  const double band_scan = Tput(Algorithm::kLowLatency, ScanBand{}, nodes,
+                                 band, batch, duration);
+  std::printf("%-42s %18.0f\n", "llhj band join (scan)", band_scan);
+  const double band_idx = Tput(Algorithm::kLowLatency, BandPredicate{},
+                               nodes, band, batch, duration);
+  std::printf("%-42s %18.0f\n", "llhj band join (range index)", band_idx);
   std::printf("speedup range-index vs scan on band join: %.1fx\n",
               band_scan > 0 ? band_idx / band_scan : 0.0);
   json.Emit(JsonRow()

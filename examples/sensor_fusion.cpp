@@ -1,21 +1,20 @@
 // Sensor fusion: equi-join of two sensor streams (temperature and smoke
-// level) on zone id over count-based windows, using the hash-index
-// accelerated LLHJ pipeline directly (paper Section 7.6 / Table 2 — the
-// "looking forward: index acceleration" configuration).
+// level) on zone id over count-based windows. The predicate declares its
+// join keys (ShardKeyTraits), so the session runs the hash-index
+// accelerated LLHJ pipeline (paper Section 7.6 / Table 2 — the "looking
+// forward: index acceleration" configuration).
 //
-// This example uses the pipeline layer rather than the JoinSession API
-// to show how the pieces compose: pipeline + feeder + collector + executor.
+// Readings arrive in groups of 64 per sensor, pushed as spans: the paper's
+// driver batch (Section 7.3).
 //
 //   $ ./sensor_fusion [readings-per-stream]
 #include <cstdio>
 #include <cstdlib>
+#include <span>
+#include <vector>
 
-#include "llhj/llhj_pipeline.hpp"
-#include "runtime/executor.hpp"
-#include "stream/feeder.hpp"
-#include "stream/handlers.hpp"
-#include "stream/script.hpp"
-#include "stream/source.hpp"
+#include "common/rng.hpp"
+#include "core/join_session.hpp"
 
 using namespace sjoin;
 
@@ -38,73 +37,68 @@ struct FireRisk {
   }
 };
 
-struct TempZone {
-  int64_t operator()(const TempReading& t) const { return t.zone; }
-};
-struct SmokeZone {
-  int64_t operator()(const SmokeReading& s) const { return s.zone; }
-};
-
 }  // namespace
+
+/// FireRisk only matches readings of equal zones: the zone is its join key.
+namespace sjoin {
+template <>
+struct ShardKeyTraits<FireRisk, TempReading, SmokeReading> {
+  static constexpr bool kEnabled = true;
+  static uint64_t KeyR(const TempReading& t) {
+    return static_cast<uint64_t>(t.zone);
+  }
+  static uint64_t KeyS(const SmokeReading& s) {
+    return static_cast<uint64_t>(s.zone);
+  }
+};
+}  // namespace sjoin
 
 int main(int argc, char** argv) {
   const std::size_t readings =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 20'000;
+  constexpr std::size_t kGroup = 64;
 
-  // Build the trace: interleaved temperature/smoke readings across zones,
-  // with a handful of injected incidents.
-  Rng rng(99);
-  Trace<TempReading, SmokeReading> trace;
-  trace.reserve(readings * 2);
-  Timestamp ts = 0;
-  for (std::size_t i = 0; i < readings; ++i) {
-    const int32_t zone = static_cast<int32_t>(rng.UniformInt(0, 255));
-    const bool incident = rng.Chance(0.001);
-    TempReading t{zone, incident ? 75.0 : 20.0 + rng.UniformDouble() * 10};
-    SmokeReading s{zone, incident ? 120.0 : rng.UniformDouble() * 40};
-    trace.push_back(ArriveR<TempReading, SmokeReading>(ts++, t));
-    trace.push_back(ArriveS<TempReading, SmokeReading>(ts++, s));
-  }
   // Count windows: correlate each reading against the last 4096 readings of
-  // the other stream.
-  auto script = BuildDriverScript(trace, WindowSpec::Count(4096),
-                                  WindowSpec::Count(4096));
-
-  // Hash-indexed LLHJ pipeline keyed on the zone id, laid over the host's
+  // the other stream. The session lays its 4 nodes over the host's
   // hardware model: neighbouring nodes on neighbouring cores, channel rings
   // homed on their consumer's NUMA node.
-  using Pipeline = IndexedLlhjPipeline<TempReading, SmokeReading, FireRisk,
-                                       TempZone, SmokeZone>;
-  Pipeline::Options options;
-  options.nodes = 4;
-  options.placement = PlacementPlan::Build(
-      Topology::Detect(), PlacementPolicy::kAuto, options.nodes);
-  Pipeline pipeline(options);
-
-  ScriptSource<TempReading, SmokeReading> source(&script);
-  Feeder<TempReading, SmokeReading>::Options feeder_options;
-  feeder_options.batch_size = 64;
-  Feeder<TempReading, SmokeReading> feeder(pipeline.ports(), &source,
-                                           feeder_options);
-
+  JoinConfig config;
+  config.algorithm = Algorithm::kLowLatency;
+  config.parallelism = 4;
+  config.window_r = WindowSpec::Count(4096);
+  config.window_s = WindowSpec::Count(4096);
+  JoinSession<TempReading, SmokeReading, FireRisk> session(config);
   CollectingHandler<TempReading, SmokeReading> alarms;
-  auto collector = pipeline.MakeCollector(&alarms);
+  session.AddQuery(FireRisk{}, &alarms);
 
-  // The same plan places the node threads; feeder and collector are
-  // helpers (leftover cores near the pipeline ends, unpinned when the
-  // host has none to spare).
-  ThreadedExecutor executor(pipeline.placement());
-  for (auto* node : pipeline.nodes()) executor.Add(node);
-  executor.AddHelper(&feeder);
-  executor.AddHelper(collector.get());
-  executor.Start();
-  while (!feeder.finished()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Readings across 256 zones, with a handful of injected incidents.
+  Rng rng(99);
+  std::vector<TempReading> temps;
+  std::vector<SmokeReading> smokes;
+  std::vector<Timestamp> temp_ts;
+  std::vector<Timestamp> smoke_ts;
+  Timestamp ts = 0;
+  for (std::size_t done = 0; done < readings; done += kGroup) {
+    temps.clear();
+    smokes.clear();
+    temp_ts.clear();
+    smoke_ts.clear();
+    for (std::size_t i = done; i < readings && i < done + kGroup; ++i) {
+      const int32_t zone = static_cast<int32_t>(rng.UniformInt(0, 255));
+      const bool incident = rng.Chance(0.001);
+      temps.push_back(
+          {zone, incident ? 75.0 : 20.0 + rng.UniformDouble() * 10});
+      smokes.push_back({zone, incident ? 120.0 : rng.UniformDouble() * 40});
+    }
+    for (std::size_t i = 0; i < temps.size(); ++i) temp_ts.push_back(ts++);
+    for (std::size_t i = 0; i < smokes.size(); ++i) smoke_ts.push_back(ts++);
+    session.PushR(std::span<const TempReading>(temps), temp_ts);
+    session.PushS(std::span<const SmokeReading>(smokes), smoke_ts);
+    session.Poll();
   }
-  // Allow the tail of the pipeline to drain, then stop.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  executor.Stop();
-  collector->VacuumOnce();
+  // Every result still in flight reaches the handler before this returns.
+  session.FinishInput();
+  session.Stop();
 
   std::printf("correlated %zu readings/stream -> %zu fire-risk alarms\n",
               readings, alarms.results().size());
@@ -115,11 +109,5 @@ int main(int argc, char** argv) {
                 m.r.zone, m.r.celsius, m.s.ppm,
                 static_cast<long long>(m.ts));
   }
-  std::printf("node-local index sizes: ");
-  for (int k = 0; k < options.nodes; ++k) {
-    std::printf("%zu ", pipeline.node(k).r_store().size() +
-                            pipeline.node(k).s_store().size());
-  }
-  std::printf("\n");
-  return 0;
+  return session.pipeline_anomalies() == 0 ? 0 : 1;
 }

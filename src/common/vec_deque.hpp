@@ -2,9 +2,9 @@
 // banned in the hot-path dirs (tools/lint/sjoin_lint.py): its node-chunked
 // layout defeats the prefetcher and every libstdc++ chunk is a separate
 // allocation. VecDeque keeps elements in one std::vector with a consumed
-// head cursor (the same pattern as Feeder's Outbox) and compacts the
-// consumed prefix only when it dominates the buffer, so steady-state
-// push_back/pop_front is amortized O(1) with zero per-element allocation.
+// head cursor and compacts the consumed prefix only when it dominates the
+// buffer, so steady-state push_back/pop_front is amortized O(1) with zero
+// per-element allocation.
 #pragma once
 
 #include <cassert>

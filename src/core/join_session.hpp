@@ -67,6 +67,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -493,6 +494,7 @@ class JoinShard {
   /// staged it is quiescent already.
   void Deliver() {
     if (left_.empty() && right_.empty()) return;
+    delivered_ += left_.size() + right_.size();
     const PipelinePorts<R, S> ports =
         OnEngine([](auto& engine) { return engine.ports(); });
     if (gated_ == (staged_side_ == StreamSide::kR)) {
@@ -540,6 +542,9 @@ class JoinShard {
   }
 
   // -- Introspection ---------------------------------------------------------
+
+  /// Messages delivered into the channels since the last call.
+  std::size_t TakeDelivered() { return std::exchange(delivered_, 0); }
 
   /// Messages queued in the pipeline's channels (result queues excluded —
   /// their occupancy is the application's polling cadence, not pipeline
@@ -687,11 +692,13 @@ class JoinShard {
       }
       std::size_t run = stage->size() - head;
       if (llhj_ != nullptr) {
-        // LLHJ expiry gate (see Feeder::Options::expiry_gate): an expiry
-        // enters the pipeline only after its tuple finished travelling.
-        // Longest deliverable prefix: stop at the first expiry whose tuple
-        // has not completed its expedition yet (messages behind a gated
-        // expiry wait with it — flow order preserved).
+        // LLHJ expiry gate: an expiry enters the pipeline only after its
+        // tuple finished travelling (end nodes publish completion through
+        // the high-water marks), so no opposite tuple pushed behind the
+        // expiry can meet the tuple in flight. Longest deliverable prefix:
+        // stop at the first expiry whose tuple has not completed its
+        // expedition yet (messages behind a gated expiry wait with it —
+        // flow order preserved).
         const HighWaterMarks& hwm = llhj_->hwm();
         run = 0;
         while (head + run < stage->size()) {
@@ -821,6 +828,7 @@ class JoinShard {
   Seq first_staged_[2] = {kNoSeq, kNoSeq};
   StreamSide staged_side_ = StreamSide::kR;
   bool gated_ = false;
+  std::size_t delivered_ = 0;  // messages delivered, for TakeDelivered
   // One past the highest arrival seq staged, per side (the HSJ expiry
   // horizons, ExpiryHorizon).
   Seq next_seq_r_ = 0;
@@ -1262,8 +1270,16 @@ class JoinSession {
   /// shard and call. Staging itself never delivers (the handshake join's
   /// expiry guard aside, JoinShard::StageExpiry), so a shard's channels
   /// take one burst per push however the driver interleaves the shards.
+  /// With admission enabled, the call's delivered message count feeds the
+  /// controller's delivery-spacing (service) sensor, which turns the
+  /// channel backlog into the queueing term of its projection.
   void DeliverStaged() {
-    for (auto& shard : shards_) shard->Deliver();
+    std::size_t delivered = 0;
+    for (auto& shard : shards_) {
+      shard->Deliver();
+      delivered += shard->TakeDelivered();
+    }
+    if (admission_.enabled()) admission_.ObserveDelivered(delivered, NowNs());
   }
 
   // -- Partitioning ----------------------------------------------------------
@@ -1344,10 +1360,7 @@ class JoinSession {
   /// the staging and the expiry-tracker update — a shed tuple never
   /// reaches a window store, so no expiry may ever reference it (an expiry
   /// for an absent tuple would tombstone-leak in LLHJ and stall the
-  /// completion gate forever). The session has no ingest-side holding
-  /// buffer (every admitted push is delivered by the call), so kDropOldest
-  /// has no victim to displace here and degrades to dropping the incoming
-  /// tuple; the Feeder path implements the full victim semantics.
+  /// completion gate forever).
   bool ShedAtIngest(StreamSide side, Seq seq) {
     if (!admission_.enabled() && !admission_.has_force_shed()) return false;
     const int64_t now = NowNs();
@@ -1404,7 +1417,9 @@ class JoinSession {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// The N >= 1 form of the session is the session.
+/// The N >= 1 form of the session is the session. The alias (and
+/// core/sharded_session.hpp) remains only for the repo benchmark under
+/// perfbench/, which names it; everything else says JoinSession.
 template <typename R, typename S, typename Pred>
 using ShardedJoinSession = JoinSession<R, S, Pred>;
 

@@ -1,10 +1,10 @@
 // Latency-budget overload control (DESIGN.md Section 12). The admission
-// controller sits at the ingest boundary (Feeder / JoinSession driver) and
+// controller sits at the ingest boundary (the JoinSession driver) and
 // closes the system's first end-to-end control loop:
 //
 //   sense    — EWMA of observed result latency (fed by the collector side)
-//              plus the driver-visible backlog (outboxes, channel
-//              occupancy, HWM-derived in-flight count);
+//              plus the driver-visible backlog (channel occupancy) times
+//              the EWMA of the driver's delivery spacing;
 //   decide   — ProjectedAdmissionLatencyNs (stream/latency_model.hpp)
 //              against the session's budget, per OverloadPolicy;
 //   actuate  — shed the tuple AT INGEST, never mid-window: a shed tuple
@@ -38,7 +38,6 @@ namespace sjoin {
 enum class OverloadPolicy : uint8_t {
   kNone = 0,     ///< never shed; bounded queues backpressure (the baseline)
   kDropNewest,   ///< shed the incoming tuple
-  kDropOldest,   ///< shed the oldest tuple still waiting at ingest
   kSample,       ///< degrade to sampled matching: admit 1-in-N while over
 };
 
@@ -48,8 +47,6 @@ constexpr const char* ToString(OverloadPolicy p) {
       return "none";
     case OverloadPolicy::kDropNewest:
       return "drop_newest";
-    case OverloadPolicy::kDropOldest:
-      return "drop_oldest";
     case OverloadPolicy::kSample:
       return "sample";
   }
@@ -61,11 +58,10 @@ constexpr const char* ToString(OverloadPolicy p) {
 inline OverloadPolicy ParseOverloadPolicy(const std::string& name) {
   if (name == "none") return OverloadPolicy::kNone;
   if (name == "drop_newest") return OverloadPolicy::kDropNewest;
-  if (name == "drop_oldest") return OverloadPolicy::kDropOldest;
   if (name == "sample") return OverloadPolicy::kSample;
   throw std::invalid_argument(
       "ParseOverloadPolicy: unknown overload policy \"" + name +
-      "\" (expected none|drop_newest|drop_oldest|sample)");
+      "\" (expected none|drop_newest|sample)");
 }
 
 class AdmissionController {
@@ -151,21 +147,26 @@ class AdmissionController {
   // -- Decision (driver thread) ----------------------------------------------
 
   /// True when a tuple that has already waited (now - arrival) and would
-  /// join `backlog_msgs` queued messages projects past the budget.
+  /// join `backlog_msgs` queued messages projects past the budget. The
+  /// latency EWMA moves only when a result arrives, and while it reads
+  /// over budget every arrival is shed, so no result would ever move it
+  /// again: once no result has been seen for longer than one budget, the
+  /// latency term is stale and left out, and the backlog term decides.
   bool OverBudget(int64_t now_ns, int64_t arrival_wall_ns,
                   std::size_t backlog_msgs) const {
     if (!enabled()) return false;
+    const bool stale =
+        now_ns - last_observe_ns_.load(std::memory_order_relaxed) >
+        options_.budget_ns;
     const int64_t projected = ProjectedAdmissionLatencyNs(
-        now_ns - arrival_wall_ns, ewma_latency_ns(),
+        now_ns - arrival_wall_ns, stale ? 0 : ewma_latency_ns(),
         static_cast<int64_t>(backlog_msgs), ewma_service_ns());
     return projected > options_.budget_ns;
   }
 
   /// Full policy decision for ONE incoming tuple: returns true when the
-  /// caller must shed (for kDropOldest the caller picks the victim — the
-  /// oldest tuple of `side` still at ingest — and the incoming tuple is
-  /// admitted in its place when a victim exists). The force-shed test hook,
-  /// when set, overrides the budget logic entirely.
+  /// caller must shed it. The force-shed test hook, when set, overrides the
+  /// budget logic entirely.
   bool ShouldShed(StreamSide side, Seq seq, int64_t now_ns,
                   int64_t arrival_wall_ns, std::size_t backlog_msgs) {
     if (force_shed_) return force_shed_(side, seq);

@@ -10,11 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/types.hpp"
-#include "stream/admission.hpp"
 #include "stream/message.hpp"
-#include "stream/stats.hpp"
 
 namespace sjoin {
 
@@ -102,59 +99,6 @@ class CountingHandler : public OutputHandler<R, S> {
 
  private:
   std::atomic<uint64_t> count_{0};
-};
-
-/// Records per-result latency (emit wall time minus the arrival wall time of
-/// the later input tuple) into an overall stat and a per-interval series.
-/// Forwards to an optional downstream handler.
-template <typename R, typename S>
-class LatencyRecorder : public OutputHandler<R, S> {
- public:
-  explicit LatencyRecorder(OutputHandler<R, S>* next = nullptr,
-                           int64_t bucket_ns = 1'000'000'000)
-      : next_(next), series_(bucket_ns) {}
-
-  void OnResult(const ResultMsg<R, S>& result) override {
-    const int64_t now = NowNs();
-    const int64_t latency_ns = now - result.ready_wall_ns;
-    const double latency_ms = NsToMs(latency_ns);
-    overall_.Add(latency_ms);
-    series_.Add(now, latency_ms);
-    histogram_.Add(latency_ns);
-    if (observe_ != nullptr) observe_->ObserveResult(latency_ns, now);
-    if (next_ != nullptr) next_->OnResult(result);
-  }
-
-  /// Closes the overload-control loop: every observed latency also feeds
-  /// the admission controller's EWMA (the projection it sheds against).
-  void ObserveInto(AdmissionController* admission) { observe_ = admission; }
-
-  void OnPunctuation(Timestamp tp) override {
-    if (next_ != nullptr) next_->OnPunctuation(tp);
-  }
-  void OnLoss(StreamSide side, Seq first_seq, uint64_t count) override {
-    if (next_ != nullptr) next_->OnLoss(side, first_seq, count);
-  }
-  void OnEpochDrained(Epoch epoch) override {
-    if (next_ != nullptr) next_->OnEpochDrained(epoch);
-  }
-  void OnQueryRetired(QueryId query) override {
-    if (next_ != nullptr) next_->OnQueryRetired(query);
-  }
-
-  void Anchor(int64_t wall_ns) { series_.Anchor(wall_ns); }
-
-  const RunningStat& overall() const { return overall_; }
-  const TimeSeriesStat& series() const { return series_; }
-  /// Tail percentiles (p50/p95/p99/p99.9 via QuantileMs).
-  const LatencyHistogram& histogram() const { return histogram_; }
-
- private:
-  OutputHandler<R, S>* next_;
-  RunningStat overall_;
-  TimeSeriesStat series_;
-  LatencyHistogram histogram_;
-  AdmissionController* observe_ = nullptr;
 };
 
 /// Demultiplexes the merged result stream of a multi-query session onto the

@@ -48,7 +48,7 @@ class HighWaterMarks {
   /// Highest sequence number of `side` that has completed its traversal,
   /// or -1 if none has. Because tuples finish in FIFO order, seq <= this
   /// value means that tuple is no longer travelling — the condition the
-  /// driver uses to gate expiry emission (see Feeder::Options::expiry_gate).
+  /// session driver gates LLHJ expiry delivery on (JoinShard::DeliverFlow).
   int64_t CompletedSeq(StreamSide side) const {
     const auto& done = side == StreamSide::kR ? r_seq_ : s_seq_;
     return done->load(std::memory_order_acquire);

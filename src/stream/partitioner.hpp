@@ -1,7 +1,7 @@
 // Predicate-aware stream partitioning for sharded sessions (DESIGN.md
-// Section 13). A ShardedJoinSession splits the two input streams over N
-// independent pipeline shards; which split is *correct* depends on the
-// predicate class:
+// Section 13). A JoinSession with N > 1 shards splits the two input
+// streams over N independent pipeline shards; which split is *correct*
+// depends on the predicate class:
 //
 //   hash        — equi-join predicates: both sides are hash-partitioned on
 //                 the join key, so every matching pair lands on the same

@@ -2,12 +2,12 @@
 // must hold for *any* interleaving of node executions — the paper's
 // arguments rest on per-channel FIFO order only. The fuzzer executes a
 // pipeline under seeded random schedules: every round the components
-// (feeder, nodes, collector) run in a random permutation, and components
+// (script replay, nodes, collector) run in a random permutation, and components
 // are randomly "starved" for up to a bounded number of consecutive rounds.
 // This reproduces the races the protocols guard against (in-flight
 // crossings, expiry chases, expedition-end ordering) deterministically.
 //
-// Starvation stays bounded and the feeder injects at most one driver event
+// Starvation stays bounded and the replay injects at most one driver event
 // per round, so a window of w events is always much larger than the
 // pipeline transit time — the regime the algorithms (and the paper) assume.
 #pragma once
@@ -21,11 +21,9 @@
 #include "runtime/executor.hpp"
 #include "stream/admission.hpp"
 #include "stream/collector.hpp"
-#include "stream/feeder.hpp"
 #include "stream/handlers.hpp"
 #include "stream/hwm.hpp"
 #include "stream/script.hpp"
-#include "stream/source.hpp"
 
 #include "test_util.hpp"
 
@@ -43,10 +41,10 @@ struct FuzzOptions {
   uint64_t seed = 1;
   double skip_probability = 0.35;
   int max_consecutive_skips = 3;
-  /// Overload control: wired into the feeder when set; delivered loss
+  /// Overload control: wired into the replay when set; delivered loss
   /// bounds are captured into FuzzResult::losses.
   AdmissionController* admission = nullptr;
-  /// LLHJ completion gate for expiries (Feeder::Options::expiry_gate).
+  /// LLHJ completion gate for expiries (ScriptReplay::Options).
   const HighWaterMarks* expiry_gate = nullptr;
   /// Invoked after every round — invariant probes (HWM monotonicity, ...).
   std::function<void()> per_round;
@@ -57,19 +55,17 @@ template <typename Pipeline>
 FuzzResult RunFuzzedSchedule(Pipeline& pipeline,
                              const DriverScript<TR, TS>& script,
                              const FuzzOptions& fuzz) {
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options feeder_options;
-  feeder_options.batch_size = 1;
-  feeder_options.max_events_per_step = 1;
-  feeder_options.admission = fuzz.admission;
-  feeder_options.expiry_gate = fuzz.expiry_gate;
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, feeder_options);
+  Replay::Options replay_options;
+  replay_options.events_per_step = 1;
+  replay_options.admission = fuzz.admission;
+  replay_options.expiry_gate = fuzz.expiry_gate;
+  Replay replay(pipeline.ports(), script, replay_options);
 
   CollectingHandler<TR, TS> handler;
   auto collector = pipeline.MakeCollector(&handler);
 
   std::vector<Steppable*> components;
-  components.push_back(&feeder);
+  components.push_back(&replay);
   for (Steppable* node : pipeline.nodes()) components.push_back(node);
   components.push_back(collector.get());
 
@@ -113,7 +109,7 @@ FuzzResult RunFuzzedSchedule(Pipeline& pipeline,
   }
 
   EXPECT_TRUE(out.quiesced) << "schedule did not quiesce";
-  EXPECT_TRUE(feeder.finished());
+  EXPECT_TRUE(replay.finished());
   out.results = handler.results();
   out.punctuations = handler.punctuations();
   out.losses = handler.losses();

@@ -16,6 +16,8 @@ namespace {
 using test::KeyBand;
 using test::KeyEq;
 using test::MakeRandomTrace;
+using test::OneEventPerPass;
+using test::ReplaySequential;
 using test::RunHsjSequential;
 using test::SameResultSet;
 using test::TR;
@@ -119,18 +121,8 @@ TEST(Hsj, TinySegmentsForceRelocationAndStayCorrect) {
   auto script = BuildDriverScript(trace, WindowSpec::Count(30),
                                   WindowSpec::Count(30));
   HsjPipeline<TR, TS, KeyEq> pipeline(HsjOptions(4, 1));
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.max_events_per_step = 1;  // bounded-lag regime (see RunHsjSequential)
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &handler, OneEventPerPass());
 
   EXPECT_GT(pipeline.total_relocations(), 0u);
   EXPECT_EQ(pipeline.total_anomalies(), 0u);
@@ -236,18 +228,8 @@ TEST(Hsj, ResidentTuplesRespectExpiries) {
   auto script = BuildDriverScript(trace, WindowSpec::Time(10),
                                   WindowSpec::Time(10), false);
   HsjPipeline<TR, TS, KeyEq> pipeline(HsjOptions(3, 4));
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.max_events_per_step = 1;  // bounded-lag regime (see RunHsjSequential)
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &handler, OneEventPerPass());
 
   EXPECT_EQ(pipeline.resident_tuples(), 1u);  // only the last arrival
   EXPECT_EQ(pipeline.total_anomalies(), 0u);

@@ -18,8 +18,11 @@
 namespace sjoin {
 namespace {
 
+using test::Gated;
 using test::KeyEq;
 using test::MakeRandomTrace;
+using test::OneEventPerPass;
+using test::ReplaySequential;
 using test::TR;
 using test::TraceConfig;
 using test::TS;
@@ -83,19 +86,8 @@ TEST_P(LlhjInvariants, CleanStateAfterQuiescence) {
   options.channel_capacity = 64;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
 
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 4;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
-  ASSERT_TRUE(feeder.finished());
+  ReplaySequential(pipeline, script, &handler, Gated(pipeline, 4));
 
   std::size_t resident_r = 0, resident_s = 0;
   for (int k = 0; k < nodes; ++k) {
@@ -158,19 +150,8 @@ TEST_P(HsjInvariants, CleanStateAfterQuiescence) {
   options.channel_capacity = 64;
   HsjPipeline<TR, TS, KeyEq> pipeline(options);
 
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.max_events_per_step = 1;
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
-  ASSERT_TRUE(feeder.finished());
+  ReplaySequential(pipeline, script, &handler, OneEventPerPass());
 
   std::size_t resident_r = 0, resident_s = 0;
   for (int k = 0; k < nodes; ++k) {

@@ -11,10 +11,12 @@
 namespace sjoin {
 namespace {
 
+using test::Gated;
 using test::KeyBand;
 using test::KeyEq;
 using test::MakeRandomTrace;
 using test::RangeBand;
+using test::ReplaySequential;
 using test::RunLlhjSequential;
 using test::SameResultSet;
 using test::TR;
@@ -119,18 +121,8 @@ TEST(Llhj, ExpeditionFlagsEventuallyClear) {
   auto script = BuildDriverScript(trace, WindowSpec::Time(10'000),
                                   WindowSpec::Time(10'000), false);
   LlhjPipeline<TR, TS, KeyEq> pipeline(LlhjOptions(4));
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &handler, Gated(pipeline));
 
   std::size_t stored = 0;
   for (int k = 0; k < 4; ++k) {
@@ -150,18 +142,8 @@ TEST(Llhj, RoundRobinDistributesHomeCopies) {
   auto script = BuildDriverScript(trace, WindowSpec::Time(10'000),
                                   WindowSpec::Time(10'000), false);
   LlhjPipeline<TR, TS, KeyEq> pipeline(LlhjOptions(4));
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &handler, Gated(pipeline));
 
   for (int k = 0; k < 4; ++k) {
     EXPECT_EQ(pipeline.node(k).r_store().size(), 10u) << "node " << k;
@@ -181,18 +163,8 @@ TEST(Llhj, ExpiryRemovesStoredCopies) {
   auto script = BuildDriverScript(trace, WindowSpec::Time(5),
                                   WindowSpec::Time(5), false);
   LlhjPipeline<TR, TS, KeyEq> pipeline(LlhjOptions(3));
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &handler, Gated(pipeline));
 
   EXPECT_EQ(pipeline.resident_tuples(), 1u);
   EXPECT_EQ(pipeline.total_anomalies(), 0u);
@@ -218,17 +190,9 @@ TEST(Llhj, TombstoneBackstopWithoutExpiryGate) {
   auto oracle = RunKangOracle<TR, TS, KeyEq>(script);
 
   LlhjPipeline<TR, TS, KeyEq> pipeline(LlhjOptions(4));
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;  // deliberately NO expiry_gate
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &handler,
+                   test::Replay::Options{});  // deliberately NO expiry gate
 
   const auto want = test::PairMultiset(oracle);
   const auto got = test::PairMultiset(handler.results());
@@ -349,18 +313,8 @@ TEST(Llhj, HighWaterMarksAdvanceToLastTimestamps) {
   auto script = BuildDriverScript(trace, WindowSpec::Time(1000),
                                   WindowSpec::Time(1000), false);
   LlhjPipeline<TR, TS, KeyEq> pipeline(LlhjOptions(3));
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &handler, Gated(pipeline));
 
   EXPECT_EQ(pipeline.hwm().Get(StreamSide::kR), 30);
   EXPECT_EQ(pipeline.hwm().Get(StreamSide::kS), 20);

@@ -10,10 +10,12 @@
 // anomaly counters stay zero. Both engines are held to the contract.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -43,7 +45,7 @@ using test::TS;
 TEST(OverloadPolicy, ParseRoundTripsEveryPolicy) {
   for (OverloadPolicy p :
        {OverloadPolicy::kNone, OverloadPolicy::kDropNewest,
-        OverloadPolicy::kDropOldest, OverloadPolicy::kSample}) {
+        OverloadPolicy::kSample}) {
     EXPECT_EQ(ParseOverloadPolicy(ToString(p)), p);
   }
 }
@@ -181,7 +183,7 @@ void GroundTruthSets(const DriverScript<TR, TS>& script, Pred shed,
   }
 }
 
-// -- Feeder-path fuzz: exactness + accounting under adversarial schedules ----
+// -- Replay-path fuzz: exactness + accounting under adversarial schedules ----
 
 class OverloadFuzz
     : public ::testing::TestWithParam<std::tuple<ShedPattern, uint64_t>> {};
@@ -471,6 +473,50 @@ TEST(OverloadSession, NoPolicyNeverSheds) {
   EXPECT_EQ(session.tuples_shed(StreamSide::kS), 0u);
   EXPECT_TRUE(handler.losses().empty());
   EXPECT_GT(handler.results().size(), 0u);
+}
+
+JoinConfig BudgetConfig() {
+  JoinConfig config;
+  config.algorithm = Algorithm::kLowLatency;
+  config.parallelism = 2;
+  config.threaded = false;
+  config.window_r = WindowSpec::Count(8);
+  config.window_s = WindowSpec::Count(8);
+  config.latency_budget_us = 1000;
+  config.overload_policy = OverloadPolicy::kDropNewest;
+  return config;
+}
+
+// Under drop_newest the latency EWMA moves only when a result arrives. An
+// EWMA over budget sheds every arrival, so no result would ever move it
+// again; once no result has been seen for longer than one budget, the
+// stale latency term no longer sheds.
+TEST(OverloadSession, StaleLatencyEwmaStopsShedding) {
+  JoinSession<TR, TS, KeyEq> session(BudgetConfig());
+  CollectingHandler<TR, TS> handler;
+  session.AddQuery(KeyEq{}, &handler);
+  session.Start();
+  session.admission().ObserveResult(10'000'000, NowNs());  // 10 ms
+  session.PushR(TR{1, 0}, 0);
+  EXPECT_EQ(session.tuples_shed(StreamSide::kR), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  session.PushR(TR{1, 1}, 1);
+  EXPECT_EQ(session.tuples_shed(StreamSide::kR), 1u) << "still latched";
+  session.FinishInput();
+  EXPECT_EQ(session.tuples_lost_reported(StreamSide::kR), 1u);
+}
+
+// The queueing term of the projection is backlog x service time; the
+// session's deliveries feed the service estimate.
+TEST(OverloadSession, DeliveriesFeedTheServiceSensor) {
+  JoinSession<TR, TS, KeyEq> session(BudgetConfig());
+  session.AddQuery(KeyEq{}, nullptr);
+  for (int i = 0; i < 64; ++i) {
+    session.PushR(TR{i % 3, i}, i);
+    session.PushS(TS{i % 3, i}, i);
+  }
+  session.FinishInput();
+  EXPECT_GT(session.admission().ewma_service_ns(), 0);
 }
 
 }  // namespace

@@ -18,8 +18,10 @@
 namespace sjoin {
 namespace {
 
+using test::Gated;
 using test::KeyEq;
 using test::MakeRandomTrace;
+using test::ReplaySequential;
 using test::TR;
 using test::TraceConfig;
 using test::TS;
@@ -90,19 +92,8 @@ TEST(Collector, EmitsPunctuationsWithInvariant) {
   options.punctuate = true;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
 
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   PunctuationChecker checker;
-  auto collector = pipeline.MakeCollector(&checker);
-
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &checker, Gated(pipeline));
 
   EXPECT_GT(checker.punctuations, 0);
   EXPECT_EQ(checker.violations, 0)
@@ -124,19 +115,9 @@ TEST(Collector, NoPunctuationsWhenDisabled) {
   options.punctuate = false;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
 
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   PunctuationChecker checker;
-  auto collector = pipeline.MakeCollector(&checker);
-
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  auto collector = ReplaySequential(pipeline, script, &checker,
+                                    Gated(pipeline));
 
   EXPECT_EQ(checker.punctuations, 0);
   EXPECT_EQ(collector->punctuations_emitted(), 0u);
@@ -158,19 +139,9 @@ TEST(Collector, PunctuationValueTracksSlowerStream) {
   options.punctuate = true;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
 
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   PunctuationChecker checker;
-  auto collector = pipeline.MakeCollector(&checker);
-
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  auto collector = ReplaySequential(pipeline, script, &checker,
+                                    Gated(pipeline));
 
   // R's last completed timestamp is 900, S's is 950; the safe punctuation
   // is the minimum of the two marks.
@@ -279,19 +250,9 @@ TEST(Collector, TotalCollectedCounts) {
   options.channel_capacity = 64;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
 
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  auto collector = ReplaySequential(pipeline, script, &handler,
+                                    Gated(pipeline));
 
   EXPECT_EQ(collector->total_collected(), 1u);
   EXPECT_EQ(handler.results().size(), 1u);

@@ -401,7 +401,7 @@ TEST(Topology, NegativeNodeIsInvalid) {
   EXPECT_EQ(topo.CpuForNode(-1, 4), -1);
 }
 
-// Co-located shards split a node (ShardedJoinSession): slices are whole
+// Co-located shards split a node (JoinSession, N > 1): slices are whole
 // cores with their SMT siblings while there are enough cores, cover the
 // node exactly once, and degrade to shared single CPUs beyond the supply.
 TEST(Topology, OnNodeSlicesSplitWholeCores) {

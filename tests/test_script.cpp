@@ -1,9 +1,12 @@
 // Tests for the external driver: trace -> script translation, expiry rules
-// for time and count windows, sequence assignment, and flush emission.
+// for time and count windows, sequence assignment, and flush emission;
+// and the paper's band-join trace generator.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/schema.hpp"
+#include "stream/generator.hpp"
 #include "stream/script.hpp"
 #include "stream/window.hpp"
 
@@ -158,6 +161,20 @@ TEST(ExpiryTracker, LiveCountsTrackArrivalsAndExpiries) {
                                 &expired_ts));
   EXPECT_EQ(expired_seq, 0u);
   EXPECT_EQ(tracker.live_count(StreamSide::kR), 2u);
+}
+
+TEST(Generator, BandTraceHasPaperShape) {
+  auto trace = MakeBandTrace(50, 3, /*seed=*/9);
+  ASSERT_EQ(trace.size(), 100u);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace[i].side,
+              i % 2 == 0 ? StreamSide::kR : StreamSide::kS);
+    EXPECT_EQ(trace[i].ts, static_cast<Timestamp>(i) * 3);
+    if (trace[i].side == StreamSide::kR) {
+      EXPECT_GE(trace[i].r.x, 1);
+      EXPECT_LE(trace[i].r.x, kPaperKeyDomain);
+    }
+  }
 }
 
 }  // namespace

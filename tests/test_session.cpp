@@ -221,7 +221,7 @@ TEST(SessionValidation, RejectsSheddingPolicyWithoutBudget) {
   config.latency_budget_us = 1000;
   for (OverloadPolicy ok :
        {OverloadPolicy::kNone, OverloadPolicy::kDropNewest,
-        OverloadPolicy::kDropOldest, OverloadPolicy::kSample}) {
+        OverloadPolicy::kSample}) {
     config.overload_policy = ok;
     EXPECT_NO_THROW(ValidateJoinConfig(config));
   }

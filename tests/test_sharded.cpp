@@ -268,7 +268,7 @@ TEST(Partitioner, ReplicateOneSideLosesNoCandidatePairFuzzed) {
     const auto oracle = ReferenceResults(trace, wr, ws, pred);
 
     CollectingHandler<TR, TS> handler;
-    ShardedJoinSession<TR, TS, KeyBand> sharded(
+    JoinSession<TR, TS, KeyBand> sharded(
         ShardedFor(Algorithm::kLowLatency, wr, ws, /*threaded=*/false,
                    c.shards, c.policy));
     sharded.AddQuery(pred, &handler);
@@ -299,7 +299,7 @@ TEST(ShardedEquivalence, EquiHashMatchesOracleAllEngines) {
   for (Algorithm algorithm : kAllEngines) {
     for (bool threaded : {false, true}) {
       CollectingHandler<TR, TS> q0, q1;
-      ShardedJoinSession<TR, TS, KeyEq> sharded(ShardedFor(
+      JoinSession<TR, TS, KeyEq> sharded(ShardedFor(
           algorithm, wr, ws, threaded, /*shards=*/2, PartitionPolicy::kAuto));
       EXPECT_EQ(sharded.partition(), PartitionPolicy::kHashKey);
       sharded.AddQuery(KeyEq{}, &q0);
@@ -339,7 +339,7 @@ TEST(ShardedEquivalence, BandReplicateMatchesOracleAllEngines) {
   for (Algorithm algorithm : kAllEngines) {
     for (bool threaded : {false, true}) {
       CollectingHandler<TR, TS> handler;
-      ShardedJoinSession<TR, TS, KeyBand> sharded(ShardedFor(
+      JoinSession<TR, TS, KeyBand> sharded(ShardedFor(
           algorithm, wr, ws, threaded, /*shards=*/2, PartitionPolicy::kAuto));
       EXPECT_EQ(sharded.partition(), PartitionPolicy::kReplicateR);
       sharded.AddQuery(pred, &handler);
@@ -371,7 +371,7 @@ TEST(ShardedEquivalence, TimeWindowsMatchOracleAllEngines) {
   for (Algorithm algorithm : kAllEngines) {
     for (bool threaded : {false, true}) {
       CollectingHandler<TR, TS> handler;
-      ShardedJoinSession<TR, TS, KeyEq> sharded(ShardedFor(
+      JoinSession<TR, TS, KeyEq> sharded(ShardedFor(
           algorithm, wr, ws, threaded, /*shards=*/2, PartitionPolicy::kAuto));
       sharded.AddQuery(KeyEq{}, &handler);
       FeedPerTuple(sharded, trace);
@@ -403,7 +403,7 @@ TEST(Sharded, SingleShardDegeneratesToPlainSession) {
 
     JoinSession<TR, TS, KeyEq> plain(
         BaseShard(algorithm, wr, ws, /*threaded=*/false));
-    ShardedJoinSession<TR, TS, KeyEq> sharded(
+    JoinSession<TR, TS, KeyEq> sharded(
         ShardedFor(algorithm, wr, ws, /*threaded=*/false, /*shards=*/1,
                    PartitionPolicy::kAuto));
 
@@ -469,7 +469,7 @@ TEST(Sharded, ChurnAcrossShardsRetiresExactlyOnceWithEpochAttribution) {
 
   for (bool threaded : {false, true}) {
     CollectingHandler<TR, TS> removed_q, kept_q, added_q;
-    ShardedJoinSession<TR, TS, KeyEq> sharded(
+    JoinSession<TR, TS, KeyEq> sharded(
         ShardedFor(Algorithm::kLowLatency, wr, ws, threaded, /*shards=*/3,
                    PartitionPolicy::kAuto));
     const auto h_removed = sharded.AddQuery(KeyEq{}, &removed_q);
@@ -546,7 +546,7 @@ TEST(Sharded, ForcedShedsAccountExactlyAndMatchPlainSession) {
     FeedPerTuple(plain, trace);
     plain.FinishInput();
 
-    ShardedJoinSession<TR, TS, KeyEq> sharded(
+    JoinSession<TR, TS, KeyEq> sharded(
         ShardedFor(Algorithm::kLowLatency, wr, ws, threaded, /*shards=*/2,
                    PartitionPolicy::kAuto));
     sharded.admission().SetForceShed(shed);
@@ -587,7 +587,7 @@ TEST(Sharded, MergesLatencyHistogramsAndPunctuations) {
                  /*shards=*/3, PartitionPolicy::kAuto);
   config.shard.punctuate = true;
   CollectingHandler<TR, TS> handler;
-  ShardedJoinSession<TR, TS, KeyEq> sharded(config);
+  JoinSession<TR, TS, KeyEq> sharded(config);
   sharded.AddQuery(KeyEq{}, &handler);
   FeedPerTuple(sharded, trace);
   sharded.FinishInput();
@@ -629,7 +629,7 @@ TEST(ShardedPlacement, ShardsOnOneNodePinDisjointCpus) {
     config.shard.parallelism = 4 / shards;
     config.shard.placement = PlacementPolicy::kCompact;
     CollectingHandler<TR, TS> handler;
-    ShardedJoinSession<TR, TS, KeyEq> sharded(config);
+    JoinSession<TR, TS, KeyEq> sharded(config);
     sharded.AddQuery(KeyEq{}, &handler);
     sharded.PushR(TR{1, 0}, 0);  // starts every shard
     std::set<int> pinned;

@@ -13,8 +13,10 @@
 namespace sjoin {
 namespace {
 
+using test::Gated;
 using test::KeyEq;
 using test::MakeRandomTrace;
+using test::ReplaySequential;
 using test::SameResultSet;
 using test::TR;
 using test::TraceConfig;
@@ -113,21 +115,9 @@ TEST(Sorter, EndToEndProducesOrderedCompleteOutput) {
   options.punctuate = true;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
 
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = 1;
-  fo.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
-
   CollectingHandler<TR, TS> ordered;
   PunctuationSorter<TR, TS> sorter(&ordered);
-  auto collector = pipeline.MakeCollector(&sorter);
-
-  SequentialExecutor exec;
-  exec.Add(&feeder);
-  for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.Add(collector.get());
-  exec.RunUntilQuiescent();
+  ReplaySequential(pipeline, script, &sorter, Gated(pipeline));
   sorter.Flush();
 
   // Complete (same multiset as the oracle) ...

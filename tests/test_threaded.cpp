@@ -1,8 +1,9 @@
-// Integration tests with real threads: full pipelines (feeder, pinned node
-// threads, collector) must produce exactly the oracle result set, under
-// regular and tiny channel and result-ring capacities, with punctuation
-// invariants holding live; an idle threaded session woken push by push
-// stays exact, and its engine wake/park counters count.
+// Integration tests with real threads: full pipelines (pinned node threads,
+// with the script replay and the collector on the test thread) must produce
+// exactly the oracle result set, under regular and tiny channel and
+// result-ring capacities, with punctuation invariants holding live; an
+// idle threaded session woken push by push stays exact, and its engine
+// wake/park counters count.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,7 +15,6 @@
 #include "hsj/hsj_pipeline.hpp"
 #include "llhj/llhj_pipeline.hpp"
 #include "runtime/executor.hpp"
-#include "stream/feeder.hpp"
 
 #include "kang_join.hpp"
 #include "result_overflow.hpp"
@@ -31,17 +31,17 @@ using test::TR;
 using test::TraceConfig;
 using test::TS;
 
-/// Runs a pipeline threaded until the feeder finishes and the system
-/// quiesces; results are delivered to `handler`.
+/// Runs a pipeline's nodes threaded while the test thread replays the
+/// script and collects, as a session's driver thread does; returns once the
+/// replay finished and the system quiesced. Results go to `handler`.
 template <typename Pipeline>
 void RunThreaded(Pipeline& pipeline, const DriverScript<TR, TS>& script,
-                 int batch, OutputHandler<TR, TS>* handler,
+                 std::size_t batch, OutputHandler<TR, TS>* handler,
                  const HighWaterMarks* expiry_gate = nullptr) {
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options fo;
-  fo.batch_size = batch;
-  fo.expiry_gate = expiry_gate;
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, fo);
+  test::Replay::Options options;
+  options.batch = batch;
+  options.expiry_gate = expiry_gate;
+  test::Replay replay(pipeline.ports(), script, options);
   auto collector = pipeline.MakeCollector(handler);
 
   // A pipeline built with a placement plan gets its node threads placed by
@@ -52,21 +52,23 @@ void RunThreaded(Pipeline& pipeline, const DriverScript<TR, TS>& script,
                               pipeline.placement());
   ThreadedExecutor& exec = *exec_owner;
   for (auto* node : pipeline.nodes()) exec.Add(node);
-  exec.AddHelper(&feeder);
-  exec.AddHelper(collector.get());
+  collector->PrefaultQueues();
   exec.Start();
 
-  // Wait for the feeder, then for distributed quiescence.
+  // Replay, then wait for distributed quiescence; vacuum all along, since a
+  // node whose results are staged behind its full ring waits for room.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (!feeder.finished()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "feeder stuck";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (!replay.finished()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "replay stuck";
+    const bool stepped = replay.Step();
+    if (collector->VacuumOnce() == 0 && !stepped) std::this_thread::yield();
   }
   uint64_t last = 0;
   int stable = 0;
   while (stable < 10) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no quiescence";
+    collector->VacuumOnce();
     const uint64_t processed = pipeline.TotalProcessed();
     const std::size_t backlog = pipeline.ApproxBacklog();
     if (processed == last && backlog == 0) {

@@ -19,11 +19,10 @@
 #include "kang_join.hpp"
 #include "llhj/llhj_pipeline.hpp"
 #include "runtime/executor.hpp"
+#include "script_replay.hpp"
 #include "stream/collector.hpp"
-#include "stream/feeder.hpp"
 #include "stream/handlers.hpp"
 #include "stream/script.hpp"
-#include "stream/source.hpp"
 #include "stream/trace.hpp"
 #include "stream/window.hpp"
 
@@ -298,6 +297,47 @@ class LivePunctuationChecker : public OutputHandler<R, S> {
   ResultFingerprint fingerprint_;
 };
 
+using Replay = ScriptReplay<TR, TS>;
+
+/// Replay options for LLHJ: batches of `batch`, expiries gated on the
+/// pipeline's completion marks.
+template <typename Pipeline>
+Replay::Options Gated(const Pipeline& pipeline, std::size_t batch = 1) {
+  Replay::Options options;
+  options.batch = batch;
+  options.expiry_gate = &pipeline.hwm();
+  return options;
+}
+
+/// Replay options for HSJ, which has no completion notion to gate expiries
+/// on: the driver must not run ahead of the pipeline (bounded-lag regime,
+/// DESIGN.md), and one event per executor pass keeps its lead at O(1).
+inline Replay::Options OneEventPerPass(std::size_t batch = 1) {
+  Replay::Options options;
+  options.batch = batch;
+  options.events_per_step = 1;
+  return options;
+}
+
+/// Replays `script` into `pipeline` on one SequentialExecutor (replay,
+/// nodes, collector) until quiescent; results go to `handler`. Returns the
+/// collector for its counters.
+template <typename Pipeline>
+std::unique_ptr<Collector<TR, TS>> ReplaySequential(
+    Pipeline& pipeline, const DriverScript<TR, TS>& script,
+    OutputHandler<TR, TS>* handler, const Replay::Options& options) {
+  Replay replay(pipeline.ports(), script, options);
+  auto collector = pipeline.MakeCollector(handler);
+  SequentialExecutor executor;
+  executor.Add(&replay);
+  for (Steppable* node : pipeline.nodes()) executor.Add(node);
+  executor.Add(collector.get());
+  const std::size_t passes = executor.RunUntilQuiescent();
+  EXPECT_LT(passes, std::size_t{1} << 22) << "pipeline did not quiesce";
+  EXPECT_TRUE(replay.finished());
+  return collector;
+}
+
 /// Runs a script through an LLHJ pipeline on the sequential executor until
 /// quiescent. Returns collected results; asserts zero protocol anomalies.
 template <typename Pred, typename RStore = VectorStore<TR>,
@@ -305,27 +345,10 @@ template <typename Pred, typename RStore = VectorStore<TR>,
 std::vector<ResultMsg<TR, TS>> RunLlhjSequential(
     const DriverScript<TR, TS>& script,
     typename LlhjPipeline<TR, TS, Pred, RStore, SStore>::Options options,
-    Pred pred = Pred{}, int feeder_batch = 1) {
-  using Pipeline = LlhjPipeline<TR, TS, Pred, RStore, SStore>;
-  Pipeline pipeline(options, pred);
-
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options feeder_options;
-  feeder_options.batch_size = feeder_batch;
-  feeder_options.expiry_gate = &pipeline.hwm();
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, feeder_options);
-
+    Pred pred = Pred{}, std::size_t batch = 1) {
+  LlhjPipeline<TR, TS, Pred, RStore, SStore> pipeline(options, pred);
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-
-  SequentialExecutor executor;
-  executor.Add(&feeder);
-  for (Steppable* node : pipeline.nodes()) executor.Add(node);
-  executor.Add(collector.get());
-
-  const std::size_t passes = executor.RunUntilQuiescent();
-  EXPECT_LT(passes, std::size_t{1} << 22) << "pipeline did not quiesce";
-  EXPECT_TRUE(feeder.finished());
+  ReplaySequential(pipeline, script, &handler, Gated(pipeline, batch));
   EXPECT_EQ(pipeline.total_anomalies(), 0u);
   return handler.results();
 }
@@ -335,29 +358,10 @@ template <typename Pred>
 std::vector<ResultMsg<TR, TS>> RunHsjSequential(
     const DriverScript<TR, TS>& script,
     typename HsjPipeline<TR, TS, Pred>::Options options, Pred pred = Pred{},
-    int feeder_batch = 1) {
+    std::size_t batch = 1) {
   HsjPipeline<TR, TS, Pred> pipeline(options, pred);
-
-  ScriptSource<TR, TS> source(&script);
-  typename Feeder<TR, TS>::Options feeder_options;
-  feeder_options.batch_size = feeder_batch;
-  // HSJ has no completion notion to gate expiries on; instead the driver
-  // must not run ahead of the pipeline (bounded-lag regime, DESIGN.md).
-  // One event per executor pass keeps the lag at O(1) events.
-  feeder_options.max_events_per_step = 1;
-  Feeder<TR, TS> feeder(pipeline.ports(), &source, feeder_options);
-
   CollectingHandler<TR, TS> handler;
-  auto collector = pipeline.MakeCollector(&handler);
-
-  SequentialExecutor executor;
-  executor.Add(&feeder);
-  for (Steppable* node : pipeline.nodes()) executor.Add(node);
-  executor.Add(collector.get());
-
-  const std::size_t passes = executor.RunUntilQuiescent();
-  EXPECT_LT(passes, std::size_t{1} << 22) << "pipeline did not quiesce";
-  EXPECT_TRUE(feeder.finished());
+  ReplaySequential(pipeline, script, &handler, OneEventPerPass(batch));
   EXPECT_EQ(pipeline.total_anomalies(), 0u);
   return handler.results();
 }
