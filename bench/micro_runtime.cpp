@@ -63,13 +63,18 @@ void BM_SpscCrossThreadHop(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscCrossThreadHop);
 
-// Cross-thread hop to a PARKED consumer: the consumer runs on a
-// ThreadedExecutor and has exhausted its spin/yield ladder and parked on
-// its doorbell before every push, so each hop pays one futex wake-up (the
-// idle-pipeline case of paced input, paper Fig. 19). Reports the hop's p50
-// and p99 in microseconds; bound by the host's wake-up path, so rows must
-// carry their host (vCPU count, shared or dedicated).
-void BM_SpscParkedConsumerHop(benchmark::State& state) {
+// Cross-thread hop into a consumer on a ThreadedExecutor, reporting the
+// hop's p50 and p99 in microseconds. `wait_for_park` selects the idle case
+// the hop meets:
+//  * parked: the consumer has used up its hot window and parked on its
+//    doorbell before every push, so each hop pays one futex wake-up (a
+//    pipeline idle for longer than kHotIdle);
+//  * hot: a push every 100 us, inside the hot window, so the consumer is
+//    still pausing or yielding and each hop is a cache-line transfer (paced
+//    input, paper Fig. 19).
+// Both are bound by the host's scheduler, so rows must carry their host
+// (vCPU count, shared or dedicated).
+void ConsumerHop(benchmark::State& state, bool wait_for_park) {
   using Clock = std::chrono::steady_clock;
   struct Sink : Steppable {
     SpscQueue<int64_t>* in = nullptr;
@@ -83,6 +88,7 @@ void BM_SpscParkedConsumerHop(benchmark::State& state) {
       return true;
     }
   };
+  constexpr std::chrono::microseconds kHotGap{100};
   SpscQueue<int64_t> ring(64);
   Sink sink;
   sink.in = &ring;
@@ -91,11 +97,17 @@ void BM_SpscParkedConsumerHop(benchmark::State& state) {
   exec.Add(&sink);
   exec.Start();
   uint64_t sent = 0;
+  Clock::time_point last_push = Clock::now();
   for (auto _ : state) {
-    // Wait for the consumer to park again after the previous delivery.
-    const uint64_t parks = exec.parks();
-    while (exec.parks() == parks) std::this_thread::yield();
-    ring.TryPush(Clock::now().time_since_epoch().count());
+    if (wait_for_park) {
+      // Wait for the consumer to park again after the previous delivery.
+      const uint64_t parks = exec.parks();
+      while (exec.parks() == parks) std::this_thread::yield();
+    } else {
+      while (Clock::now() - last_push < kHotGap) std::this_thread::yield();
+    }
+    last_push = Clock::now();
+    ring.TryPush(last_push.time_since_epoch().count());
     ++sent;
     while (sink.received.load(std::memory_order_acquire) != sent) {
       std::this_thread::yield();
@@ -112,9 +124,19 @@ void BM_SpscParkedConsumerHop(benchmark::State& state) {
   };
   state.counters["hop_p50_us"] = quantile_us(0.50);
   state.counters["hop_p99_us"] = quantile_us(0.99);
+  state.counters["parks"] = static_cast<double>(exec.parks());
   state.SetItemsProcessed(static_cast<int64_t>(sent));
 }
+
+void BM_SpscParkedConsumerHop(benchmark::State& state) {
+  ConsumerHop(state, /*wait_for_park=*/true);
+}
 BENCHMARK(BM_SpscParkedConsumerHop)->Iterations(3000)->UseRealTime();
+
+void BM_SpscHotConsumerHop(benchmark::State& state) {
+  ConsumerHop(state, /*wait_for_park=*/false);
+}
+BENCHMARK(BM_SpscHotConsumerHop)->Iterations(3000)->UseRealTime();
 
 // -- SPSC transfer: single-message vs burst mode. ----------------------------
 //

@@ -483,15 +483,13 @@ class JoinShard {
   /// Delivers the staged run, if any. The opposite flow of the staged
   /// arrivals goes first — the per-tuple wake order, expiries before the
   /// arrival — unless it holds an expiry gated on an arrival that is still
-  /// staged; then the arrival flow goes first (DESIGN.md Section 8). A
-  /// threaded pipeline then has every node's doorbell rung, not only the
-  /// entry nodes' the pushes rang: every message of the run visits every
-  /// node, so a downstream node spins through its ladder while the
-  /// upstream ones wake and probe, and takes the forwarded run without a
-  /// wake of its own (DESIGN.md Section 16). A non-threaded pipeline is
-  /// run, collector included, until quiescent, so the driver never runs
-  /// ahead of it and every result has reached the output. With nothing
-  /// staged it is quiescent already.
+  /// staged; then the arrival flow goes first (DESIGN.md Section 8). On a
+  /// threaded pipeline the pushes ring only the entry nodes: a downstream
+  /// node is still in its hot window, or is woken by the forwarded push
+  /// (DESIGN.md Section 16). A non-threaded pipeline is run, collector
+  /// included, until quiescent, so the driver never runs ahead of it and
+  /// every result has reached the output. With nothing staged it is
+  /// quiescent already.
   void Deliver() {
     if (left_.empty() && right_.empty()) return;
     delivered_ += left_.size() + right_.size();
@@ -506,11 +504,7 @@ class JoinShard {
     }
     first_staged_[0] = first_staged_[1] = kNoSeq;
     gated_ = false;
-    if (config_.threaded) {
-      executor_->RingAll();
-    } else {
-      sequential_.RunUntilQuiescent();
-    }
+    if (!config_.threaded) sequential_.RunUntilQuiescent();
   }
 
   // -- Output ----------------------------------------------------------------

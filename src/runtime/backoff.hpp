@@ -5,10 +5,11 @@
 //
 // This header holds the runtime's only timed sleep (lint rule
 // hot-path-sleep; the one marked exception is the doorbell's fallback on
-// hosts without futexes). Executor threads never reach it: once their
-// ladder is exhausted they park on a futex doorbell that pushes ring
-// (runtime/doorbell.hpp). The sleep rung serves the waits no push can end —
-// the session caller's full-channel and expiry-gate waits, start barriers.
+// hosts without futexes). Executor threads never reach it: they climb the
+// pause and yield rungs only (Spin) for a fixed hot window, then park on a
+// futex doorbell that pushes ring (runtime/doorbell.hpp). The sleep rung
+// serves the waits no push can end — the session caller's full-channel and
+// expiry-gate waits, start barriers.
 #pragma once
 
 #include <chrono>
@@ -39,13 +40,21 @@ class Backoff {
     ++attempt_;
   }
 
+  /// Pause() without the sleep rung: once the pauses are used up, every
+  /// call yields. For executor threads, which bound their idle time with
+  /// a clock and then park on their doorbell instead of sleeping.
+  void Spin() {
+    if (attempt_ < kSpinLimit) {
+      CpuRelax();
+      ++attempt_;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+
   void Reset() { attempt_ = 0; }
 
   int attempts() const { return attempt_; }
-
-  /// True once the spin and yield rungs are used up: the next Pause()
-  /// would sleep. Executor threads park on their doorbell instead.
-  bool Exhausted() const { return attempt_ >= kYieldLimit; }
 
  private:
   static constexpr int kSpinLimit = 16;

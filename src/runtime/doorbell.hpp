@@ -1,28 +1,33 @@
 // Wake-on-push for executor threads (DESIGN.md Section 16). An idle
-// ThreadedExecutor thread first spins and yields through the Backoff
-// ladder; once that is exhausted it parks on its Doorbell, a futex word,
-// and every SpscQueue it consumes from rings that doorbell right after a
-// push publishes new items. A parked thread therefore wakes within a futex
-// wake-up of the push instead of at the end of a fixed sleep.
+// ThreadedExecutor thread stays hot for kHotIdle after its last productive
+// Step(), pausing and yielding through the Backoff ladder; only then does it
+// park on its Doorbell, a futex word. Every SpscQueue it consumes from
+// rings that doorbell right after a push publishes new items. Under steady
+// input a node never parks, so a hop costs a cache-line transfer; a node
+// idle for longer than the window wakes within a futex wake-up of the push
+// instead of at the end of a fixed sleep.
 //
-// Idle/wake protocol (a Dekker pairing over two seq_cst fences):
+// Idle/wake protocol (two read-modify-writes on one state word):
 //
-//   consumer (parking)            producer (after its release store)
-//   state_ = kParked              tail_ = t + n
-//   fence(seq_cst)                fence(seq_cst)
-//   Step() once more              if state_ == kParked: wake
-//   futex_wait(state_, kParked)
+//   consumer (parking)              producer (after its release store)
+//   state_.exchange(kParked)        tail_ = t + n
+//   Step() once more                if state_.exchange(kAwake) == kParked:
+//   futex_wait(state_, kParked)       wake
 //
-// Either the consumer's fence comes first in the single total order of
-// seq_cst fences — then the producer's state_ load sees kParked and wakes
-// it — or the producer's does, and the consumer's last Step() sees the
-// pushed items. A push can never land between the last look and the wait
-// unnoticed. ThreadedExecutor::Stop() rings every doorbell after setting
-// its stop flag, and the parking thread checks that flag after its fence,
-// so Stop() pairs the same way. The wait also times out after
-// kParkTimeout: that covers the wake-ups no push signals (output-side
-// backpressure clearing, a registration racing a push — see DoorbellSlot),
-// so a missed wake can never cost more than the timed fallback.
+// Both exchanges are acq_rel RMWs on state_, so they are totally ordered in
+// its modification order. If the ring comes first, the arm reads from it
+// (or from a later RMW of its release sequence) and synchronizes with it,
+// so the consumer's last Step() sees the pushed items. If the arm comes
+// first, the ring reads kParked and wakes the consumer. A push can never
+// land between the last look and the wait unnoticed. Disarm is an RMW too,
+// so it never breaks a ring's release sequence. ThreadedExecutor::Stop()
+// rings every doorbell after setting its stop flag, and the parking thread
+// checks that flag after arming, so Stop() pairs the same way. Unlike a
+// pairing of standalone fences, these RMWs are what ThreadSanitizer models.
+// The wait also times out after kParkTimeout: that covers the wake-ups no
+// push signals (output-side backpressure clearing, a registration racing a
+// push — see DoorbellSlot), so a missed wake can never cost more than the
+// timed fallback.
 //
 // Ownership and lifetime: the ThreadedExecutor owns one Doorbell per thread
 // and keeps it until the executor is destroyed. The thread binds it as its
@@ -58,6 +63,11 @@ namespace sjoin {
 /// fallback, equal to the sleep the Backoff ladder ends in.
 inline constexpr std::chrono::microseconds kParkTimeout = kBackoffSleep;
 
+/// How long an idle executor thread stays hot (pausing and yielding) after
+/// its last productive Step() before it parks. Inputs spaced closer than
+/// this never meet a parked thread; a thread with no input parks within it.
+inline constexpr std::chrono::microseconds kHotIdle{1000};
+
 /// A parking spot for one executor thread. Arm/Disarm/Wait/Release belong
 /// to the owning thread; Ring may be called from any thread.
 class Doorbell {
@@ -74,12 +84,9 @@ class Doorbell {
 
   /// Announces the intent to park. The caller must look for work once more
   /// after this (and Disarm on finding some) before calling Wait.
-  void Arm() {
-    state_.store(kParked, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
+  void Arm() { state_.exchange(kParked, std::memory_order_acq_rel); }
 
-  void Disarm() { state_.store(kAwake, std::memory_order_relaxed); }
+  void Disarm() { state_.exchange(kAwake, std::memory_order_acquire); }
 
   /// Parks until rung or until kParkTimeout passes; leaves the doorbell
   /// disarmed. Returns at once when a ring already disarmed it.
@@ -101,10 +108,8 @@ class Doorbell {
   /// Wakes the owner if it is parked or about to park. Call after the store
   /// that published the work the owner may be waiting for.
   void Ring() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (state_.load(std::memory_order_relaxed) != kParked) return;
     // Only the ringer that disarms pays for the wake system call.
-    if (state_.exchange(kAwake, std::memory_order_relaxed) != kParked) return;
+    if (state_.exchange(kAwake, std::memory_order_acq_rel) != kParked) return;
     wakes_.fetch_add(1, std::memory_order_relaxed);
 #if defined(__linux__)
     syscall(SYS_futex, Word(), FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
@@ -163,8 +168,8 @@ class Doorbell {
 
 /// A ring's link to the doorbell of the thread consuming it.
 ///
-/// Registration is not fenced on the producer side: a producer that finds
-/// no doorbell skips the fence, which keeps pushes into rings no executor
+/// Registration is not paired on the producer side: a producer that finds
+/// no doorbell skips the ring, which keeps pushes into rings no executor
 /// thread consumes (result rings polled by the caller) as cheap as before.
 /// A push racing the consumer's registration can therefore miss its wake;
 /// that happens at most once per registration (the first time a thread

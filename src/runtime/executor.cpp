@@ -1,5 +1,7 @@
 #include "runtime/executor.hpp"
 
+#include <chrono>
+
 #include "common/contracts.hpp"
 #include "runtime/affinity.hpp"
 
@@ -68,7 +70,7 @@ void ThreadedExecutor::Start() {
 void ThreadedExecutor::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stop_.store(true, std::memory_order_release);
-  // Parked threads see the flag through the doorbell's fence pairing.
+  // Parked threads see the flag through the doorbell's RMW pairing.
   for (auto& bell : doorbells_) bell->Ring();
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
@@ -93,22 +95,35 @@ void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
          !stop_.load(std::memory_order_acquire)) {
     barrier_wait.Pause();
   }
+  // Hot window: an idle thread pauses and yields until kHotIdle has passed
+  // since its last productive Step(); the clock is read only while idle.
+  using Clock = std::chrono::steady_clock;
   Backoff backoff;
+  bool idle = false;
+  Clock::time_point park_at;
   while (!stop_.load(std::memory_order_acquire)) {
     if (entry.steppable->Step()) {
       backoff.Reset();
+      idle = false;
       continue;
     }
-    if (!backoff.Exhausted()) {
-      backoff.Pause();
+    const Clock::time_point now = Clock::now();
+    if (!idle) {
+      idle = true;
+      park_at = now + kHotIdle;
+    }
+    if (now < park_at) {
+      backoff.Spin();
       continue;
     }
     // Park: arm the doorbell, then look once more — a push that raced the
-    // arming is seen here or rings the doorbell (runtime/doorbell.hpp).
+    // arming is seen here or rings the doorbell (runtime/doorbell.hpp). A
+    // wake or timeout that finds no work parks again at once.
     bell->Arm();
     if (stop_.load(std::memory_order_acquire) || entry.steppable->Step()) {
       bell->Disarm();
       backoff.Reset();
+      idle = false;
       continue;
     }
     bell->Wait();

@@ -8,10 +8,13 @@
 //    drive nodes in explicit (including adversarial) orders.
 //  * ThreadedExecutor — one thread per steppable, placed via a
 //    PlacementPlan (pipeline positions on neighbouring cores, helpers on
-//    leftover cores — see runtime/placement.hpp). An idle thread spins and
-//    yields through the Backoff ladder, then parks on its futex doorbell
-//    until a push into one of its rings wakes it (runtime/doorbell.hpp).
-//    This is the deployment configuration and what all benchmarks use.
+//    leftover cores — see runtime/placement.hpp). An idle thread stays hot,
+//    pausing and yielding, for kHotIdle after its last productive Step(),
+//    then parks on its futex doorbell until a push into one of its rings
+//    wakes it (runtime/doorbell.hpp). Under steady input no thread parks,
+//    so a downstream node takes a forwarded run without a wake; the price
+//    is up to one CPU per idle thread for the window's length. This is
+//    the deployment configuration and what all benchmarks use.
 //
 // Thread-start protocol (ThreadedExecutor): every thread pins itself, runs
 // its steppable's OnThreadStart() hook, and then waits on a start barrier
@@ -118,7 +121,8 @@ class ThreadedExecutor {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Times this executor's threads have parked on their doorbells so far
-  /// (diagnostics: an idle thread parks once per timed fallback).
+  /// (diagnostics: a thread idle past the hot window parks once per timed
+  /// fallback).
   uint64_t parks() const {
     uint64_t n = 0;
     for (const auto& bell : doorbells_) n += bell->parks();
@@ -131,15 +135,6 @@ class ThreadedExecutor {
     uint64_t n = 0;
     for (const auto& bell : doorbells_) n += bell->wakes();
     return n;
-  }
-
-  /// Rings every thread's doorbell: a parked or parking thread wakes and
-  /// steps; one with nothing to do runs its ladder and parks again. A
-  /// session rings a threaded pipeline this way when it delivers a run
-  /// that every node will see (DESIGN.md Section 16). Call from the thread
-  /// that Start()ed the executor.
-  void RingAll() {
-    for (auto& bell : doorbells_) bell->Ring();
   }
 
   /// The plan threads were placed with (valid after Start()).

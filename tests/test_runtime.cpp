@@ -806,6 +806,50 @@ TEST(Doorbell, PushesIntoParkedRingWakeTheConsumer) {
   EXPECT_LE(wakes, kPushes);
 }
 
+// Pushes spaced well inside the hot window (kHotIdle) find the consumer
+// still spinning, so it parks (almost) never between them. An interval
+// whose push spacing this thread could not keep (it was descheduled past
+// most of the window) is left out of the count.
+TEST(Doorbell, ConsumerStaysHotBetweenCloselySpacedPushes) {
+  constexpr uint64_t kPushes = 200;
+  constexpr int64_t kLateNs =
+      std::chrono::nanoseconds(kHotIdle).count() * 4 / 5;
+  SpscQueue<int64_t> ring(64);
+  StampedSink sink(&ring);
+  ThreadedExecutor exec(Topology::Synthetic(1));
+  exec.Add(&sink);
+  exec.Start();
+  std::mt19937 rng(11);
+  std::uniform_int_distribution<int64_t> gap_ns(100'000, 200'000);
+  int64_t pushed_ns = StampedSink::SteadyNs();
+  ASSERT_TRUE(ring.TryPush(pushed_ns));
+  ASSERT_TRUE(WaitFor([&] { return sink.received.load() == 1; },
+                      std::chrono::seconds(10)));
+  uint64_t counted = 0;
+  uint64_t parks = 0;
+  uint64_t parks_mark = exec.parks();
+  for (uint64_t i = 1; i <= kPushes; ++i) {
+    const int64_t due_ns = pushed_ns + gap_ns(rng);
+    while (StampedSink::SteadyNs() < due_ns) std::this_thread::yield();
+    const int64_t now_ns = StampedSink::SteadyNs();
+    ASSERT_TRUE(ring.TryPush(now_ns));
+    ASSERT_TRUE(WaitFor([&] { return sink.received.load() == i + 1; },
+                        std::chrono::seconds(10)));
+    const uint64_t parks_now = exec.parks();
+    if (now_ns - pushed_ns < kLateNs) {
+      ++counted;
+      parks += parks_now - parks_mark;
+    }
+    parks_mark = parks_now;
+    pushed_ns = now_ns;
+  }
+  exec.Stop();
+  ASSERT_GE(counted, kPushes / 2) << "push spacing not kept";
+  EXPECT_LE(parks, counted / 10)
+      << "consumer parked between pushes " << parks << " times in "
+      << counted << " intervals";
+}
+
 /// Forwards every item of `in` to `out` (the echo half of a ping-pong).
 class Echo : public Steppable {
  public:
@@ -843,9 +887,11 @@ class OrderedSink : public Steppable {
   SpscQueue<uint64_t>* in_;
 };
 
-// Two parked hops per message (caller -> echo thread -> sink thread), with
-// random idle gaps so pushes land at every point of the park protocol:
-// spinning, yielding, arming, parked, timing out.
+// Two hops per message (caller -> echo thread -> sink thread), with random
+// idle gaps so pushes land at every point of the park protocol: spinning,
+// yielding, arming, parked, timing out. Gaps of up to 200 us stay inside
+// the hot window, so about one gap in 16 is longer than it (1.2-2 ms) and
+// lets both threads park.
 TEST(Doorbell, PingPongWithRandomGapsDeliversInOrder) {
   constexpr uint64_t kMessages = 10'000;
   SpscQueue<uint64_t> ping(16);
@@ -858,15 +904,17 @@ TEST(Doorbell, PingPongWithRandomGapsDeliversInOrder) {
   exec.Start();
   std::mt19937 rng(7);
   std::uniform_int_distribution<int> gap_us(0, 200);
+  std::uniform_int_distribution<int> long_gap_us(1200, 2000);
+  std::uniform_int_distribution<int> one_in_16(0, 15);
   for (uint64_t i = 0; i < kMessages; ++i) {
     ASSERT_TRUE(ping.TryPush(i));
     ASSERT_TRUE(WaitFor([&] { return sink.received.load() == i + 1; },
                         std::chrono::seconds(10)))
         << "message " << i << " not delivered (lost wake-up?)";
-    const int gap = gap_us(rng);
+    const int gap = one_in_16(rng) == 0 ? long_gap_us(rng) : gap_us(rng);
     if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
   }
-  // The gaps let both threads park: some pushes must have woken them.
+  // The long gaps let both threads park: some pushes must have woken them.
   EXPECT_GT(exec.wakes(), 0u);
   exec.Stop();
   EXPECT_EQ(sink.received.load(), kMessages);

@@ -277,8 +277,8 @@ TEST(ThreadedPlacement, AllPoliciesProduceIdenticalResults) {
 // A session's engine wake and park counters sum its node threads'
 // doorbells and read 0 without engine threads. A threaded 3-node band
 // session fed one tuple at a time, with every node parked again before the
-// next push, is woken by the pushes (each push rings the whole pipeline)
-// and delivers exactly the reference results.
+// next push, is woken by the pushes (a push rings the entry node, each
+// forward the next node) and delivers exactly the reference results.
 TEST(ThreadedSession, IdlePipelineWokenPushByPushStaysExact) {
   TraceConfig tc;
   tc.events = 150;
