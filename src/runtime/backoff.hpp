@@ -41,24 +41,26 @@ class Backoff {
   }
 
   /// Pause() without the sleep rung: once the pauses are used up, every
-  /// call yields. For executor threads, which bound their idle time with
-  /// a clock and then park on their doorbell instead of sleeping.
+  /// call yields. For executor threads, which bound their idle time
+  /// themselves and then park on their doorbell instead of sleeping.
   void Spin() {
     if (attempt_ < kSpinLimit) {
       CpuRelax();
-      ++attempt_;
     } else {
       std::this_thread::yield();
     }
+    ++attempt_;
   }
 
   void Reset() { attempt_ = 0; }
 
   int attempts() const { return attempt_; }
 
+  /// Attempts that pause or yield before Pause() sleeps.
+  static constexpr int kYieldLimit = 64;
+
  private:
   static constexpr int kSpinLimit = 16;
-  static constexpr int kYieldLimit = 64;
   int attempt_ = 0;
 };
 

@@ -1,7 +1,8 @@
 // Wake-on-push for executor threads (DESIGN.md Section 16). An idle
 // ThreadedExecutor thread stays hot for kHotIdle after its last productive
-// Step(), pausing and yielding through the Backoff ladder; only then does it
-// park on its Doorbell, a futex word. Every SpscQueue it consumes from
+// Step(), pausing and yielding through the Backoff ladder (once through the
+// ladder on an executor with more threads than placed CPUs); only then does
+// it park on its Doorbell, a futex word. Every SpscQueue it consumes from
 // rings that doorbell right after a push publishes new items. Under steady
 // input a node never parks, so a hop costs a cache-line transfer; a node
 // idle for longer than the window wakes within a futex wake-up of the push

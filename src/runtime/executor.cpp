@@ -1,5 +1,6 @@
 #include "runtime/executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/contracts.hpp"
@@ -48,16 +49,27 @@ void ThreadedExecutor::Start() {
   while (doorbells_.size() < count) {
     doorbells_.push_back(std::make_unique<Doorbell>());
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    Entry resolved = entries_[i];
-    if (resolved.cpu_hint < 0) {
-      resolved.cpu_hint = resolved.helper
-                              ? plan_.CpuForHelper(resolved.ordinal)
-                              : plan_.CpuForPosition(resolved.ordinal);
+  std::vector<Entry> resolved = entries_;
+  std::vector<int> cpus;
+  for (Entry& entry : resolved) {
+    if (entry.cpu_hint < 0) {
+      entry.cpu_hint = entry.helper ? plan_.CpuForHelper(entry.ordinal)
+                                    : plan_.CpuForPosition(entry.ordinal);
     }
+    if (entry.cpu_hint >= 0) cpus.push_back(entry.cpu_hint);
+  }
+  // Stay hot only when every thread has a placed CPU of its own: on an
+  // oversubscribed executor a spinning thread takes time from one with
+  // work, so idle threads there park once the Backoff ladder's pause and
+  // yield rungs are used up (DESIGN.md Section 16).
+  std::sort(cpus.begin(), cpus.end());
+  const auto placed = static_cast<std::size_t>(
+      std::unique(cpus.begin(), cpus.end()) - cpus.begin());
+  hot_ = count <= placed;
+  for (std::size_t i = 0; i < count; ++i) {
     Doorbell* bell = doorbells_[i].get();
-    threads_.emplace_back([this, resolved, bell, count] {
-      ThreadMain(resolved, bell, count);
+    threads_.emplace_back([this, entry = resolved[i], bell, count] {
+      ThreadMain(entry, bell, count);
     });
   }
   // Start barrier, caller side: once this clears, every thread has pinned
@@ -97,6 +109,7 @@ void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
   }
   // Hot window: an idle thread pauses and yields until kHotIdle has passed
   // since its last productive Step(); the clock is read only while idle.
+  // Without a CPU of its own it spins through the ladder's rungs once.
   using Clock = std::chrono::steady_clock;
   Backoff backoff;
   bool idle = false;
@@ -107,12 +120,17 @@ void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
       idle = false;
       continue;
     }
-    const Clock::time_point now = Clock::now();
-    if (!idle) {
-      idle = true;
-      park_at = now + kHotIdle;
-    }
-    if (now < park_at) {
+    if (hot_) {
+      const Clock::time_point now = Clock::now();
+      if (!idle) {
+        idle = true;
+        park_at = now + kHotIdle;
+      }
+      if (now < park_at) {
+        backoff.Spin();
+        continue;
+      }
+    } else if (backoff.attempts() < Backoff::kYieldLimit) {
       backoff.Spin();
       continue;
     }

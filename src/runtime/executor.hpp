@@ -13,8 +13,10 @@
 //    then parks on its futex doorbell until a push into one of its rings
 //    wakes it (runtime/doorbell.hpp). Under steady input no thread parks,
 //    so a downstream node takes a forwarded run without a wake; the price
-//    is up to one CPU per idle thread for the window's length. This is
-//    the deployment configuration and what all benchmarks use.
+//    is up to one CPU per idle thread for the window's length. On an
+//    executor with more threads than placed CPUs an idle thread parks once
+//    the Backoff ladder's pause and yield rungs are used up. This is the
+//    deployment configuration and what all benchmarks use.
 //
 // Thread-start protocol (ThreadedExecutor): every thread pins itself, runs
 // its steppable's OnThreadStart() hook, and then waits on a start barrier
@@ -137,6 +139,10 @@ class ThreadedExecutor {
     return n;
   }
 
+  /// Whether idle threads stay hot for kHotIdle before they park (valid
+  /// after Start()): true when every thread has a placed CPU of its own.
+  bool hot() const { return hot_; }
+
   /// The plan threads were placed with (valid after Start()).
   const PlacementPlan& plan() const { return plan_; }
 
@@ -159,6 +165,7 @@ class ThreadedExecutor {
   int helpers_ = 0;
   std::vector<Entry> entries_;
   std::vector<std::thread> threads_;
+  bool hot_ = true;
   // One per entry, alive until the executor is destroyed: a producer may
   // still hold a doorbell pointer it loaded just before the thread exited.
   std::vector<std::unique_ptr<Doorbell>> doorbells_;

@@ -724,6 +724,26 @@ TEST(ThreadedExecutor, IdleSteppableBacksOffWithoutSpinningHot) {
   SUCCEED();
 }
 
+// Idle threads stay hot only when each has a placed CPU of its own.
+TEST(ThreadedExecutor, StaysHotOnlyWithACpuPerThread) {
+  class Idle : public Steppable {
+   public:
+    bool Step() override { return false; }
+  } a, b;
+  ThreadedExecutor fits(Topology::Synthetic(2));
+  fits.Add(&a);
+  fits.Add(&b);
+  fits.Start();
+  EXPECT_TRUE(fits.hot());
+  fits.Stop();
+  ThreadedExecutor oversubscribed(Topology::Synthetic(1));
+  oversubscribed.Add(&a);
+  oversubscribed.Add(&b);
+  oversubscribed.Start();
+  EXPECT_FALSE(oversubscribed.hot());
+  oversubscribed.Stop();
+}
+
 // -- Doorbells: wake-on-push for parked executor threads ----------------------
 
 /// Drains a ring on an executor thread, recording when each item arrived.
