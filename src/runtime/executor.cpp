@@ -112,20 +112,15 @@ void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
   // Without a CPU of its own it spins through the ladder's rungs once.
   using Clock = std::chrono::steady_clock;
   Backoff backoff;
-  bool idle = false;
-  Clock::time_point park_at;
+  Clock::time_point park_at{};
   while (!stop_.load(std::memory_order_acquire)) {
     if (entry.steppable->Step()) {
       backoff.Reset();
-      idle = false;
       continue;
     }
     if (hot_) {
       const Clock::time_point now = Clock::now();
-      if (!idle) {
-        idle = true;
-        park_at = now + kHotIdle;
-      }
+      if (backoff.attempts() == 0) park_at = now + kHotIdle;  // just idle
       if (now < park_at) {
         backoff.Spin();
         continue;
@@ -141,7 +136,6 @@ void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
     if (stop_.load(std::memory_order_acquire) || entry.steppable->Step()) {
       bell->Disarm();
       backoff.Reset();
-      idle = false;
       continue;
     }
     bell->Wait();

@@ -829,16 +829,21 @@ TEST(Doorbell, PushesIntoParkedRingWakeTheConsumer) {
 // Pushes spaced well inside the hot window (kHotIdle) find the consumer
 // still spinning, so it parks (almost) never between them. An interval
 // whose push spacing this thread could not keep (it was descheduled past
-// most of the window) is left out of the count.
+// most of the window) is left out of the count, and pushing goes on until
+// kIntervals intervals were kept. The consumer is pinned to the last CPU,
+// away from the first CPUs the other threaded tests' plans fill.
 TEST(Doorbell, ConsumerStaysHotBetweenCloselySpacedPushes) {
-  constexpr uint64_t kPushes = 200;
+  constexpr uint64_t kIntervals = 200;
+  constexpr uint64_t kMaxPushes = 20 * kIntervals;
   constexpr int64_t kLateNs =
       std::chrono::nanoseconds(kHotIdle).count() * 4 / 5;
   SpscQueue<int64_t> ring(64);
   StampedSink sink(&ring);
-  ThreadedExecutor exec(Topology::Synthetic(1));
-  exec.Add(&sink);
+  const Topology topology = Topology::Detect();
+  ThreadedExecutor exec(topology);
+  exec.Add(&sink, topology.cpus().back());
   exec.Start();
+  ASSERT_TRUE(exec.hot());
   std::mt19937 rng(11);
   std::uniform_int_distribution<int64_t> gap_ns(100'000, 200'000);
   int64_t pushed_ns = StampedSink::SteadyNs();
@@ -848,7 +853,7 @@ TEST(Doorbell, ConsumerStaysHotBetweenCloselySpacedPushes) {
   uint64_t counted = 0;
   uint64_t parks = 0;
   uint64_t parks_mark = exec.parks();
-  for (uint64_t i = 1; i <= kPushes; ++i) {
+  for (uint64_t i = 1; counted < kIntervals && i <= kMaxPushes; ++i) {
     const int64_t due_ns = pushed_ns + gap_ns(rng);
     while (StampedSink::SteadyNs() < due_ns) std::this_thread::yield();
     const int64_t now_ns = StampedSink::SteadyNs();
@@ -864,7 +869,7 @@ TEST(Doorbell, ConsumerStaysHotBetweenCloselySpacedPushes) {
     pushed_ns = now_ns;
   }
   exec.Stop();
-  ASSERT_GE(counted, kPushes / 2) << "push spacing not kept";
+  ASSERT_EQ(counted, kIntervals) << "push spacing not kept";
   EXPECT_LE(parks, counted / 10)
       << "consumer parked between pushes " << parks << " times in "
       << counted << " intervals";
