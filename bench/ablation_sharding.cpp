@@ -1,8 +1,8 @@
 // Ablation: sharded multi-pipeline scale-out (DESIGN.md Section 13). The
 // same equi workload runs through a JoinSession at 1, 2 and 4
 // shards, hash-partitioned on the join key. EquiPredicate declares its
-// join keys, so every shard probes a hash index: a probe visits only its
-// key's candidates, which all sit on one shard, and the non-threaded
+// join key with radius 0, so every shard probes a key index: a probe visits
+// only its key's candidates, which all sit on one shard, and the non-threaded
 // default shows no algorithmic speedup from sharding (the rows recorded
 // before the index show the scan-work cut of the scan store). Add
 // --threaded=1 to run the shards in parallel, and on a multi-socket

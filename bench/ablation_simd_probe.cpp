@@ -12,12 +12,7 @@
 //                (band_entry_i32 + band_entry_f32 kernels);
 //   band_probe — S probes the R window; band bounds hoisted per PROBE
 //                (range_i32 + range_f32 kernels);
-//   equi       — key equality sweep (eq_i32 kernel);
-//   equi_hash  — the lane-grouped HashStore's batched probe (group-equality
-//                kernels, DESIGN.md Section 15) vs the retained chain-walk
-//                baseline, on churned windows; rows carry speedup_vs_chain
-//                and --require_hash_speedup gates it (acceptance: >= 2x at
-//                AVX2).
+//   equi       — key equality sweep (eq_i32 kernel).
 //
 // Every supported dispatch level (scalar -> sse2 -> avx2) runs the same
 // sweep; the per-level result multisets are asserted identical in-bench
@@ -27,9 +22,7 @@
 // --require_speedup=N exits nonzero if the best SIMD level fails to reach
 // N x scalar (acceptance runs; CI smoke leaves it off — shared runners).
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -50,7 +43,6 @@ struct Config {
   int64_t key_domain = kPaperKeyDomain;
   uint64_t seed = 42;
   double require_speedup = 0.0;
-  double require_hash_speedup = 0.0;
 };
 
 /// A 64-bit order-insensitive fingerprint of the emitted (probe, query,
@@ -177,234 +169,6 @@ double RunShape(const char* shape, const Store& store,
   return best_speedup;
 }
 
-/// Equi hash-probe ablation: the lane-grouped HashStore's batched probe
-/// (gather keys -> prefetch home groups -> 8-lane group-equality scans ->
-/// Seq-sorted emission) against the retained chain-walk baseline
-/// (ChainHashStore: one dependent pointer chase per duplicate). Both stores
-/// are built with identical CHURNED contents — insert W, then expire/insert
-/// 3W more in FIFO order so chain slots recycle through the free list, the
-/// steady-state window shape — and identical probe runs. The chain walk is
-/// scalar by construction (no kernels on its path). Each grouped dispatch
-/// level is measured PAIRED against the chain — alternating short chain /
-/// grouped slices, taking the median per-pair ratio — because on a shared
-/// host steal bursts last whole seconds and would otherwise land on one
-/// side of the division; adjacent slices are perturbed alike, so the pair
-/// ratio holds. Result multisets asserted identical to the chain's.
-/// Returns the best grouped speedup over the chain walk.
-/// Hash-shape measurement: unlike the scan shapes (fixed probes — the
-/// window IS the working set), hash probes touch only their candidates, so
-/// a fixed probe batch would leave every candidate slot L1-warm after one
-/// sweep and the measurement would reward nothing but instruction count.
-/// Pipeline probes arrive once each; to reproduce that cache behavior the
-/// timed loop rotates through a pool of probe batches large enough that a
-/// batch's candidates have been evicted by the time it comes around again.
-
-/// One full-pool pass at `level`, accumulating the order-insensitive
-/// result signature (the cross-store identity check).
-template <typename Store>
-ResultSig FingerprintHash(SimdLevel level, const Store& store,
-                          const QuerySet<EquiPredicate>& queries,
-                          const std::vector<Stamped<RTuple>>& pool,
-                          std::size_t batch) {
-  OverrideSimdLevel(level);
-  ResultSig sig;
-  for (std::size_t base = 0; base < pool.size(); base += batch) {
-    store.template MatchBatch<true>(
-        queries, pool.data() + base, std::min(batch, pool.size() - base),
-        [&](std::size_t j, QueryId q, const auto& entry) {
-          sig.hash ^= MixTriple(base + j, q, entry.tuple.seq);
-          ++sig.count;
-        });
-  }
-  ClearSimdLevelOverride();
-  return sig;
-}
-
-struct SliceStats {
-  uint64_t sweeps = 0;
-  double wall_s = 0.0;
-  double Rate() const {
-    return wall_s <= 0 ? 0.0 : static_cast<double>(sweeps) / wall_s;
-  }
-};
-
-/// One timed slice over the rotating probe pool. `cursor` persists across
-/// slices so consecutive slices keep advancing through the pool instead of
-/// re-touching the batches the previous slice just warmed.
-template <typename Store>
-SliceStats TimedHashSlice(const Store& store,
-                          const QuerySet<EquiPredicate>& queries,
-                          const std::vector<Stamped<RTuple>>& pool,
-                          std::size_t batch, int64_t slice_ns,
-                          std::size_t* cursor) {
-  SliceStats s;
-  uint64_t sink = 0;
-  const int64_t start = NowNs();
-  const int64_t deadline = start + slice_ns;
-  while (NowNs() < deadline) {
-    store.template MatchBatch<true>(
-        queries, pool.data() + *cursor, batch,
-        [&](std::size_t j, QueryId q, const auto& entry) {
-          sink += j + q + static_cast<uint64_t>(entry.tuple.seq & 1);
-        });
-    *cursor += batch;
-    if (*cursor + batch > pool.size()) *cursor = 0;
-    ++s.sweeps;
-  }
-  if (sink == 0xdeadbeef) std::printf("(unreachable)\n");  // keep `sink` live
-  s.wall_s = NsToSec(NowNs() - start);
-  return s;
-}
-
-double RunEquiHash(const Config& c, JsonEmitter* json) {
-  Rng rng(c.seed + 1);
-  HashStore<STuple, SKey, RKey> grouped;
-  ChainHashStore<STuple, SKey, RKey> chain;
-  // 4x the scan window (an index probe does per-candidate work, not
-  // per-entry, so the store must be big enough that candidates are not
-  // cache-resident), ~16 duplicates per key: long enough runs that the
-  // probe path (not the hash) dominates, matching the paper's equi skew.
-  const int64_t window = 4 * c.window;
-  const int64_t domain = std::max<int64_t>(1, window / 16);
-  Seq next_seq = 0;
-  Seq expire = 0;
-  const auto push = [&] {
-    const Stamped<STuple> t{MakeBandS(rng, domain), next_seq, 0, 0};
-    grouped.Insert(t, false);
-    chain.Insert(t, false);
-    ++next_seq;
-  };
-  for (int64_t i = 0; i < window; ++i) push();
-  for (int64_t i = 0; i < 2 * window; ++i) {
-    grouped.EraseSeq(expire);
-    chain.EraseSeq(expire);
-    ++expire;
-    push();
-  }
-  // Probe at the store's designed chunk width (HashStore::MatchBatch
-  // pipelines candidate collection across 32-probe chunks): 4 arrival runs
-  // of c.probes handed to one batched call, the shape the sharded driver
-  // produces under load.
-  const std::size_t batch = static_cast<std::size_t>(4 * c.probes);
-  std::vector<Stamped<RTuple>> pool;
-  for (std::size_t j = 0; j < 512 * batch; ++j) {
-    pool.push_back(Stamped<RTuple>{MakeBandR(rng, domain),
-                                   static_cast<Seq>(j), 0, 0});
-  }
-  QuerySet<EquiPredicate> queries{EquiPredicate{}};
-
-  const ResultSig base_sig =
-      FingerprintHash(SimdLevel::kScalar, chain, queries, pool, batch);
-  const int64_t slice_ns = static_cast<int64_t>(c.duration * 1e9 / 3.0);
-  constexpr int kRounds = 5;
-  const auto evals_per_sec = [&](const SliceStats& s, std::size_t sz) {
-    return static_cast<double>(sz) * static_cast<double>(batch) *
-           static_cast<double>(queries.size()) * s.Rate();
-  };
-
-  // Each level: kRounds adjacent chain/grouped slice pairs; the median
-  // pair ratio is the level's speedup over the chain walk. The best chain
-  // slice seen anywhere becomes the reported baseline row.
-  std::size_t chain_cursor = 0;
-  SliceStats chain_best;
-  double grouped_scalar = 0.0;
-  double best = 0.0;
-  struct LevelRow {
-    SimdLevel level;
-    SliceStats slice;
-    double vs_chain = 0.0;
-  };
-  std::vector<LevelRow> rows;
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const ResultSig sig =
-        FingerprintHash(level, grouped, queries, pool, batch);
-    if (!(sig == base_sig)) {
-      std::printf("ERROR: equi_hash result set differs between the chain "
-                  "baseline and grouped/%s (count %llu vs %llu, hash "
-                  "%016llx vs %016llx)\n",
-                  ToString(level),
-                  static_cast<unsigned long long>(base_sig.count),
-                  static_cast<unsigned long long>(sig.count),
-                  static_cast<unsigned long long>(base_sig.hash),
-                  static_cast<unsigned long long>(sig.hash));
-      std::exit(1);
-    }
-    std::size_t cursor = 0;
-    LevelRow row;
-    row.level = level;
-    std::array<double, kRounds> ratios{};
-    for (int r = 0; r < kRounds; ++r) {
-      const SliceStats cs =
-          TimedHashSlice(chain, queries, pool, batch, slice_ns,
-                         &chain_cursor);
-      if (cs.Rate() > chain_best.Rate()) chain_best = cs;
-      OverrideSimdLevel(level);
-      const SliceStats gs =
-          TimedHashSlice(grouped, queries, pool, batch, slice_ns, &cursor);
-      ClearSimdLevelOverride();
-      if (gs.Rate() > row.slice.Rate()) row.slice = gs;
-      ratios[static_cast<std::size_t>(r)] =
-          cs.Rate() <= 0 ? 0.0 : gs.Rate() / cs.Rate();
-    }
-    std::sort(ratios.begin(), ratios.end());
-    row.vs_chain = ratios[kRounds / 2];
-    if (level == SimdLevel::kScalar) {
-      grouped_scalar = evals_per_sec(row.slice, grouped.size());
-    }
-    if (row.vs_chain > best) best = row.vs_chain;
-    rows.push_back(row);
-  }
-
-  std::printf("  %-10s  %-7s  %12s  %10s  %14s  %8s\n", "shape", "level",
-              "sweeps", "matches", "evals/s", "vs_chain");
-  std::printf("  %-10s  %-7s  %12llu  %10llu  %14.3e  %7.2fx\n", "equi_hash",
-              "chain", static_cast<unsigned long long>(chain_best.sweeps),
-              static_cast<unsigned long long>(base_sig.count),
-              evals_per_sec(chain_best, chain.size()), 1.0);
-  JsonRow base_row;
-  base_row.Str("shape", "equi_hash")
-      .Str("level", "chain")
-      .Str("detected", ToString(DetectedSimdLevel()))
-      .Int("window", static_cast<int64_t>(chain.size()))
-      .Int("probes", static_cast<int64_t>(batch))
-      .Int("queries", static_cast<int64_t>(queries.size()))
-      .Int("sweeps", static_cast<int64_t>(chain_best.sweeps))
-      .Num("wall_s", chain_best.wall_s)
-      .Num("evals_per_sec", evals_per_sec(chain_best, chain.size()))
-      .Int("matches_per_sweep", static_cast<int64_t>(base_sig.count))
-      .Num("speedup_vs_chain", 1.0)
-      .Int("results_equal", 1);
-  json->Emit(base_row);
-
-  for (const LevelRow& row : rows) {
-    const double eps = evals_per_sec(row.slice, grouped.size());
-    const double vs_scalar = grouped_scalar <= 0 ? 0.0 : eps / grouped_scalar;
-    std::printf("  %-10s  %-7s  %12llu  %10llu  %14.3e  %7.2fx\n",
-                "equi_hash", ToString(row.level),
-                static_cast<unsigned long long>(row.slice.sweeps),
-                static_cast<unsigned long long>(base_sig.count), eps,
-                row.vs_chain);
-    JsonRow out;
-    out.Str("shape", "equi_hash")
-        .Str("level", ToString(row.level))
-        .Str("detected", ToString(DetectedSimdLevel()))
-        .Int("window", static_cast<int64_t>(grouped.size()))
-        .Int("probes", static_cast<int64_t>(batch))
-        .Int("queries", static_cast<int64_t>(queries.size()))
-        .Int("sweeps", static_cast<int64_t>(row.slice.sweeps))
-        .Num("wall_s", row.slice.wall_s)
-        .Num("evals_per_sec", eps)
-        .Int("matches_per_sweep", static_cast<int64_t>(base_sig.count))
-        .Num("speedup_vs_scalar", vs_scalar)
-        .Num("speedup_vs_chain", row.vs_chain)
-        .Str("slab_backing", ToString(grouped.slab_backing()))
-        .Int("results_equal", 1);
-    json->Emit(out);
-  }
-  std::printf("\n");
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -417,7 +181,6 @@ int main(int argc, char** argv) {
   c.key_domain = flags.Int("domain", c.key_domain);
   c.seed = static_cast<uint64_t>(flags.Int("seed", 42));
   c.require_speedup = flags.Double("require_speedup", 0.0);
-  c.require_hash_speedup = flags.Double("require_hash_speedup", 0.0);
 
   PrintHeader("ablation_simd_probe — packed scan-probe kernels vs "
               "forced-scalar",
@@ -469,7 +232,6 @@ int main(int argc, char** argv) {
                                         probe_s, c, &json));
   best = std::max(best, RunShape<true>("equi", ws, equi_queries, probe_r, c,
                                        &json));
-  const double hash_best = RunEquiHash(c, &json);
 
   if (c.require_speedup > 0 && DetectedSimdLevel() > SimdLevel::kScalar &&
       best < c.require_speedup) {
@@ -477,15 +239,6 @@ int main(int argc, char** argv) {
                 c.require_speedup);
     return 1;
   }
-  if (c.require_hash_speedup > 0 &&
-      DetectedSimdLevel() >= SimdLevel::kAvx2 &&
-      hash_best < c.require_hash_speedup) {
-    std::printf("ERROR: grouped equi-probe speedup %.2fx over the chain walk "
-                "below required %.2fx\n",
-                hash_best, c.require_hash_speedup);
-    return 1;
-  }
   std::printf("best SIMD speedup vs forced-scalar: %.2fx\n", best);
-  std::printf("grouped equi-probe speedup vs chain walk: %.2fx\n", hash_best);
   return 0;
 }

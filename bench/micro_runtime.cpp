@@ -1,6 +1,6 @@
 // Microbenchmarks of the runtime substrate (google-benchmark): FIFO channel
 // operations (the paper cites sub-microsecond core-to-core hops [4]),
-// window scans, hash-index probes, and store maintenance.
+// window scans, equi-index probes, and store maintenance.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "common/schema.hpp"
 #include "common/seq_ring.hpp"
+#include "llhj/band_store.hpp"
 #include "llhj/store.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/spsc_queue.hpp"
@@ -260,26 +261,30 @@ void BM_WindowScanBand(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowScanBand)->Arg(1024)->Arg(16384)->Arg(131072);
 
-void BM_HashProbeEqui(benchmark::State& state) {
+/// The equi-join index: an S window in the radius-0 BandStore, one key
+/// bucket per probe.
+using EquiBandS = BandStore<RTuple, STuple, EquiPredicate, StreamSide::kS>;
+
+void BM_EquiBandProbe(benchmark::State& state) {
   const int64_t window = state.range(0);
   Rng rng(1);
-  HashStore<STuple, SKey, RKey> store;
+  const QuerySet<EquiPredicate> queries{EquiPredicate{}};
+  EquiBandS store(queries);
   for (int64_t i = 0; i < window; ++i) {
     Stamped<STuple> s{MakeBandS(rng), static_cast<Seq>(i), 0, 0};
     store.Insert(s, false);
   }
-  EquiPredicate pred;
-  RTuple r = MakeBandR(rng);
+  const Stamped<RTuple> r{MakeBandR(rng), 0, 0, 0};
   uint64_t matches = 0;
   for (auto _ : state) {
-    store.ForEach(r, [&](const StoreEntry<STuple>& e) {
-      matches += pred(r, e.tuple.value) ? 1 : 0;
-    });
+    store.MatchBatch<true>(
+        queries, &r, 1,
+        [&](std::size_t, QueryId, const StoreEntry<STuple>&) { ++matches; });
     benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashProbeEqui)->Arg(16384)->Arg(131072);
+BENCHMARK(BM_EquiBandProbe)->Arg(16384)->Arg(131072);
 
 void BM_StoreInsertEraseCycle(benchmark::State& state) {
   Rng rng(1);
@@ -297,9 +302,9 @@ void BM_StoreInsertEraseCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreInsertEraseCycle);
 
-void BM_HashStoreInsertEraseCycle(benchmark::State& state) {
+void BM_EquiBandInsertEraseCycle(benchmark::State& state) {
   Rng rng(1);
-  HashStore<STuple, SKey, RKey> store;
+  EquiBandS store(QuerySet<EquiPredicate>{EquiPredicate{}});
   Seq seq = 0;
   for (int i = 0; i < 1024; ++i) {
     store.Insert(Stamped<STuple>{MakeBandS(rng), seq++, 0, 0}, false);
@@ -311,7 +316,7 @@ void BM_HashStoreInsertEraseCycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashStoreInsertEraseCycle);
+BENCHMARK(BM_EquiBandInsertEraseCycle);
 
 // Steady-state LLHJ home-node maintenance: each cycle is one arrival
 // (insert expedited), one expedition-end (clear, `lag` entries behind the

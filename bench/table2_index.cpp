@@ -1,10 +1,13 @@
 // Table 2 — throughput with node-local index acceleration (paper Section
-// 7.6). The join predicate is changed to the equi-join variant so
-// hash-based processing applies; three configurations are compared:
+// 7.6). The join predicate is changed to the equi-join variant so a
+// key index applies; three configurations are compared:
 //
 //       handshake join            (scan)      paper:   5,125 tuples/s
 //       low-latency handshake     (scan)      paper:   5,117 tuples/s
-//       low-latency + hash index              paper: 225,234 tuples/s
+//       low-latency + key index               paper: 225,234 tuples/s
+//
+// The paper's index is a hash index. Here it is the key-bucketed store at
+// radius 0 (llhj/band_store.hpp): one bucket per key, found by hash.
 //
 // Expected shape: the two scan variants are nearly identical; the indexed
 // variant is more than an order of magnitude faster (the paper's 44x is on
@@ -16,9 +19,9 @@
 using namespace sjoin;
 using namespace sjoin::bench;
 
-// The scan rows: the paper's predicates under types that declare no key
-// traits (ShardKeyTraits, RangeKeyTraits), so the session keeps its windows
-// in scan stores. They keep the originals' SIMD probe mappings.
+// The scan rows: the paper's predicates under types that declare no join
+// key (JoinKeyTraits), so the session keeps its windows in scan stores.
+// They keep the originals' SIMD probe mappings.
 struct ScanEqui : EquiPredicate {};
 struct ScanBand : BandPredicate {};
 
@@ -87,7 +90,7 @@ int main(int argc, char** argv) {
               llhj_tput);
   const double idx_tput = Tput(Algorithm::kLowLatency, EquiPredicate{},
                                nodes, workload, batch, duration);
-  std::printf("%-42s %18.0f\n", "low-latency handshake join with index",
+  std::printf("%-42s %18.0f\n", "low-latency handshake join with key index",
               idx_tput);
 
   std::printf("\nspeedup index vs scan-llhj: %.1fx (paper: %.1fx on 40 "

@@ -1,8 +1,8 @@
 // Sensor fusion: equi-join of two sensor streams (temperature and smoke
 // level) on zone id over count-based windows. The predicate declares its
-// join keys (ShardKeyTraits), so the session runs the hash-index
-// accelerated LLHJ pipeline (paper Section 7.6 / Table 2 — the "looking
-// forward: index acceleration" configuration).
+// join key with radius 0 (JoinKeyTraits), so the session runs the
+// index-accelerated LLHJ pipeline, one key bucket per zone (paper Section
+// 7.6 / Table 2 — the "looking forward: index acceleration" configuration).
 //
 // Readings arrive in groups of 64 per sensor, pushed as spans: the paper's
 // driver batch (Section 7.3).
@@ -42,14 +42,11 @@ struct FireRisk {
 /// FireRisk only matches readings of equal zones: the zone is its join key.
 namespace sjoin {
 template <>
-struct ShardKeyTraits<FireRisk, TempReading, SmokeReading> {
+struct JoinKeyTraits<FireRisk, TempReading, SmokeReading> {
   static constexpr bool kEnabled = true;
-  static uint64_t KeyR(const TempReading& t) {
-    return static_cast<uint64_t>(t.zone);
-  }
-  static uint64_t KeyS(const SmokeReading& s) {
-    return static_cast<uint64_t>(s.zone);
-  }
+  static constexpr int64_t kRadius = 0;
+  static int64_t KeyR(const TempReading& t) { return t.zone; }
+  static int64_t KeyS(const SmokeReading& s) { return s.zone; }
 };
 }  // namespace sjoin
 

@@ -20,6 +20,36 @@
 
 namespace sjoin {
 
+/// Declares a join key on a predicate type: KeyR/KeyS extract one int64 key
+/// per side, and every matching pair lies within a key radius,
+///
+///   pred(r, s)  implies  |KeyR(r) - KeyS(s)| <= radius.
+///
+/// An equi type declares the radius as the type constant
+/// `static constexpr int64_t kRadius = 0`: matching pairs have equal keys,
+/// so both sides can be hash-partitioned on them (stream/partitioner.hpp).
+/// A band type declares it per instance, `static int64_t Radius(const
+/// Pred&)`. Either way, an LLHJ session keeps its windows in key-bucketed
+/// BandStores (llhj/band_store.hpp). The equi decision is a compile-time
+/// one, because a query added to a running session cannot re-partition it.
+/// The primary template is disabled; specialize it for every keyed
+/// predicate type.
+template <typename Pred, typename R, typename S>
+struct JoinKeyTraits {
+  static constexpr bool kEnabled = false;
+};
+
+/// True when Pred declares its key with the type constant radius 0.
+template <typename Pred, typename R, typename S>
+constexpr bool IsEquiKey() {
+  using Traits = JoinKeyTraits<Pred, R, S>;
+  if constexpr (requires { Traits::kRadius; }) {
+    return Traits::kRadius == 0;
+  } else {
+    return false;
+  }
+}
+
 /// Paper benchmark stream R: 〈x:int, y:float, z:char[20]〉.
 struct RTuple {
   int32_t x = 0;
@@ -53,12 +83,25 @@ struct EquiPredicate {
   }
 };
 
-/// Key extractors for hash-index acceleration of the equi-join.
-struct RKey {
-  int64_t operator()(const RTuple& r) const { return r.x; }
+/// The equi-join's key: r.x == s.a, radius 0.
+template <>
+struct JoinKeyTraits<EquiPredicate, RTuple, STuple> {
+  static constexpr bool kEnabled = true;
+  static constexpr int64_t kRadius = 0;
+  static int64_t KeyR(const RTuple& r) { return r.x; }
+  static int64_t KeyS(const STuple& s) { return s.a; }
 };
-struct SKey {
-  int64_t operator()(const STuple& s) const { return s.a; }
+
+/// The band predicate's key: r.x within s.a +- x_band (the y/b band is
+/// left to the predicate). The contract is only guaranteed for keys at
+/// least x_band away from INT32_MIN/INT32_MAX: nearer, the predicate's
+/// int32 bounds overflow.
+template <>
+struct JoinKeyTraits<BandPredicate, RTuple, STuple> {
+  static constexpr bool kEnabled = true;
+  static int64_t KeyR(const RTuple& r) { return r.x; }
+  static int64_t KeyS(const STuple& s) { return s.a; }
+  static int64_t Radius(const BandPredicate& p) { return p.x_band; }
 };
 
 static_assert(sizeof(RTuple) == 28 || sizeof(RTuple) == 32,

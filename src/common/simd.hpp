@@ -8,8 +8,7 @@
 //
 //  * Mask kernels — packed-compare primitives (int32 range, float32
 //    range, int32 entry-side band, float32 entry-side band, int32/uint64
-//    equality, and int32/int64 grouped equality for the lane-grouped hash
-//    store) that each sweep one contiguous key lane and produce a match
+//    equality) that each sweep one contiguous key lane and produce a match
 //    BITMASK (bit i set iff lane i satisfies the predicate term). A full
 //    predicate is evaluated as one or two kernel sweeps whose masks are
 //    ANDed; result emission walks the set bits. Every kernel performs
@@ -288,41 +287,6 @@ inline void EqMaskU64Scalar(const uint64_t* v, std::size_t n, uint64_t key,
   }
 }
 
-// -- Grouped equality (lane-grouped hash store probe) ------------------------
-//
-// The grouped hash store (llhj/group_table.hpp) keeps keys in groups of 8
-// contiguous lanes with one occupancy byte per group: bit b of full[g] is
-// set iff lane 8*g+b holds a live key (empty and tombstoned lanes are
-// clear). These kernels sweep such a lane array and set mask bit i iff
-// keys[i] == key AND lane i is live — one packed compare plus one byte AND
-// per group. Same masked-tail contract as every other kernel: bits >= n are
-// zero and dead-lane key bytes never influence the result (they may hold
-// stale values).
-
-inline constexpr std::size_t kGroupLanes = 8;
-
-/// bit i <=> keys[i] == key && full[i/8] has bit i%8 set  (int64 keys).
-inline void EqGroupsI64Scalar(const int64_t* keys, const uint8_t* full,
-                              std::size_t n, int64_t key, uint64_t* mask) {
-  ZeroMask(mask, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-/// bit i <=> keys[i] == key && full[i/8] has bit i%8 set  (int32 keys).
-inline void EqGroupsI32Scalar(const int32_t* keys, const uint8_t* full,
-                              std::size_t n, int32_t key, uint64_t* mask) {
-  ZeroMask(mask, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
 #if SJOIN_SIMD_X86
 
 // -- SSE2 (4-wide) -----------------------------------------------------------
@@ -460,63 +424,6 @@ __attribute__((target("sse2"))) inline void EqMaskU64Sse2(const uint64_t* v,
   }
 }
 
-__attribute__((target("sse2"))) inline void EqGroupsI64Sse2(
-    const int64_t* keys, const uint8_t* full, std::size_t n, int64_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m128i vkey = _mm_set1_epi64x(static_cast<long long>(key));
-  std::size_t i = 0;
-  // Whole groups: i stays 8-aligned, so the 8 result bits never straddle a
-  // mask word. Four 2-lane compares per group (64-bit eq via the 32-bit
-  // half-compare trick, as in EqMaskU64Sse2).
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    uint32_t bits = 0;
-    for (std::size_t q = 0; q < 4; ++q) {
-      const __m128i x = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(keys + i + 2 * q));
-      const __m128i eq32 = _mm_cmpeq_epi32(x, vkey);
-      const __m128i eq64 = _mm_and_si128(
-          eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-      bits |= static_cast<uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(eq64)))
-              << (2 * q);
-    }
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-__attribute__((target("sse2"))) inline void EqGroupsI32Sse2(
-    const int32_t* keys, const uint8_t* full, std::size_t n, int32_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m128i vkey = _mm_set1_epi32(key);
-  std::size_t i = 0;
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    const __m128i lo = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(keys + i));
-    const __m128i hi = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(keys + i + 4));
-    uint32_t bits =
-        static_cast<uint32_t>(
-            _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lo, vkey)))) |
-        (static_cast<uint32_t>(_mm_movemask_ps(
-             _mm_castsi128_ps(_mm_cmpeq_epi32(hi, vkey))))
-         << 4);
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
 // -- AVX2 (8-wide) -----------------------------------------------------------
 
 __attribute__((target("avx2"))) inline void RangeMaskI32Avx2(
@@ -647,54 +554,6 @@ __attribute__((target("avx2"))) inline void EqMaskU64Avx2(const uint64_t* v,
   }
 }
 
-__attribute__((target("avx2"))) inline void EqGroupsI64Avx2(
-    const int64_t* keys, const uint8_t* full, std::size_t n, int64_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(key));
-  std::size_t i = 0;
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i + 4));
-    uint32_t bits =
-        static_cast<uint32_t>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(lo, vkey)))) |
-        (static_cast<uint32_t>(_mm256_movemask_pd(
-             _mm256_castsi256_pd(_mm256_cmpeq_epi64(hi, vkey))))
-         << 4);
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) inline void EqGroupsI32Avx2(
-    const int32_t* keys, const uint8_t* full, std::size_t n, int32_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m256i vkey = _mm256_set1_epi32(key);
-  std::size_t i = 0;
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    uint32_t bits = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(x, vkey))));
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
 // -- AVX-512 (16-wide i32 / 8-wide i64, native mask registers) ---------------
 //
 // The compare-to-mask forms return the match bitmask directly (__mmask16 /
@@ -760,65 +619,9 @@ __attribute__((target("avx512f"))) inline void EqMaskI32Avx512(
   }
 }
 
-__attribute__((target("avx512f"))) inline void EqGroupsI64Avx512(
-    const int64_t* keys, const uint8_t* full, std::size_t n, int64_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m512i vkey = _mm512_set1_epi64(static_cast<long long>(key));
-  std::size_t i = 0;
-  // One whole 8-lane group per compare: the __mmask8 IS the group mask.
-  for (; i + kGroupLanes <= n; i += kGroupLanes) {
-    const __m512i x = _mm512_loadu_si512(keys + i);
-    uint32_t bits = static_cast<uint32_t>(_mm512_cmpeq_epi64_mask(x, vkey));
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) inline void EqGroupsI32Avx512(
-    const int32_t* keys, const uint8_t* full, std::size_t n, int32_t key,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m512i vkey = _mm512_set1_epi32(key);
-  std::size_t i = 0;
-  // Two adjacent 8-lane groups per 512-bit compare; their occupancy bytes
-  // concatenate little-endian to match the 16 compare bits.
-  for (; i + 2 * kGroupLanes <= n; i += 2 * kGroupLanes) {
-    const __m512i x = _mm512_loadu_si512(keys + i);
-    uint32_t bits = static_cast<uint32_t>(_mm512_cmpeq_epi32_mask(x, vkey));
-    bits &= static_cast<uint32_t>(full[i >> 3]) |
-            (static_cast<uint32_t>(full[(i >> 3) + 1]) << 8);
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  if (i + kGroupLanes <= n) {
-    // One trailing whole group via the 256-bit form (AVX-512F implies AVX2).
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    uint32_t bits = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(x, _mm256_set1_epi32(key)))));
-    bits &= full[i >> 3];
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-    i += kGroupLanes;
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == key && ((full[i >> 3] >> (i & 7)) & 1u) != 0) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
 #endif  // SJOIN_SIMD_X86
 
 }  // namespace simd_kernels
-
-/// Lanes per occupancy group of the grouped hash store (one occupancy byte
-/// covers one group; see the grouped-equality kernels above).
-using simd_kernels::kGroupLanes;
 
 // ---------------------------------------------------------------------------
 // Dispatch table
@@ -840,10 +643,6 @@ struct SimdKernels {
                  uint64_t* mask);
   void (*eq_u64)(const uint64_t* v, std::size_t n, uint64_t key,
                  uint64_t* mask);
-  void (*eq_groups_i64)(const int64_t* keys, const uint8_t* full,
-                        std::size_t n, int64_t key, uint64_t* mask);
-  void (*eq_groups_i32)(const int32_t* keys, const uint8_t* full,
-                        std::size_t n, int32_t key, uint64_t* mask);
 };
 
 /// Kernel table for an explicit level (tests sweep all of them). Levels the
@@ -857,8 +656,6 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       &simd_kernels::BandEntryMaskF32Scalar,
       &simd_kernels::EqMaskI32Scalar,
       &simd_kernels::EqMaskU64Scalar,
-      &simd_kernels::EqGroupsI64Scalar,
-      &simd_kernels::EqGroupsI32Scalar,
   };
 #if SJOIN_SIMD_X86
   static const SimdKernels sse2 = {
@@ -869,8 +666,6 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       &simd_kernels::BandEntryMaskF32Sse2,
       &simd_kernels::EqMaskI32Sse2,
       &simd_kernels::EqMaskU64Sse2,
-      &simd_kernels::EqGroupsI64Sse2,
-      &simd_kernels::EqGroupsI32Sse2,
   };
   static const SimdKernels avx2 = {
       "avx2",
@@ -880,12 +675,10 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       &simd_kernels::BandEntryMaskF32Avx2,
       &simd_kernels::EqMaskI32Avx2,
       &simd_kernels::EqMaskU64Avx2,
-      &simd_kernels::EqGroupsI64Avx2,
-      &simd_kernels::EqGroupsI32Avx2,
   };
   // The float range/band sweeps and the u64 Seq sweep reuse their AVX2
-  // bodies (see the AVX-512 section note); the integer sweeps and the
-  // grouped-equality kernels get native 512-bit mask forms.
+  // bodies (see the AVX-512 section note); the integer sweeps get native
+  // 512-bit mask forms.
   static const SimdKernels avx512 = {
       "avx512",
       &simd_kernels::RangeMaskI32Avx512,
@@ -894,8 +687,6 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       &simd_kernels::BandEntryMaskF32Avx2,
       &simd_kernels::EqMaskI32Avx512,
       &simd_kernels::EqMaskU64Avx2,
-      &simd_kernels::EqGroupsI64Avx512,
-      &simd_kernels::EqGroupsI32Avx512,
   };
   switch (level) {
     case SimdLevel::kScalar:

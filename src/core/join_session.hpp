@@ -263,7 +263,7 @@ void ValidateShardedJoinConfig(const ShardedJoinConfig& config) {
         std::to_string(config.shards));
   }
   // Resolution throws when the requested policy is infeasible for the
-  // predicate type (kHashKey without ShardKeyTraits).
+  // predicate type (kHashKey without an equi JoinKeyTraits).
   const PartitionPolicy resolved =
       ResolvePartitionPolicy<Pred, R, S>(config.partition);
   // Chase-convergence envelope for the handshake join: HSJ's expiry chase
@@ -306,9 +306,8 @@ void ValidateShardedJoinConfig(const ShardedJoinConfig& config) {
 /// collector and executor. The session's driver hands it messages in driver
 /// order (StageArrival/StageExpiry/StageLoss/StageEpoch/StageFlush) and
 /// stages them into the engine's two flows until Deliver. An LLHJ
-/// shard keeps its windows in hash-indexed stores when the predicate
-/// declares ShardKeyTraits, in key-bucketed band stores when it declares
-/// RangeKeyTraits, else in scan stores. Everything the engine
+/// shard keeps its windows in key-bucketed band stores when the predicate
+/// declares JoinKeyTraits, else in scan stores. Everything the engine
 /// delivers — results, punctuations, loss bounds, epoch drains — goes to
 /// the one OutputHandler given at construction.
 template <typename R, typename S, typename Pred>
@@ -573,29 +572,13 @@ class JoinShard {
  private:
   static constexpr Seq kNoSeq = std::numeric_limits<Seq>::max();
 
-  /// HashStore key functors over the predicate's declared shard keys.
-  using KeyTraits = ShardKeyTraits<Pred, R, S>;
-  struct KeyOfR {
-    int64_t operator()(const R& r) const {
-      return static_cast<int64_t>(KeyTraits::KeyR(r));
-    }
-  };
-  struct KeyOfS {
-    int64_t operator()(const S& s) const {
-      return static_cast<int64_t>(KeyTraits::KeyS(s));
-    }
-  };
-
-  /// The LLHJ engine: a predicate that declares its join keys (the trait
-  /// hash partitioning trusts: matching pairs have equal keys) gets the
-  /// node-local hash index of paper Section 7.6; one that declares a key
-  /// radius (matching pairs have keys at most that far apart) gets the
-  /// key-bucketed band index; any other the scan store.
-  using Llhj = std::conditional_t<
-      KeyTraits::kEnabled, IndexedLlhjPipeline<R, S, Pred, KeyOfR, KeyOfS>,
-      std::conditional_t<RangeKeyTraits<Pred, R, S>::kEnabled,
-                         BandLlhjPipeline<R, S, Pred>,
-                         LlhjPipeline<R, S, Pred>>>;
+  /// The LLHJ engine: a predicate that declares a join key (matching
+  /// pairs have keys at most its radius apart) gets the key-bucketed index,
+  /// at radius 0 the node-local hash index of paper Section 7.6; any other
+  /// the scan store.
+  using Llhj = std::conditional_t<JoinKeyTraits<Pred, R, S>::kEnabled,
+                                  BandLlhjPipeline<R, S, Pred>,
+                                  LlhjPipeline<R, S, Pred>>;
 
   template <typename T>
   static FlowMsg<T> MakeExpiry(StreamSide side, Seq seq, Timestamp ts,
@@ -1290,13 +1273,15 @@ class JoinSession {
   template <StreamSide kSide>
   int TargetShard(const typename Shard::template Tuple<kSide>& tuple,
                   Seq seq) const {
-    using Traits = ShardKeyTraits<Pred, R, S>;
-    if constexpr (Traits::kEnabled) {
+    if constexpr (IsEquiKey<Pred, R, S>()) {
       if (resolved_ == PartitionPolicy::kHashKey) {
+        using Traits = JoinKeyTraits<Pred, R, S>;
         if constexpr (kSide == StreamSide::kR) {
-          return ShardOfKey(Traits::KeyR(tuple), shard_count());
+          return ShardOfKey(static_cast<uint64_t>(Traits::KeyR(tuple)),
+                            shard_count());
         } else {
-          return ShardOfKey(Traits::KeyS(tuple), shard_count());
+          return ShardOfKey(static_cast<uint64_t>(Traits::KeyS(tuple)),
+                            shard_count());
         }
       }
     }

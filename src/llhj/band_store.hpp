@@ -1,13 +1,14 @@
-// Key-bucketed window store for band joins (DESIGN.md Section 18) — the
-// band-join index the paper names as future work (Sections 7.6 and 9). A
-// predicate type that declares RangeKeyTraits promises that every matching
+// Key-bucketed window store for keyed joins (DESIGN.md Section 18): the
+// band-join index the paper names as future work (Sections 7.6 and 9), and,
+// at radius 0, its equi-join hash index (Table 2). A predicate type that
+// declares JoinKeyTraits (common/schema.hpp) promises that every matching
 // pair lies within a key distance:
 //
-//   pred(r, s)  implies  |KeyR(r) - KeyS(s)| <= Radius(pred)
+//   pred(r, s)  implies  |KeyR(r) - KeyS(s)| <= radius(pred)
 //
 // so a probe only has to visit the entries whose key lies in
 // [key - Rmax, key + Rmax], Rmax being the widest radius of the probing
-// epoch's query set.
+// epoch's query set. At radius 0 that is the probe key's own bucket.
 //
 // Layout: the entries sit in an insertion-order ring, exactly like
 // VectorStore's (a window expiry pops the head in O(1); the expedition and
@@ -21,11 +22,12 @@
 //
 // Memory: the ring holds the tuples, their expedition flags sit in a
 // bitset beside it (8 bytes less per slot than VectorStore's padded
-// entries), and bucket lanes replace VectorStore's lanes. A bucket
-// keeps its records in a chain of fixed blocks of kBlock records from one
-// slab-backed pool per store (no heap allocation per bucket), 12 bytes per
-// record (ordinal, int key, float key) against VectorStore's 16 bytes of
-// Seq/key lanes at its doubling ring capacity. A bucket wastes at most its
+// entries), and bucket lanes replace VectorStore's lanes. A bucket keeps
+// its records in a chain of fixed blocks of kBlock records (8 for an equi
+// type, 32 otherwise) from one slab-backed pool per store (no heap
+// allocation per bucket), 12 bytes per record (ordinal, int key, float
+// key) against VectorStore's 16 bytes of Seq/key lanes at its doubling
+// ring capacity. A bucket wastes at most its
 // head and tail blocks' free slots. Per ring slot, VectorStore spends
 // 24 bytes more than this store's ring (8 of padding, 16 of lanes), so the
 // lanes stay in budget while the blocks in use hold at most two records
@@ -61,38 +63,15 @@
 
 namespace sjoin {
 
-/// Declares a band key on a predicate type: KeyR/KeyS extract one integer
-/// key per side and Radius bounds their distance over every matching pair,
-/// pred(r, s) implies |KeyR(r) - KeyS(s)| <= Radius(pred). An LLHJ session
-/// whose predicate declares it (and no ShardKeyTraits) keeps its windows in
-/// BandStores. The primary template is disabled; specialize it for every
-/// band predicate type.
-template <typename Pred, typename R, typename S>
-struct RangeKeyTraits {
-  static constexpr bool kEnabled = false;
-};
-
-/// The paper's band predicate: r.x within s.a +- x_band (the y/b band is
-/// left to the predicate). The contract is only guaranteed for keys at
-/// least x_band away from INT32_MIN/INT32_MAX: nearer, the predicate's
-/// int32 bounds overflow.
-template <>
-struct RangeKeyTraits<BandPredicate, RTuple, STuple> {
-  static constexpr bool kEnabled = true;
-  static int64_t KeyR(const RTuple& r) { return r.x; }
-  static int64_t KeyS(const STuple& s) { return s.a; }
-  static int64_t Radius(const BandPredicate& p) { return p.x_band; }
-};
-
-/// The window store of side kSide (R or S) of a band join of R and S under
+/// The window store of side kSide (R or S) of a keyed join of R and S under
 /// Pred (see the header for layout and budget). Same concept as
 /// VectorStore, less the probe-agnostic ForEach: Insert, EraseSeq,
 /// ClearExpedited, MatchBatch, ForEachEpochAfter, size, max_epoch.
 template <typename R, typename S, typename Pred, StreamSide kSide>
 class BandStore {
-  using Traits = RangeKeyTraits<Pred, R, S>;
+  using Traits = JoinKeyTraits<Pred, R, S>;
   static_assert(Traits::kEnabled,
-                "BandStore needs a RangeKeyTraits specialization for the "
+                "BandStore needs a JoinKeyTraits specialization for the "
                 "predicate type");
   static constexpr bool kIsR = kSide == StreamSide::kR;
   using T = std::conditional_t<kIsR, R, S>;
@@ -219,8 +198,10 @@ class BandStore {
   /// Widest bucket: W = 2^62 puts every int64 key into one of four.
   static constexpr int kMaxShift = 62;
   static constexpr int64_t kMaxRadius = int64_t{1} << 60;
-  /// Records per pool block.
-  static constexpr uint32_t kBlock = 32;
+  /// Records per pool block: 8 for an equi type, whose W = 1 gives every
+  /// distinct key a bucket and at least one block of its own, else 32, so
+  /// a band probe walks few segments. A compile-time constant either way.
+  static constexpr uint32_t kBlock = IsEquiKey<Pred, R, S>() ? 8 : 32;
 
   /// One bucket: its records, oldest first, fill the block chain
   /// first -> ... -> last from slot `head` of `first` on.
@@ -247,13 +228,22 @@ class BandStore {
     }
   }
 
+  /// The key radius of one query: the type constant when the traits
+  /// declare one, else the instance's.
+  static int64_t RadiusOf(const Pred& pred) {
+    if constexpr (requires { Traits::kRadius; }) {
+      return Traits::kRadius;
+    } else {
+      return static_cast<int64_t>(Traits::Radius(pred));
+    }
+  }
+
   /// Widest radius of a query set, clamped to [0, kMaxRadius] (a negative
   /// radius matches nothing).
   static int64_t WidestRadius(const QuerySet<Pred>& queries) {
     int64_t widest = 0;
     for (QueryId q = 0; q < queries.size(); ++q) {
-      widest = std::max(widest, static_cast<int64_t>(
-                                    Traits::Radius(queries.pred(q))));
+      widest = std::max(widest, RadiusOf(queries.pred(q)));
     }
     return std::min(widest, kMaxRadius);
   }

@@ -210,17 +210,9 @@ class LlhjPipeline {
   HighWaterMarks hwm_;
 };
 
-/// LLHJ with hash-index node stores for equi-joins (paper Section 7.6).
-/// RKeyFn/SKeyFn extract the join key from R/S tuples; the predicate is
-/// still evaluated on every bucket candidate.
-template <typename R, typename S, typename Pred, typename RKeyFn,
-          typename SKeyFn>
-using IndexedLlhjPipeline =
-    LlhjPipeline<R, S, Pred, HashStore<R, RKeyFn, SKeyFn>,
-                 HashStore<S, SKeyFn, RKeyFn>>;
-
-/// LLHJ with key-bucketed node stores for band joins whose predicate
-/// declares RangeKeyTraits (llhj/band_store.hpp).
+/// LLHJ with key-bucketed node stores for joins whose predicate declares
+/// JoinKeyTraits (common/schema.hpp): the band index, and at radius 0 the
+/// equi-join index of paper Section 7.6.
 template <typename R, typename S, typename Pred>
 using BandLlhjPipeline =
     LlhjPipeline<R, S, Pred, BandStore<R, S, Pred, StreamSide::kR>,

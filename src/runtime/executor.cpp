@@ -24,11 +24,7 @@ std::size_t SequentialExecutor::RunUntilQuiescent(std::size_t max_passes) {
 ThreadedExecutor::~ThreadedExecutor() { Stop(); }
 
 void ThreadedExecutor::Add(Steppable* s, int cpu_hint) {
-  entries_.push_back(Entry{s, cpu_hint, /*helper=*/false, positions_++});
-}
-
-void ThreadedExecutor::AddHelper(Steppable* s, int cpu_hint) {
-  entries_.push_back(Entry{s, cpu_hint, /*helper=*/true, helpers_++});
+  entries_.push_back(Entry{s, cpu_hint, positions_++});
 }
 
 void ThreadedExecutor::Start() {
@@ -41,7 +37,8 @@ void ThreadedExecutor::Start() {
   stop_.store(false, std::memory_order_release);
   ready_.store(0, std::memory_order_release);
   if (!have_plan_) {
-    plan_ = PlacementPlan::Build(topology_, policy_, positions_, helpers_);
+    plan_ = PlacementPlan::Build(topology_, policy_, positions_,
+                                 /*helpers=*/0);
     have_plan_ = true;
   }
   const std::size_t count = entries_.size();
@@ -53,8 +50,7 @@ void ThreadedExecutor::Start() {
   std::vector<int> cpus;
   for (Entry& entry : resolved) {
     if (entry.cpu_hint < 0) {
-      entry.cpu_hint = entry.helper ? plan_.CpuForHelper(entry.ordinal)
-                                    : plan_.CpuForPosition(entry.ordinal);
+      entry.cpu_hint = plan_.CpuForPosition(entry.position);
     }
     if (entry.cpu_hint >= 0) cpus.push_back(entry.cpu_hint);
   }

@@ -7,11 +7,11 @@
 //    handshake-join protocols must not depend on thread timing, so tests
 //    drive nodes in explicit (including adversarial) orders.
 //  * ThreadedExecutor — one thread per steppable, placed via a
-//    PlacementPlan (pipeline positions on neighbouring cores, helpers on
-//    leftover cores — see runtime/placement.hpp). An idle thread stays hot,
-//    pausing and yielding, for kHotIdle after its last productive Step(),
-//    then parks on its futex doorbell until a push into one of its rings
-//    wakes it (runtime/doorbell.hpp). Under steady input no thread parks,
+//    PlacementPlan (pipeline positions on neighbouring cores — see
+//    runtime/placement.hpp). An idle thread stays hot, pausing and
+//    yielding, for kHotIdle after its last productive Step(), then parks
+//    on its futex doorbell until a push into one of its rings wakes it
+//    (runtime/doorbell.hpp). Under steady input no thread parks,
 //    so a downstream node takes a forwarded run without a wake; the price
 //    is up to one CPU per idle thread for the window's length. On an
 //    executor with more threads than placed CPUs an idle thread parks once
@@ -85,8 +85,7 @@ class SequentialExecutor {
 class ThreadedExecutor {
  public:
   /// Places registered steppables by building a plan over `topology` with
-  /// `policy` at Start() time: plain Add() order gives the pipeline
-  /// positions, AddHelper() order the helper ordinals.
+  /// `policy` at Start() time: Add() order gives the pipeline positions.
   explicit ThreadedExecutor(Topology topology = Topology::Detect(),
                             PlacementPolicy policy = PlacementPolicy::kAuto)
       : topology_(std::move(topology)), policy_(policy) {}
@@ -105,11 +104,6 @@ class ThreadedExecutor {
   /// the plan. An explicit cpu_hint >= 0 overrides the plan; pinning is
   /// always best-effort.
   void Add(Steppable* s, int cpu_hint = -1);
-
-  /// Registers a helper (feeder, collector, ...): it takes the next helper
-  /// ordinal of the plan — leftover cores near the pipeline ends, unpinned
-  /// when none remain (never a pipeline core).
-  void AddHelper(Steppable* s, int cpu_hint = -1);
 
   /// Launches all threads and returns once every one of them has pinned
   /// itself and finished OnThreadStart() (the start barrier) — after
@@ -150,8 +144,7 @@ class ThreadedExecutor {
   struct Entry {
     Steppable* steppable;
     int cpu_hint;
-    bool helper;
-    int ordinal;  ///< pipeline position or helper index
+    int position;  ///< pipeline position in the plan
   };
 
   void ThreadMain(const Entry& entry, Doorbell* bell,
@@ -162,7 +155,6 @@ class ThreadedExecutor {
   PlacementPlan plan_;
   bool have_plan_ = false;
   int positions_ = 0;
-  int helpers_ = 0;
   std::vector<Entry> entries_;
   std::vector<std::thread> threads_;
   bool hot_ = true;

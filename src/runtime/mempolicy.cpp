@@ -77,8 +77,8 @@ Slab AllocateSlab(std::size_t bytes) {
 #if defined(__linux__)
   // Rung 3: a private mapping of its own. Unmapping returns it to the
   // kernel at once; a page-aligned heap block of this size would leave a
-  // hole that the heap cannot reuse for the next, equally sized slab (each
-  // GroupTable purge allocates its replacement while the old one is live).
+  // hole that the heap cannot reuse for the next slab (a growing store lane
+  // allocates its replacement while the old one is live).
   void* p = ::mmap(nullptr, page_bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();

@@ -16,8 +16,8 @@
 // SpscQueue::PrefaultByConsumer).
 //
 // Huge-page slab ladder (rung (c) of the raw-speed ladder): AllocateSlab
-// serves the large flat allocations — grouped hash-table lane slabs,
-// VectorStore SoA key lanes — and walks MAP_HUGETLB -> THP madvise ->
+// serves the large flat allocations — VectorStore SoA key lanes, BandStore
+// block-pool lanes — and walks MAP_HUGETLB -> THP madvise ->
 // plain pages (its own mmap on Linux), reporting which rung actually backed the memory so tests
 // and placement introspection can see it. Knobs (parse-and-warn via
 // common/env.hpp, re-read per allocation so tests can vary them):
@@ -134,7 +134,7 @@ bool HugePagesEnabled();
 std::size_t HugePageThresholdBytes();
 
 /// A flat array of trivially-copyable elements on a slab — the backing for
-/// the grouped hash-table lanes and the VectorStore SoA key lanes. Move-only
+/// the VectorStore SoA key lanes and the BandStore pool lanes. Move-only
 /// RAII over AllocateSlab/FreeSlab; elements are NOT constructed or zeroed
 /// (the element types in use are implicit-lifetime scalars whose live
 /// ranges the owning store tracks itself).

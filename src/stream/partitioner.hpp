@@ -14,10 +14,11 @@
 //                 duplicated. Scales the S-side work; R-side work is paid
 //                 once per shard.
 //   replicate_s — the mirror image (partition R, replicate S).
-//   auto        — hash when the predicate type declares shard keys
-//                 (ShardKeyTraits), replicate_r otherwise.
+//   auto        — hash when the predicate type declares an equi key
+//                 (JoinKeyTraits with kRadius = 0, common/schema.hpp),
+//                 replicate_r otherwise.
 //
-// Requesting `hash` for a predicate type without ShardKeyTraits is a
+// Requesting `hash` for a predicate type without an equi key is a
 // configuration error and is rejected up front (ValidateShardedJoinConfig
 // calls ResolvePartitionPolicy) — a silently mis-partitioned band join
 // would simply lose matches.
@@ -34,7 +35,7 @@ namespace sjoin {
 
 /// How the two input streams are split across shards.
 enum class PartitionPolicy : uint8_t {
-  kAuto = 0,     ///< hash when the predicate declares keys, else replicate_r
+  kAuto = 0,     ///< hash for an equi-key predicate, else replicate_r
   kHashKey,      ///< hash-partition both sides on the join key (equi only)
   kReplicateR,   ///< replicate R to all shards, partition S round-robin
   kReplicateS,   ///< replicate S to all shards, partition R round-robin
@@ -66,28 +67,6 @@ inline PartitionPolicy ParsePartitionPolicy(const std::string& name) {
       "\" (expected auto|hash|replicate_r|replicate_s)");
 }
 
-/// Declares that a predicate type is hash-partitionable: KeyR/KeyS extract
-/// a shard key from each side such that pred(r, s) implies
-/// KeyR(r) == KeyS(s) (the equi-join contract — equal keys land on the
-/// same shard, so no matching pair is ever split). The primary template is
-/// disabled; specialize it for every hash-partitionable predicate type.
-template <typename Pred, typename R, typename S>
-struct ShardKeyTraits {
-  static constexpr bool kEnabled = false;
-};
-
-/// The library's equi-join predicate joins on r.x == s.a (common/schema.hpp).
-template <>
-struct ShardKeyTraits<EquiPredicate, RTuple, STuple> {
-  static constexpr bool kEnabled = true;
-  static uint64_t KeyR(const RTuple& r) {
-    return static_cast<uint64_t>(static_cast<int64_t>(r.x));
-  }
-  static uint64_t KeyS(const STuple& s) {
-    return static_cast<uint64_t>(static_cast<int64_t>(s.a));
-  }
-};
-
 /// splitmix64 finalizer: shard assignment must not correlate with key
 /// arithmetic (sequential keys modulo a small shard count would starve
 /// shards), so keys are mixed before the modulo.
@@ -114,10 +93,10 @@ constexpr bool SidePartitioned(PartitionPolicy p, StreamSide side) {
 
 /// Resolves the requested policy against the predicate type's metadata.
 /// kAuto picks the best supported split; kHashKey is rejected (throws
-/// std::invalid_argument) when the predicate type declares no shard keys.
+/// std::invalid_argument) when the predicate type declares no equi key.
 template <typename Pred, typename R, typename S>
 PartitionPolicy ResolvePartitionPolicy(PartitionPolicy requested) {
-  constexpr bool hashable = ShardKeyTraits<Pred, R, S>::kEnabled;
+  constexpr bool hashable = IsEquiKey<Pred, R, S>();
   switch (requested) {
     case PartitionPolicy::kAuto:
       return hashable ? PartitionPolicy::kHashKey
@@ -126,10 +105,11 @@ PartitionPolicy ResolvePartitionPolicy(PartitionPolicy requested) {
       if (!hashable) {
         throw std::invalid_argument(
             "ShardedJoinConfig: partition policy \"hash\" requires a "
-            "ShardKeyTraits specialization for the predicate type (equi-join "
-            "key extractors); this predicate declares none — a band/range "
-            "predicate cannot be hash-partitioned without losing matches. "
-            "Use \"auto\", \"replicate_r\" or \"replicate_s\".");
+            "JoinKeyTraits specialization with kRadius = 0 for the predicate "
+            "type (an equi-join key); this predicate declares none, or a "
+            "band radius — a band/range predicate cannot be hash-partitioned "
+            "without losing matches. Use \"auto\", \"replicate_r\" or "
+            "\"replicate_s\".");
       }
       return PartitionPolicy::kHashKey;
     case PartitionPolicy::kReplicateR:

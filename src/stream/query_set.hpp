@@ -14,10 +14,9 @@
 // no synchronization; the QueryEpochRegistry (mutexed, cold path only) is
 // touched once per epoch switch.
 //
-// Indexed stores narrow the visited entries by a key shared by all queries:
-// HashStore by key equality, which every registered predicate must imply
-// (exactly as for a single query), and BandStore by the key range of the
-// widest radius in the probing epoch's set.
+// The keyed BandStore narrows the visited entries by a key shared by all
+// queries: to the key range of the widest radius in the probing epoch's
+// set, which at radius 0 is key equality.
 #pragma once
 
 #include <cstddef>

@@ -168,8 +168,15 @@ TEST(Schema, KeyExtractors) {
   r.x = 7;
   STuple s;
   s.a = 9;
-  EXPECT_EQ(RKey{}(r), 7);
-  EXPECT_EQ(SKey{}(s), 9);
+  using Equi = JoinKeyTraits<EquiPredicate, RTuple, STuple>;
+  EXPECT_EQ(Equi::KeyR(r), 7);
+  EXPECT_EQ(Equi::KeyS(s), 9);
+  static_assert(IsEquiKey<EquiPredicate, RTuple, STuple>());
+  using Band = JoinKeyTraits<BandPredicate, RTuple, STuple>;
+  EXPECT_EQ(Band::KeyR(r), 7);
+  EXPECT_EQ(Band::KeyS(s), 9);
+  EXPECT_EQ(Band::Radius(BandPredicate{12, 1.0f}), 12);
+  static_assert(!IsEquiKey<BandPredicate, RTuple, STuple>());
 }
 
 TEST(LatencyModel, SymmetricWindows) {

@@ -12,6 +12,7 @@ namespace sjoin {
 namespace {
 
 using test::Gated;
+using test::IndexedEq;
 using test::KeyBand;
 using test::KeyEq;
 using test::MakeRandomTrace;
@@ -21,9 +22,7 @@ using test::RunLlhjSequential;
 using test::SameResultSet;
 using test::TR;
 using test::TraceConfig;
-using test::TRKey;
 using test::TS;
-using test::TSKey;
 
 template <typename Pred = KeyEq>
 typename LlhjPipeline<TR, TS, Pred>::Options LlhjOptions(int nodes) {
@@ -226,8 +225,9 @@ TEST(Llhj, BandPredicate) {
 }
 
 TEST(Llhj, IndexedStoresMatchOracle) {
-  using RStore = HashStore<TR, TRKey, TSKey>;
-  using SStore = HashStore<TS, TSKey, TRKey>;
+  // The equi-join index: radius-0 key-bucketed stores, one bucket per key.
+  using RStore = BandStore<TR, TS, IndexedEq, StreamSide::kR>;
+  using SStore = BandStore<TR, TS, IndexedEq, StreamSide::kS>;
   for (uint64_t seed = 61; seed <= 66; ++seed) {
     TraceConfig config;
     config.events = 240;
@@ -237,10 +237,10 @@ TEST(Llhj, IndexedStoresMatchOracle) {
                                     WindowSpec::Count(20));
     auto oracle = RunKangOracle<TR, TS, KeyEq>(script);
 
-    typename LlhjPipeline<TR, TS, KeyEq, RStore, SStore>::Options options;
+    typename LlhjPipeline<TR, TS, IndexedEq, RStore, SStore>::Options options;
     options.nodes = 4;
     options.channel_capacity = 64;
-    auto llhj = RunLlhjSequential<KeyEq, RStore, SStore>(script, options);
+    auto llhj = RunLlhjSequential<IndexedEq, RStore, SStore>(script, options);
     EXPECT_TRUE(SameResultSet(oracle, llhj)) << "seed " << seed;
   }
 }

@@ -702,7 +702,7 @@ TEST(ThreadedExecutor, OnThreadStartCompletesBeforeAnyStep) {
   ThreadedExecutor exec(Topology::Synthetic(2));
   exec.Add(&a);
   exec.Add(&b);
-  exec.AddHelper(&c);
+  exec.Add(&c);
   exec.Start();
   EXPECT_EQ(started.load(), 3);  // Start() returns only after the barrier
   std::this_thread::sleep_for(std::chrono::milliseconds(5));

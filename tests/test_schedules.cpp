@@ -109,17 +109,18 @@ INSTANTIATE_TEST_SUITE_P(Schedules, HsjFuzz,
                          ::testing::ValuesIn(MakeFuzzParams()), FuzzName);
 
 TEST(ScheduleFuzz, LlhjIndexedStoresUnderSchedules) {
-  using RStore = HashStore<TR, test::TRKey, test::TSKey>;
-  using SStore = HashStore<TS, test::TSKey, test::TRKey>;
+  using RStore = BandStore<TR, TS, test::IndexedEq, StreamSide::kR>;
+  using SStore = BandStore<TR, TS, test::IndexedEq, StreamSide::kS>;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     FuzzParam param{4, seed, seed % 2 == 0};
     auto script = FuzzScript(param);
     auto oracle = RunKangOracle<TR, TS, KeyEq>(script);
 
-    typename LlhjPipeline<TR, TS, KeyEq, RStore, SStore>::Options options;
+    typename LlhjPipeline<TR, TS, test::IndexedEq, RStore, SStore>::Options
+        options;
     options.nodes = 4;
     options.channel_capacity = 64;
-    LlhjPipeline<TR, TS, KeyEq, RStore, SStore> pipeline(options);
+    LlhjPipeline<TR, TS, test::IndexedEq, RStore, SStore> pipeline(options);
     auto fuzzed = RunFuzzedSchedule(pipeline, script, seed * 71 + 3);
     EXPECT_TRUE(SameResultSet(oracle, fuzzed.results)) << "seed " << seed;
   }

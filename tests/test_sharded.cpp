@@ -36,18 +36,16 @@
 
 namespace sjoin {
 
-// The test equi predicate joins on TR.key == TS.key: declaring the shard
-// keys makes it hash-partitionable (the production EquiPredicate declares
-// its own in stream/partitioner.hpp).
+// The test equi predicate joins on TR.key == TS.key: declaring the key with
+// radius 0 makes it hash-partitionable, and its LLHJ shards index their
+// windows in radius-0 BandStores (the production EquiPredicate declares its
+// own in common/schema.hpp).
 template <>
-struct ShardKeyTraits<test::KeyEq, test::TR, test::TS> {
+struct JoinKeyTraits<test::KeyEq, test::TR, test::TS> {
   static constexpr bool kEnabled = true;
-  static uint64_t KeyR(const test::TR& r) {
-    return static_cast<uint64_t>(static_cast<int64_t>(r.key));
-  }
-  static uint64_t KeyS(const test::TS& s) {
-    return static_cast<uint64_t>(static_cast<int64_t>(s.key));
-  }
+  static constexpr int64_t kRadius = 0;
+  static int64_t KeyR(const test::TR& r) { return r.key; }
+  static int64_t KeyS(const test::TS& s) { return s.key; }
 };
 
 namespace {
@@ -148,8 +146,12 @@ TEST(ShardedValidation, RejectsHashPartitioningForBandPredicate) {
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("hash"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("ShardKeyTraits"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("JoinKeyTraits"), std::string::npos);
   }
+  // A declared band radius is no equi key: hash stays rejected.
+  EXPECT_THROW((ResolvePartitionPolicy<test::RangeBand, TR, TS>(
+                   PartitionPolicy::kHashKey)),
+               std::invalid_argument);
   // auto degrades to replicate_r for the same predicate.
   EXPECT_EQ((ResolvePartitionPolicy<KeyBand, TR, TS>(PartitionPolicy::kAuto)),
             PartitionPolicy::kReplicateR);
@@ -228,14 +230,15 @@ TEST(Partitioner, HashAssignsEveryKeyExactlyOneShard) {
 TEST(Partitioner, EquiKeyContractSendsMatchingPairsToOneShard) {
   // pred(r, s) => KeyR(r) == KeyS(s) => same shard: the hash-partitioning
   // correctness anchor, checked over the full key domain.
-  using Traits = ShardKeyTraits<KeyEq, TR, TS>;
+  using Traits = JoinKeyTraits<KeyEq, TR, TS>;
+  static_assert(IsEquiKey<KeyEq, TR, TS>());
   for (int32_t key = -50; key < 50; ++key) {
     const TR r{key, 0};
     const TS s{key, 1};
     ASSERT_TRUE(KeyEq{}(r, s));
     for (int shards : {2, 3, 4}) {
-      EXPECT_EQ(ShardOfKey(Traits::KeyR(r), shards),
-                ShardOfKey(Traits::KeyS(s), shards));
+      EXPECT_EQ(ShardOfKey(static_cast<uint64_t>(Traits::KeyR(r)), shards),
+                ShardOfKey(static_cast<uint64_t>(Traits::KeyS(s)), shards));
     }
   }
 }

@@ -12,7 +12,8 @@
 //  * the fused store scan: VectorStore::MatchBatch (SIMD path, ring
 //    wrapped and unwrapped) must produce exactly the generic scalar scan's
 //    (probe, query, entry) set on every level, for the paper schema (band
-//    int+float lanes, equi) and the int-only test schema.
+//    int+float lanes, equi) and the int-only test schema; so must the
+//    radius-0 BandStore's probe against the seed bucket store.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,9 +25,11 @@
 #include "common/rng.hpp"
 #include "common/schema.hpp"
 #include "common/simd.hpp"
+#include "llhj/band_store.hpp"
 #include "llhj/store.hpp"
 #include "stream/query_set.hpp"
 
+#include "ref_hash_store.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {
@@ -331,73 +334,6 @@ TEST(SimdKernels, EqU64MatchesScalar) {
   }
 }
 
-// -- Grouped-equality kernels (lane-grouped hash store probe) ----------------
-//
-// Occupancy bytes sweep all-dead (0x00 — an erased-out / all-tombstone
-// group must yield NO candidates no matter what the key lanes hold),
-// fully-live (0xff) and random patterns; key lanes use colliding 32-bit
-// halves to stress the SSE2 half-compare trick.
-
-TEST(SimdKernels, EqGroupsI64MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(31 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<int64_t> keys(n);
-        for (auto& x : keys) {
-          x = static_cast<int64_t>(rng.UniformInt(0, 3)) << 32 |
-              static_cast<int64_t>(rng.UniformInt(0, 3));
-        }
-        std::vector<uint8_t> full((n + 7) / 8);
-        for (auto& b : full) {
-          b = trial == 0   ? uint8_t{0x00}
-              : trial == 1 ? uint8_t{0xff}
-                           : static_cast<uint8_t>(rng.UniformInt(0, 255));
-        }
-        const int64_t key = static_cast<int64_t>(rng.UniformInt(0, 3)) << 32 |
-                            static_cast<int64_t>(rng.UniformInt(0, 3));
-        MaskBuf want(n), got(n);
-        ref.eq_groups_i64(keys.data(), full.data(), n, key, want.data());
-        k.eq_groups_i64(keys.data(), full.data(), n, key, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " trial=" << trial;
-        ExpectTailZero(got.Covered(n), n);
-        EXPECT_EQ(got.Sentinel(), ~uint64_t{0});
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, EqGroupsI32MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(37 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<int32_t> keys(n);
-        for (auto& x : keys) x = static_cast<int32_t>(rng.UniformInt(-4, 4));
-        std::vector<uint8_t> full((n + 7) / 8);
-        for (auto& b : full) {
-          b = trial == 0   ? uint8_t{0x00}
-              : trial == 1 ? uint8_t{0xff}
-                           : static_cast<uint8_t>(rng.UniformInt(0, 255));
-        }
-        const int32_t key = static_cast<int32_t>(rng.UniformInt(-4, 4));
-        MaskBuf want(n), got(n);
-        ref.eq_groups_i32(keys.data(), full.data(), n, key, want.data());
-        k.eq_groups_i32(keys.data(), full.data(), n, key, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " trial=" << trial;
-        ExpectTailZero(got.Covered(n), n);
-        EXPECT_EQ(got.Sentinel(), ~uint64_t{0});
-      }
-    }
-  }
-}
-
 // -- Fused store scan: MatchBatch across dispatch levels ---------------------
 
 /// Guard that restores the startup dispatch selection.
@@ -553,47 +489,46 @@ TEST(SimdMatchBatch, TestSchemaIntOnlyLanesIdenticalAcrossLevels) {
   }
 }
 
-// The grouped equi store's batched probe (gather keys -> prefetch groups ->
-// 8-lane group scans -> Seq-sorted emission) must reproduce the chain-walk
-// baseline's crossings exactly on every dispatch level. ChainHashStore at
-// whatever level (its probe path is scalar pointer chasing) is the oracle;
-// churn leaves tombstoned lanes behind so the scan crosses dead groups.
-TEST(SimdMatchBatch, GroupedHashStoreIdenticalAcrossLevelsAndChainOracle) {
+// The radius-0 band store's probe (one key bucket per probe, swept by the
+// eq_i32 kernel) must reproduce the seed bucket store's crossings exactly
+// on every dispatch level. The seed store (scalar, probe by probe) is the
+// oracle; random erases leave records moved across blocks behind.
+TEST(SimdMatchBatch, RadiusZeroBandStoreIdenticalAcrossLevelsAndRefOracle) {
   LevelGuard guard;
   Rng rng(113);
-  HashStore<TS, test::TSKey, test::TRKey> grouped;
-  ChainHashStore<TS, test::TSKey, test::TRKey> chain;
+  QuerySet<test::IndexedEq> queries{test::IndexedEq{}};
+  BandStore<TR, TS, test::IndexedEq, StreamSide::kS> band(queries);
+  test::RefHashStore<TS, test::TSKey, test::TRKey> ref;
   std::vector<Seq> live;
   Seq seq = 0;
   for (int step = 0; step < 1200; ++step) {
     if (live.empty() || rng.Chance(0.6)) {
       const Stamped<TS> e{
           TS{static_cast<int32_t>(rng.UniformInt(1, 40)), step}, seq, 0, 0};
-      grouped.Insert(e, rng.Chance(0.3));
-      chain.Insert(e, rng.Chance(0.3));
+      band.Insert(e, rng.Chance(0.3));
+      ref.Insert(e, rng.Chance(0.3));
       live.push_back(seq++);
     } else {
       const std::size_t pick = static_cast<std::size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      ASSERT_TRUE(grouped.EraseSeq(live[pick]));
-      ASSERT_TRUE(chain.EraseSeq(live[pick]));
+      ASSERT_TRUE(band.EraseSeq(live[pick]));
+      ASSERT_TRUE(ref.EraseSeq(live[pick]));
       live[pick] = live.back();
       live.pop_back();
     }
   }
-  ASSERT_EQ(grouped.size(), chain.size());
-  QuerySet<test::KeyEq> queries{test::KeyEq{}};
+  ASSERT_EQ(band.size(), ref.size());
   std::vector<Stamped<TR>> probes;
   for (std::size_t j = 0; j < 25; ++j) {
     // Keys 41..44 are absent: the batch must also agree on zero-hit probes.
     probes.push_back(Stamped<TR>{
         TR{static_cast<int32_t>(rng.UniformInt(1, 44)), 0}, j, 0, 0});
   }
-  const auto oracle = CollectMatches<true>(chain, queries, probes);
+  const auto oracle = CollectMatches<true>(ref, queries, probes);
   ASSERT_FALSE(oracle.empty());
   for (SimdLevel level : SupportedSimdLevels()) {
     OverrideSimdLevel(level);
-    EXPECT_EQ(CollectMatches<true>(grouped, queries, probes), oracle)
+    EXPECT_EQ(CollectMatches<true>(band, queries, probes), oracle)
         << ToString(level);
   }
 }

@@ -1,17 +1,18 @@
 // Equivalence tests: the cache-friendly window stores (ring-buffer
-// VectorStore, flat-hash HashStore) must behave exactly like the seed
+// VectorStore, key-bucketed BandStore) must behave exactly like the seed
 // implementations (std::deque scan store, unordered_map bucket store) on
 // every operation sequence the LLHJ protocol can produce. The reference
-// implementations below are verbatim ports of the seed stores; the drivers
-// generate protocol-conformant op streams — insertions in sequence order,
-// expiries oldest-first (with occasional out-of-order erases, the
-// tombstone-chase shape), expedition-ends in insertion order, lookups of
-// absent seqs — the same shapes the schedule fuzzer produces through whole
-// pipelines in test_schedules.cpp. The lane-grouped HashStore additionally
-// runs lock-step against the retained chain-walk baseline (ChainHashStore)
-// under tombstone-heavy churn, with batched-probe multiset checks. The
-// key-bucketed BandStore runs lock-step against VectorStore, and band
-// sessions that index their windows with it are held to the Kang reference.
+// implementations are verbatim ports of the seed stores (the bucket store
+// in ref_hash_store.hpp); the drivers generate protocol-conformant op
+// streams — insertions in sequence order, expiries oldest-first (with
+// occasional out-of-order erases, the tombstone-chase shape),
+// expedition-ends in insertion order, lookups of absent seqs — the same
+// shapes the schedule fuzzer produces through whole pipelines in
+// test_schedules.cpp. The radius-0 BandStore (the equi-join index) runs
+// lock-step against the seed bucket store, also under erase-heavy churn
+// with batched-probe multiset and epoch-walk checks. The band BandStore
+// runs lock-step against VectorStore, and band sessions that index their
+// windows with it are held to the Kang reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,18 +24,17 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/schema.hpp"
 #include "core/join_session.hpp"
 #include "llhj/band_store.hpp"
-#include "llhj/group_table.hpp"
 #include "llhj/store.hpp"
 #include "stream/query_set.hpp"
 
 #include "kang_join.hpp"
+#include "ref_hash_store.hpp"
 #include "test_util.hpp"
 
 namespace sjoin {
@@ -54,7 +54,7 @@ struct WideBand {
 }  // namespace
 
 template <>
-struct RangeKeyTraits<WideBand, test::TR, test::TS> {
+struct JoinKeyTraits<WideBand, test::TR, test::TS> {
   static constexpr bool kEnabled = true;
   static int64_t KeyR(const test::TR& r) { return r.key; }
   static int64_t KeyS(const test::TS& s) { return s.key; }
@@ -63,12 +63,18 @@ struct RangeKeyTraits<WideBand, test::TR, test::TS> {
 
 namespace {
 
+using test::IndexedEq;
 using test::MakeRandomTrace;
+using test::RefHashStore;
 using test::TR;
 using test::TRKey;
 using test::TS;
 using test::TraceConfig;
 using test::TSKey;
+
+/// The radius-0 (equi) R-side BandStore under IndexedEq.
+using EquiBand = BandStore<TR, TS, IndexedEq, StreamSide::kR>;
+EquiBand MakeEquiBand() { return EquiBand(QuerySet<IndexedEq>{IndexedEq{}}); }
 
 // -- Reference implementations (the seed's stores, verbatim) -----------------
 
@@ -114,64 +120,6 @@ class RefVectorStore {
   std::deque<StoreEntry<T>> entries_;
 };
 
-template <typename T, typename OwnKey, typename ProbeKey>
-class RefHashStore {
- public:
-  void Insert(const Stamped<T>& t, bool expedited) {
-    const int64_t key = OwnKey{}(t.value);
-    buckets_[key].push_back(StoreEntry<T>{t, expedited});
-    seq_to_key_.emplace(t.seq, key);
-    ++size_;
-  }
-
-  bool EraseSeq(Seq seq) {
-    auto key_it = seq_to_key_.find(seq);
-    if (key_it == seq_to_key_.end()) return false;
-    auto bucket_it = buckets_.find(key_it->second);
-    if (bucket_it != buckets_.end()) {
-      auto& vec = bucket_it->second;
-      for (auto it = vec.begin(); it != vec.end(); ++it) {
-        if (it->tuple.seq == seq) {
-          vec.erase(it);
-          break;
-        }
-      }
-      if (vec.empty()) buckets_.erase(bucket_it);
-    }
-    seq_to_key_.erase(key_it);
-    --size_;
-    return true;
-  }
-
-  bool ClearExpedited(Seq seq) {
-    auto key_it = seq_to_key_.find(seq);
-    if (key_it == seq_to_key_.end()) return false;
-    auto bucket_it = buckets_.find(key_it->second);
-    if (bucket_it == buckets_.end()) return false;
-    for (auto& entry : bucket_it->second) {
-      if (entry.tuple.seq == seq) {
-        entry.expedited = false;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  template <typename Probe, typename F>
-  void ForEach(const Probe& probe, F&& f) const {
-    auto it = buckets_.find(ProbeKey{}(probe));
-    if (it == buckets_.end()) return;
-    for (const auto& entry : it->second) f(entry);
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  std::unordered_map<int64_t, std::vector<StoreEntry<T>>> buckets_;
-  std::unordered_map<Seq, int64_t> seq_to_key_;
-  std::size_t size_ = 0;
-};
-
 // -- Drivers -----------------------------------------------------------------
 
 struct Observed {
@@ -189,6 +137,21 @@ std::vector<Observed> Snapshot(const Store& store, int32_t probe_key) {
   store.ForEach(probe, [&](const StoreEntry<TR>& e) {
     out.push_back(Observed{e.tuple.seq, e.tuple.value.key, e.expedited});
   });
+  return out;
+}
+
+/// The entries a store matches for one S probe of key `probe_key` under
+/// IndexedEq, in emission order (one key's insertion order).
+template <typename Store>
+std::vector<Observed> ProbeSnapshot(const Store& store, int32_t probe_key) {
+  Stamped<TS> probe;
+  probe.value.key = probe_key;
+  std::vector<Observed> out;
+  store.template MatchBatch<false>(
+      QuerySet<IndexedEq>{IndexedEq{}}, &probe, 1,
+      [&](std::size_t, QueryId, const StoreEntry<TR>& e) {
+        out.push_back(Observed{e.tuple.seq, e.tuple.value.key, e.expedited});
+      });
   return out;
 }
 
@@ -273,12 +236,11 @@ TEST(StoreEquivalence, RingStoreMatchesSeedVectorStoreOnSSideSequences) {
   EXPECT_EQ(Snapshot(ring, 0), Snapshot(ref, 0));
 }
 
-TEST(StoreEquivalence, FlatHashStoreMatchesSeedHashStore) {
-  using Flat = HashStore<TR, TRKey, TSKey>;
+TEST(StoreEquivalence, RadiusZeroBandStoreMatchesSeedHashStore) {
   using Ref = RefHashStore<TR, TRKey, TSKey>;
   for (uint64_t trial = 1; trial <= 8; ++trial) {
     Rng rng(trial * 7717);
-    Flat flat;
+    EquiBand band = MakeEquiBand();
     Ref ref;
     Seq next_seq = 0;
     std::deque<Seq> live;
@@ -288,7 +250,7 @@ TEST(StoreEquivalence, FlatHashStoreMatchesSeedHashStore) {
       const double dice = rng.UniformDouble();
       if (live.empty() || dice < 0.45) {
         const int32_t key = static_cast<int32_t>(rng.UniformInt(1, kKeyDomain));
-        flat.Insert(MakeTuple(key, next_seq), true);
+        band.Insert(MakeTuple(key, next_seq), true);
         ref.Insert(MakeTuple(key, next_seq), true);
         live.push_back(next_seq);
         to_clear.push_back(next_seq);
@@ -296,7 +258,7 @@ TEST(StoreEquivalence, FlatHashStoreMatchesSeedHashStore) {
       } else if (dice < 0.65 && !to_clear.empty()) {
         const Seq seq = to_clear.front();
         to_clear.pop_front();
-        ASSERT_EQ(flat.ClearExpedited(seq), ref.ClearExpedited(seq));
+        ASSERT_EQ(band.ClearExpedited(seq), ref.ClearExpedited(seq));
       } else if (dice < 0.95) {
         const std::size_t pick =
             rng.Chance(0.85) ? 0
@@ -304,36 +266,36 @@ TEST(StoreEquivalence, FlatHashStoreMatchesSeedHashStore) {
                                    0, static_cast<int64_t>(live.size()) - 1));
         const Seq seq = live[pick];
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-        ASSERT_EQ(flat.EraseSeq(seq), ref.EraseSeq(seq));
+        ASSERT_EQ(band.EraseSeq(seq), ref.EraseSeq(seq));
       } else {
-        ASSERT_EQ(flat.EraseSeq(next_seq + 100), ref.EraseSeq(next_seq + 100));
+        ASSERT_EQ(band.EraseSeq(next_seq + 100), ref.EraseSeq(next_seq + 100));
       }
-      ASSERT_EQ(flat.size(), ref.size()) << "trial " << trial << " op " << op;
+      ASSERT_EQ(band.size(), ref.size()) << "trial " << trial << " op " << op;
       if (op % 64 == 0) {
         for (int32_t key = 1; key <= kKeyDomain; ++key) {
-          ASSERT_EQ(Snapshot(flat, key), Snapshot(ref, key))
+          ASSERT_EQ(ProbeSnapshot(band, key), ProbeSnapshot(ref, key))
               << "trial " << trial << " op " << op << " key " << key;
         }
       }
     }
     for (int32_t key = 1; key <= kKeyDomain; ++key) {
-      EXPECT_EQ(Snapshot(flat, key), Snapshot(ref, key)) << "key " << key;
+      EXPECT_EQ(ProbeSnapshot(band, key), ProbeSnapshot(ref, key))
+          << "key " << key;
     }
   }
 }
 
-// -- Grouped store vs chain baseline under tombstone churn -------------------
+// -- Radius-0 band store vs the seed bucket store under churn ----------------
 
-// The lane-grouped HashStore against the retained chain-walk baseline
-// (ChainHashStore), in lock-step across every operation the store concept
-// exposes. The op mix is erase-heavy in bursts, so the grouped table
-// accumulates tombstoned lanes, crosses its 7/8 occupancy trigger, and
-// exercises both rehash shapes (same-size tombstone purge and doubling).
-// Two key domains: small forces long duplicate runs spilling the inline
-// candidate buffer; large forces displacement across many groups. Inserts
-// carry rising epochs, so the epoch walk (newest-first over the grouped
-// store's seq ring) is compared too, after middle and absent-seq erases.
-TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
+// The radius-0 BandStore against the seed bucket store, in lock-step across
+// every operation the store concept exposes. The op mix is erase-heavy in
+// bursts. Two key domains: the small one gives long per-key runs over many
+// 8-record blocks, so middle erases move records across blocks; in the
+// large one nearly every entry is a key of its own, so the fill rule widens
+// the buckets (a rebuild) once the window turns over, and the probes then
+// filter a shared bucket. Inserts carry rising epochs, so the epoch walk
+// (newest-first) is compared too, after middle and absent-seq erases.
+TEST(StoreEquivalence, RadiusZeroBandStoreMatchesSeedHashStoreUnderChurn) {
   using Crossing = std::tuple<std::size_t, QueryId, Seq>;
   constexpr Seq kSeqsPerEpoch = 97;
   auto epoch_walk = [](const auto& store, Epoch e) {
@@ -346,8 +308,8 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
   for (const int32_t key_domain : {4, 4096}) {
     for (uint64_t trial = 1; trial <= 4; ++trial) {
       Rng rng(trial * 9001 + static_cast<uint64_t>(key_domain));
-      HashStore<TR, TRKey, TSKey> grouped;
-      ChainHashStore<TR, TRKey, TSKey> chain;
+      EquiBand band = MakeEquiBand();
+      RefHashStore<TR, TRKey, TSKey> ref;
       Seq next_seq = 0;
       std::deque<Seq> live;
       std::deque<Seq> to_clear;
@@ -361,15 +323,15 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
               static_cast<int32_t>(rng.UniformInt(1, key_domain));
           Stamped<TR> t = MakeTuple(key, next_seq);
           t.epoch = static_cast<Epoch>(1 + next_seq / kSeqsPerEpoch);
-          grouped.Insert(t, true);
-          chain.Insert(t, true);
+          band.Insert(t, true);
+          ref.Insert(t, true);
           live.push_back(next_seq);
           to_clear.push_back(next_seq);
           ++next_seq;
         } else if (dice < insert_p + 0.15 && !to_clear.empty()) {
           const Seq seq = to_clear.front();
           to_clear.pop_front();
-          ASSERT_EQ(grouped.ClearExpedited(seq), chain.ClearExpedited(seq));
+          ASSERT_EQ(band.ClearExpedited(seq), ref.ClearExpedited(seq));
         } else if (dice < 0.97) {
           const std::size_t pick =
               rng.Chance(0.85) ? 0
@@ -377,22 +339,22 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
                                      0, static_cast<int64_t>(live.size()) - 1));
           const Seq seq = live[pick];
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-          ASSERT_EQ(grouped.EraseSeq(seq), chain.EraseSeq(seq));
+          ASSERT_EQ(band.EraseSeq(seq), ref.EraseSeq(seq));
         } else {
-          ASSERT_EQ(grouped.EraseSeq(next_seq + 7),
-                    chain.EraseSeq(next_seq + 7));
+          ASSERT_EQ(band.EraseSeq(next_seq + 7),
+                    ref.EraseSeq(next_seq + 7));
         }
-        ASSERT_EQ(grouped.size(), chain.size())
+        ASSERT_EQ(band.size(), ref.size())
             << "domain " << key_domain << " trial " << trial << " op " << op;
         if (op % 128 == 0) {
           // Per-key insertion-order snapshots on a handful of keys...
           for (int32_t key = 1; key <= std::min(key_domain, 5); ++key) {
-            ASSERT_EQ(Snapshot(grouped, key), Snapshot(chain, key))
+            ASSERT_EQ(ProbeSnapshot(band, key), ProbeSnapshot(ref, key))
                 << "domain " << key_domain << " trial " << trial << " op "
                 << op << " key " << key;
           }
           // ...and a batched probe sweep including absent keys.
-          QuerySet<test::KeyEq> queries{test::KeyEq{}};
+          QuerySet<IndexedEq> queries{IndexedEq{}};
           std::vector<Stamped<TS>> probes;
           for (std::size_t j = 0; j < 12; ++j) {
             Stamped<TS> p;
@@ -402,12 +364,12 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
             probes.push_back(p);
           }
           std::multiset<Crossing> got, want;
-          grouped.MatchBatch<false>(
+          band.MatchBatch<false>(
               queries, probes.data(), probes.size(),
               [&](std::size_t j, QueryId q, const StoreEntry<TR>& e) {
                 got.insert({j, q, e.tuple.seq});
               });
-          chain.MatchBatch<false>(
+          ref.MatchBatch<false>(
               queries, probes.data(), probes.size(),
               [&](std::size_t j, QueryId q, const StoreEntry<TR>& e) {
                 want.insert({j, q, e.tuple.seq});
@@ -416,64 +378,20 @@ TEST(StoreEquivalence, GroupedHashStoreMatchesChainStoreUnderChurn) {
               << "domain " << key_domain << " trial " << trial << " op " << op;
           // Epoch walks from before the oldest epoch, mid-window and at the
           // newest epoch (empty).
-          const Epoch newest = grouped.max_epoch();
+          const Epoch newest = band.max_epoch();
           for (const Epoch e : {Epoch{0}, newest / 2, newest - 1, newest}) {
-            ASSERT_EQ(epoch_walk(grouped, e), epoch_walk(chain, e))
+            ASSERT_EQ(epoch_walk(band, e), epoch_walk(ref, e))
                 << "domain " << key_domain << " trial " << trial << " op "
                 << op << " epoch " << e;
           }
         }
       }
-    }
-  }
-}
-
-// The int32 GroupTable instantiation end-to-end (the store uses int64):
-// duplicate lanes, (key, ref) disambiguated erase, tombstone reuse,
-// same-size purge rehash, and candidate termination across dead groups.
-TEST(StoreEquivalence, GroupTableInt32InsertEraseProbe) {
-  GroupTable<int32_t> table;
-  EXPECT_EQ(table.size(), 0u);
-  // Oracle keeps each key's live refs in INSERTION order: the table's
-  // candidate walk must reproduce it exactly (the order invariant the
-  // store's probe path leans on — no sort on emission), across erases,
-  // tombstone accumulation, purges and growth rehashes.
-  std::unordered_map<int32_t, std::vector<int32_t>> oracle;
-  Rng rng(271828);
-  int32_t next_ref = 0;
-  std::vector<std::pair<int32_t, int32_t>> live;
-  for (int op = 0; op < 3000; ++op) {
-    if (live.empty() || rng.Chance(0.55)) {
-      const int32_t key = static_cast<int32_t>(rng.UniformInt(-8, 8));
-      table.Insert(key, next_ref);
-      oracle[key].push_back(next_ref);
-      live.emplace_back(key, next_ref);
-      ++next_ref;
-    } else {
-      const std::size_t pick = static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      const auto [key, ref] = live[pick];
-      EXPECT_TRUE(table.Erase(key, ref));
-      EXPECT_FALSE(table.Erase(key, ref));  // already tombstoned
-      auto& order = oracle[key];
-      order.erase(std::find(order.begin(), order.end(), ref));
-      live[pick] = live.back();
-      live.pop_back();
-    }
-    if (op % 100 == 0) {
-      for (int32_t key = -9; key <= 9; ++key) {
-        std::vector<int32_t> got;
-        table.ForEachCandidate(key,
-                               [&](int32_t ref) { got.push_back(ref); });
-        const auto it = oracle.find(key);
-        ASSERT_EQ(got, it == oracle.end() ? std::vector<int32_t>{}
-                                          : it->second)
-            << "op " << op << " key " << key;
+      if (key_domain == 4096) {
+        EXPECT_GT(band.bucket_shift(), 0)
+            << "trial " << trial << ": sparse keys never widened the buckets";
       }
-      ASSERT_EQ(table.size(), live.size());
     }
   }
-  EXPECT_GT(table.group_count(), 2u);  // grew past kMinGroups
 }
 
 // -- Regression: ClearExpedited must not scan past the expedited suffix -----

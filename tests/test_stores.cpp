@@ -1,5 +1,6 @@
-// Tests for the LLHJ node-local window stores (scan, hash-index and
-// key-bucketed band index) and the home-node assignment policy.
+// Tests for the LLHJ node-local window stores (scan, and the key-bucketed
+// index at a band radius and at radius 0, the equi-join index) and the
+// home-node assignment policy.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -18,9 +19,7 @@ namespace sjoin {
 namespace {
 
 using test::TR;
-using test::TRKey;
 using test::TS;
-using test::TSKey;
 
 template <typename T>
 Stamped<T> Make(int32_t key, Seq seq) {
@@ -87,101 +86,6 @@ TEST(VectorStore, ClearExpeditedOnErasedTupleIsNoop) {
   EXPECT_FALSE(store.ClearExpedited(7));
 }
 
-using TRHash = HashStore<TR, TRKey, TSKey>;
-
-TEST(HashStore, ProbeVisitsOnlyMatchingBucket) {
-  TRHash store;
-  store.Insert(Make<TR>(1, 0), false);
-  store.Insert(Make<TR>(2, 1), false);
-  store.Insert(Make<TR>(1, 2), false);
-  EXPECT_EQ(store.size(), 3u);
-  auto seqs = Collect(store, 1);
-  EXPECT_EQ(std::set<Seq>(seqs.begin(), seqs.end()), (std::set<Seq>{0, 2}));
-  EXPECT_TRUE(Collect(store, 3).empty());
-}
-
-TEST(HashStore, EraseSeqUpdatesBuckets) {
-  TRHash store;
-  store.Insert(Make<TR>(1, 0), false);
-  store.Insert(Make<TR>(1, 1), false);
-  EXPECT_TRUE(store.EraseSeq(0));
-  EXPECT_EQ(store.size(), 1u);
-  auto seqs = Collect(store, 1);
-  EXPECT_EQ(seqs, std::vector<Seq>{1});
-  EXPECT_FALSE(store.EraseSeq(0));
-  EXPECT_TRUE(store.EraseSeq(1));
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(Collect(store, 1).empty());
-}
-
-#if defined(__linux__) && !defined(SJOIN_SANITIZE)
-
-/// This process's resident set (VmRSS), in KiB; -1 when unreadable.
-long ResidentKiB() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
-  }
-  return -1;
-}
-
-// A window under FIFO churn must hold its memory: one expiry of the oldest
-// entry and one insert per op over 2,048 live entries, 1M ops. Each op
-// leaves a tombstone in the key table, so the table purges itself about
-// every thousand ops; the purge's replacement slab must not strand the old
-// one's pages, and the seq index must not grow with the churn. Growth is
-// measured from the filled store and checked after the first 100K ops
-// (about a hundred purges) and at the end. (Compiled out under
-// sanitizers, whose allocators keep freed memory in quarantine.)
-TEST(HashStore, FifoChurnHoldsResidentMemory) {
-  constexpr Seq kLive = 2'048;
-  constexpr int kOps = 1'000'000;
-  constexpr int kCheckOps = 100'000;
-  constexpr long kBoundKiB = 1'024;
-  Rng rng(17);
-  TRHash store;
-  auto next_tuple = [&](Seq seq) {
-    return Make<TR>(static_cast<int32_t>(rng.UniformInt(1, 1'024)), seq);
-  };
-  Seq next = 0;
-  for (; next < kLive; ++next) store.Insert(next_tuple(next), false);
-  const long filled_kib = ResidentKiB();
-  ASSERT_GT(filled_kib, 0) << "VmRSS unreadable";
-  for (int op = 1; op <= kOps; ++op) {
-    ASSERT_TRUE(store.EraseSeq(next - kLive));
-    store.Insert(next_tuple(next), false);
-    ++next;
-    if (op == kCheckOps || op == kOps) {
-      const long grown_kib = ResidentKiB() - filled_kib;
-      EXPECT_LT(grown_kib, kBoundKiB)
-          << "resident set grew " << grown_kib << " KiB in " << op << " ops";
-    }
-  }
-  EXPECT_EQ(store.size(), static_cast<std::size_t>(kLive));
-}
-
-#endif  // __linux__ && !SJOIN_SANITIZE
-
-TEST(HashStore, ClearExpedited) {
-  TRHash store;
-  store.Insert(Make<TR>(5, 3), true);
-  TS probe;
-  probe.key = 5;
-  int expedited = 0;
-  store.ForEach(probe, [&](const StoreEntry<TR>& e) {
-    expedited += e.expedited ? 1 : 0;
-  });
-  EXPECT_EQ(expedited, 1);
-  EXPECT_TRUE(store.ClearExpedited(3));
-  expedited = 0;
-  store.ForEach(probe, [&](const StoreEntry<TR>& e) {
-    expedited += e.expedited ? 1 : 0;
-  });
-  EXPECT_EQ(expedited, 0);
-  EXPECT_FALSE(store.ClearExpedited(99));
-}
-
 using TRBand = BandStore<TR, TS, test::RangeBand, StreamSide::kR>;
 
 /// An R-side band store whose epoch-0 query is |r.key - s.key| <= width.
@@ -211,12 +115,175 @@ std::vector<Seq> CollectBand(const TRBand& store, int32_t probe_key,
   return seqs;
 }
 
+using TREqui = BandStore<TR, TS, test::IndexedEq, StreamSide::kR>;
+
+/// An R-side radius-0 store: the equi-join index of r.key == s.key.
+TREqui MakeEquiStore() {
+  return TREqui(QuerySet<test::IndexedEq>{test::IndexedEq{}});
+}
+
+/// The entries a radius-0 store matches for one S probe of key `probe_key`.
+std::vector<StoreEntry<TR>> ProbeEqui(const TREqui& store, int32_t probe_key) {
+  Stamped<TS> probe;
+  probe.value.key = probe_key;
+  std::vector<StoreEntry<TR>> out;
+  store.MatchBatch</*kProbeIsLeft=*/false>(
+      QuerySet<test::IndexedEq>{test::IndexedEq{}}, &probe, 1,
+      [&](std::size_t, QueryId, const StoreEntry<TR>& e) { out.push_back(e); });
+  return out;
+}
+
+std::vector<Seq> CollectEqui(const TREqui& store, int32_t probe_key) {
+  std::vector<Seq> seqs;
+  for (const auto& e : ProbeEqui(store, probe_key)) {
+    seqs.push_back(e.tuple.seq);
+  }
+  return seqs;
+}
+
+TEST(BandStore, RadiusZeroProbeVisitsOnlyMatchingKey) {
+  TREqui store = MakeEquiStore();
+  EXPECT_EQ(store.bucket_shift(), 0);
+  store.Insert(Make<TR>(1, 0), false);
+  store.Insert(Make<TR>(2, 1), false);
+  store.Insert(Make<TR>(1, 2), false);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.bucket_count(), 2u);
+  auto seqs = CollectEqui(store, 1);
+  EXPECT_EQ(std::set<Seq>(seqs.begin(), seqs.end()), (std::set<Seq>{0, 2}));
+  EXPECT_TRUE(CollectEqui(store, 3).empty());
+}
+
+TEST(BandStore, RadiusZeroEraseSeqUpdatesBuckets) {
+  TREqui store = MakeEquiStore();
+  store.Insert(Make<TR>(1, 0), false);
+  store.Insert(Make<TR>(1, 1), false);
+  EXPECT_TRUE(store.EraseSeq(0));
+  EXPECT_EQ(store.size(), 1u);
+  auto seqs = CollectEqui(store, 1);
+  EXPECT_EQ(seqs, std::vector<Seq>{1});
+  EXPECT_FALSE(store.EraseSeq(0));
+  EXPECT_TRUE(store.EraseSeq(1));
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.bucket_count(), 0u);
+  EXPECT_TRUE(CollectEqui(store, 1).empty());
+}
+
+#if defined(__linux__) && !defined(SJOIN_SANITIZE)
+
+/// This process's resident set (VmRSS), in KiB; -1 when unreadable.
+long ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+// A window under FIFO churn must hold its memory: one expiry of the oldest
+// entry and one insert per op over 2,048 live entries, 1M ops. Expiries
+// return blocks to the pool's free list and release emptied buckets, so
+// neither the block pool nor the bucket index may grow with the churn.
+// Growth is measured from the filled store and checked after the first
+// 100K ops and at the end. (Compiled out under sanitizers, whose
+// allocators keep freed memory in quarantine.)
+TEST(BandStore, RadiusZeroFifoChurnHoldsResidentMemory) {
+  constexpr Seq kLive = 2'048;
+  constexpr int kOps = 1'000'000;
+  constexpr int kCheckOps = 100'000;
+  constexpr long kBoundKiB = 1'024;
+  Rng rng(17);
+  TREqui store = MakeEquiStore();
+  auto next_tuple = [&](Seq seq) {
+    return Make<TR>(static_cast<int32_t>(rng.UniformInt(1, 1'024)), seq);
+  };
+  Seq next = 0;
+  for (; next < kLive; ++next) store.Insert(next_tuple(next), false);
+  const long filled_kib = ResidentKiB();
+  ASSERT_GT(filled_kib, 0) << "VmRSS unreadable";
+  for (int op = 1; op <= kOps; ++op) {
+    ASSERT_TRUE(store.EraseSeq(next - kLive));
+    store.Insert(next_tuple(next), false);
+    ++next;
+    if (op == kCheckOps || op == kOps) {
+      const long grown_kib = ResidentKiB() - filled_kib;
+      EXPECT_LT(grown_kib, kBoundKiB)
+          << "resident set grew " << grown_kib << " KiB in " << op << " ops";
+    }
+  }
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(kLive));
+}
+
+#endif  // __linux__ && !SJOIN_SANITIZE
+
+TEST(BandStore, RadiusZeroClearExpedited) {
+  TREqui store = MakeEquiStore();
+  store.Insert(Make<TR>(5, 3), true);
+  int expedited = 0;
+  for (const auto& e : ProbeEqui(store, 5)) expedited += e.expedited ? 1 : 0;
+  EXPECT_EQ(expedited, 1);
+  EXPECT_TRUE(store.ClearExpedited(3));
+  expedited = 0;
+  for (const auto& e : ProbeEqui(store, 5)) expedited += e.expedited ? 1 : 0;
+  EXPECT_EQ(expedited, 0);
+  EXPECT_FALSE(store.ClearExpedited(99));
+}
+
+// At radius 0 each key has a bucket of its own (W = 1). A count window of
+// 2,048 entries over 512 keys, about four per key, keeps that through its
+// fill and 10 window turnovers. Each op inserts the arrival before the
+// expiry of the oldest, so the ring doubles to 4,096 slots and the fill
+// rule's budget is 8,192 records. With 8-record blocks the buckets stay
+// within it; with 32-record blocks, 512 buckets would take 16,384 records
+// and widen W at the first erase.
+TEST(BandStore, RadiusZeroKeepsExactBucketsThroughChurn) {
+  constexpr Seq kLive = 2'048;
+  constexpr int32_t kKeys = 512;
+  Rng rng(29);
+  TREqui store = MakeEquiStore();
+  std::vector<Seq> live_per_key(kKeys + 1, 0);
+  std::vector<int32_t> key_of;  // by seq
+  std::size_t distinct = 0;
+  auto insert = [&](Seq seq) {
+    const auto key = static_cast<int32_t>(rng.UniformInt(1, kKeys));
+    key_of.push_back(key);
+    if (live_per_key[static_cast<std::size_t>(key)]++ == 0) ++distinct;
+    store.Insert(Make<TR>(key, seq), false);
+  };
+  auto check = [&](Seq seq) {
+    ASSERT_EQ(store.bucket_shift(), 0) << "seq " << seq;
+    ASSERT_EQ(store.bucket_count(), distinct) << "seq " << seq;
+  };
+  Seq next = 0;
+  for (; next < kLive; ++next) {
+    insert(next);
+    check(next);
+  }
+  for (; next < 11 * kLive; ++next) {
+    insert(next);
+    const Seq oldest = next - kLive;
+    ASSERT_TRUE(store.EraseSeq(oldest));
+    const auto key = static_cast<std::size_t>(key_of[oldest]);
+    if (--live_per_key[key] == 0) --distinct;
+    check(next);
+    if (next % 97 == 0) {
+      const int32_t probe = key_of[next];
+      for (const Seq seq : CollectEqui(store, probe)) {
+        ASSERT_EQ(key_of[seq], probe) << "seq " << seq;
+      }
+      ASSERT_EQ(CollectEqui(store, probe).size(),
+                live_per_key[static_cast<std::size_t>(probe)]);
+    }
+  }
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(kLive));
+}
+
 // -- Epoch-walk ordering contract --------------------------------------------
 
 // ForEachEpochAfter visits exactly the live entries inserted under an epoch
 // later than `e`, NEWEST-FIRST (strictly descending Seq), on every store
-// type. The grouped HashStore's precursor walked its seq-index in hash
-// order here; the nodes tolerate any order (each entry is evaluated in
+// type. The nodes tolerate any order (each entry is evaluated in
 // isolation), but the contract is pinned so stores stay interchangeable —
 // see llhj_node.hpp / hsj_node.hpp epoch re-sweep call sites.
 template <typename T>
@@ -259,13 +326,8 @@ TEST(EpochWalk, VectorStoreVisitsNewestFirst) {
   CheckEpochWalkNewestFirst(store);
 }
 
-TEST(EpochWalk, GroupedHashStoreVisitsNewestFirst) {
-  HashStore<TR, TRKey, TSKey> store;
-  CheckEpochWalkNewestFirst(store);
-}
-
-TEST(EpochWalk, ChainHashStoreVisitsNewestFirst) {
-  ChainHashStore<TR, TRKey, TSKey> store;
+TEST(EpochWalk, RadiusZeroBandStoreVisitsNewestFirst) {
+  TREqui store = MakeEquiStore();
   CheckEpochWalkNewestFirst(store);
 }
 

@@ -54,13 +54,22 @@ struct KeyBand {
 };
 
 /// KeyBand under another type, which declares its key radius
-/// (RangeKeyTraits, below): LLHJ sessions index its windows in BandStores,
+/// (JoinKeyTraits, below): LLHJ sessions index its windows in BandStores,
 /// while KeyBand sessions keep the scan store, so both stay covered.
 struct RangeBand {
   int32_t width = 1;
   bool operator()(const TR& r, const TS& s) const {
     return r.key >= s.key - width && r.key <= s.key + width;
   }
+};
+
+/// KeyEq under another type, which declares its key with radius 0
+/// (JoinKeyTraits, below): LLHJ pipelines and sessions index its windows
+/// in radius-0 BandStores, while KeyEq sessions keep the scan store
+/// (except in test_sharded.cpp, which declares KeyEq's key to hash-partition
+/// it).
+struct IndexedEq {
+  bool operator()(const TR& r, const TS& s) const { return r.key == s.key; }
 };
 
 struct TRKey {
@@ -138,11 +147,37 @@ struct SimdProbeTraits<test::RangeBand, test::TS, test::TR> {
 };
 
 template <>
-struct RangeKeyTraits<test::RangeBand, test::TR, test::TS> {
+struct JoinKeyTraits<test::RangeBand, test::TR, test::TS> {
   static constexpr bool kEnabled = true;
   static int64_t KeyR(const test::TR& r) { return r.key; }
   static int64_t KeyS(const test::TS& s) { return s.key; }
   static int64_t Radius(const test::RangeBand& p) { return p.width; }
+};
+
+template <>
+struct JoinKeyTraits<test::IndexedEq, test::TR, test::TS> {
+  static constexpr bool kEnabled = true;
+  static constexpr int64_t kRadius = 0;
+  static int64_t KeyR(const test::TR& r) { return r.key; }
+  static int64_t KeyS(const test::TS& s) { return s.key; }
+};
+
+template <>
+struct SimdProbeTraits<test::IndexedEq, test::TR, test::TS> {
+  static constexpr bool kEnabled = true;
+  static constexpr SimdPredShape kShape = SimdPredShape::kEqui;
+  static int32_t Key(const test::IndexedEq&, const test::TR& r) {
+    return r.key;
+  }
+};
+
+template <>
+struct SimdProbeTraits<test::IndexedEq, test::TS, test::TR> {
+  static constexpr bool kEnabled = true;
+  static constexpr SimdPredShape kShape = SimdPredShape::kEqui;
+  static int32_t Key(const test::IndexedEq&, const test::TS& s) {
+    return s.key;
+  }
 };
 
 template <>
