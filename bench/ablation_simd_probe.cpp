@@ -8,8 +8,9 @@
 // HsjNode::ScanBatchAgainstS issue per crossing. Three probe shapes cover
 // every kernel family:
 //
-//   band_entry — R probes the S window; band bounds computed per ENTRY
-//                (band_entry_i32 + band_entry_f32 kernels);
+//   band_entry — R probes the S window; float band bounds computed per
+//                ENTRY, the int band as an exact range around the probe
+//                (range_i32 + band_entry_f32 kernels);
 //   band_probe — S probes the R window; band bounds hoisted per PROBE
 //                (range_i32 + range_f32 kernels);
 //   equi       — key equality sweep (eq_i32 kernel).

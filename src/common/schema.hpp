@@ -65,13 +65,15 @@ struct STuple {
   bool d = false;
 };
 
-/// The paper's two-dimensional band join predicate.
+/// The paper's two-dimensional band join predicate. The int bounds are
+/// computed in int64, so keys at the int32 limits join exactly.
 struct BandPredicate {
   int32_t x_band = 10;
   float y_band = 10.0f;
 
   bool operator()(const RTuple& r, const STuple& s) const {
-    return r.x >= s.a - x_band && r.x <= s.a + x_band &&
+    const int64_t a = s.a;
+    return r.x >= a - x_band && r.x <= a + x_band &&
            r.y >= s.b - y_band && r.y <= s.b + y_band;
   }
 };
@@ -93,9 +95,7 @@ struct JoinKeyTraits<EquiPredicate, RTuple, STuple> {
 };
 
 /// The band predicate's key: r.x within s.a +- x_band (the y/b band is
-/// left to the predicate). The contract is only guaranteed for keys at
-/// least x_band away from INT32_MIN/INT32_MAX: nearer, the predicate's
-/// int32 bounds overflow.
+/// left to the predicate).
 template <>
 struct JoinKeyTraits<BandPredicate, RTuple, STuple> {
   static constexpr bool kEnabled = true;
@@ -111,9 +111,10 @@ static_assert(sizeof(RTuple) == 28 || sizeof(RTuple) == 32,
 // SIMD probe mappings (common/simd.hpp) for the benchmark schema: the hot
 // predicate columns each tuple contributes to the store's SoA lanes, and
 // how the band/equi predicates decompose into packed-compare sweeps per
-// probe direction. The decompositions perform exactly the scalar
-// predicates' arithmetic on the side where the scalar code computes it, so
-// kernel-driven result sets are bit-identical to the scalar path.
+// probe direction. The float terms perform exactly the scalar predicates'
+// arithmetic on the side where the scalar code computes it, and the int
+// terms compute exact (int64, saturated) bounds, so kernel-driven result
+// sets are bit-identical to the scalar path.
 // ---------------------------------------------------------------------------
 
 template <>
@@ -132,8 +133,9 @@ struct SimdEntryLanes<STuple> {
   static float K1(const STuple& s) { return s.b; }
 };
 
-/// R probes the S window: the band bounds (s.a +- x_band, s.b +- y_band)
-/// are computed from the ENTRY, exactly like the scalar predicate.
+/// R probes the S window: the float bounds (s.b +- y_band) are computed
+/// from the ENTRY, exactly like the scalar predicate; the int band is swept
+/// as the equivalent exact range r.x -+ x_band (common/simd.hpp).
 template <>
 struct SimdProbeTraits<BandPredicate, RTuple, STuple> {
   static constexpr bool kEnabled = true;
@@ -153,10 +155,10 @@ struct SimdProbeTraits<BandPredicate, STuple, RTuple> {
   static constexpr SimdPredShape kShape = SimdPredShape::kBandProbe;
   static constexpr bool kUseF32 = true;
   static int32_t Lo0(const BandPredicate& p, const STuple& s) {
-    return s.a - p.x_band;
+    return SaturateI32(int64_t{s.a} - p.x_band);
   }
   static int32_t Hi0(const BandPredicate& p, const STuple& s) {
-    return s.a + p.x_band;
+    return SaturateI32(int64_t{s.a} + p.x_band);
   }
   static float Lo1(const BandPredicate& p, const STuple& s) {
     return s.b - p.y_band;

@@ -7,15 +7,15 @@
 // that layer:
 //
 //  * Mask kernels — packed-compare primitives (int32 range, float32
-//    range, int32 entry-side band, float32 entry-side band, int32/uint64
-//    equality) that each sweep one contiguous key lane and produce a match
-//    BITMASK (bit i set iff lane i satisfies the predicate term). A full
-//    predicate is evaluated as one or two kernel sweeps whose masks are
-//    ANDed; result emission walks the set bits. Every kernel performs
-//    *exactly* the arithmetic of the scalar predicate (same int32
-//    wraparound, same IEEE single-precision rounding, ordered float
-//    compares), so the vectorized result sets are bit-identical to the
-//    scalar path — asserted by tests/test_simd_kernels.cpp and in-bench by
+//    range, float32 entry-side band, int32/uint64 equality) that each
+//    sweep one contiguous key lane and produce a match BITMASK (bit i set
+//    iff lane i satisfies the predicate term). A full predicate is
+//    evaluated as one or two kernel sweeps whose masks are ANDed; result
+//    emission walks the set bits. Every kernel performs *exactly* the
+//    arithmetic of the scalar predicate (exact integer bounds, same IEEE
+//    single-precision rounding, ordered float compares), so the vectorized
+//    result sets are bit-identical to the scalar path — asserted by
+//    tests/test_simd_kernels.cpp and in-bench by
 //    bench/ablation_simd_probe.cpp.
 //
 //  * Masked-tail contract — kernels write ceil(n/64) words of mask for n
@@ -234,31 +234,8 @@ inline void RangeMaskF32Scalar(const float* v, std::size_t n, float lo,
   }
 }
 
-/// v[i] - band with two's-complement wraparound: scalar bodies and tail
-/// epilogues must match the vector _mm*_sub/add_epi32 semantics exactly
-/// (and signed int32 overflow would be UB).
-inline int32_t WrapSub(int32_t a, int32_t b) {
-  return static_cast<int32_t>(static_cast<uint32_t>(a) -
-                              static_cast<uint32_t>(b));
-}
-inline int32_t WrapAdd(int32_t a, int32_t b) {
-  return static_cast<int32_t>(static_cast<uint32_t>(a) +
-                              static_cast<uint32_t>(b));
-}
-
 /// bit i <=> v[i]-band <= probe <= v[i]+band  (entry-side bounds: the band
-/// arithmetic runs per entry, exactly like the scalar band predicate).
-inline void BandEntryMaskI32Scalar(const int32_t* v, std::size_t n,
-                                   int32_t band, int32_t probe,
-                                   uint64_t* mask) {
-  ZeroMask(mask, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (probe >= WrapSub(v[i], band) && probe <= WrapAdd(v[i], band)) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
+/// arithmetic runs per entry, with the scalar band predicate's rounding).
 inline void BandEntryMaskF32Scalar(const float* v, std::size_t n, float band,
                                    float probe, uint64_t* mask) {
   ZeroMask(mask, n);
@@ -329,31 +306,6 @@ __attribute__((target("sse2"))) inline void RangeMaskF32Sse2(
   }
   for (; i < n; ++i) {
     if (v[i] >= lo && v[i] <= hi) mask[i >> 6] |= uint64_t{1} << (i & 63);
-  }
-}
-
-__attribute__((target("sse2"))) inline void BandEntryMaskI32Sse2(
-    const int32_t* v, std::size_t n, int32_t band, int32_t probe,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m128i vband = _mm_set1_epi32(band);
-  const __m128i vprobe = _mm_set1_epi32(probe);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-    const __m128i lo = _mm_sub_epi32(x, vband);
-    const __m128i hi = _mm_add_epi32(x, vband);
-    const __m128i bad =
-        _mm_or_si128(_mm_cmpgt_epi32(lo, vprobe), _mm_cmpgt_epi32(vprobe, hi));
-    const uint32_t bits =
-        static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(bad))) ^ 0xfu;
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (probe >= WrapSub(v[i], band) && probe <= WrapAdd(v[i], band)) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
   }
 }
 
@@ -465,32 +417,6 @@ __attribute__((target("avx2"))) inline void RangeMaskF32Avx2(
   }
 }
 
-__attribute__((target("avx2"))) inline void BandEntryMaskI32Avx2(
-    const int32_t* v, std::size_t n, int32_t band, int32_t probe,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m256i vband = _mm256_set1_epi32(band);
-  const __m256i vprobe = _mm256_set1_epi32(probe);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const __m256i lo = _mm256_sub_epi32(x, vband);
-    const __m256i hi = _mm256_add_epi32(x, vband);
-    const __m256i bad = _mm256_or_si256(_mm256_cmpgt_epi32(lo, vprobe),
-                                        _mm256_cmpgt_epi32(vprobe, hi));
-    const uint32_t bits =
-        static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(bad))) ^
-        0xffu;
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (probe >= WrapSub(v[i], band) && probe <= WrapAdd(v[i], band)) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
 __attribute__((target("avx2"))) inline void BandEntryMaskF32Avx2(
     const float* v, std::size_t n, float band, float probe, uint64_t* mask) {
   ZeroMask(mask, n);
@@ -580,29 +506,6 @@ __attribute__((target("avx512f"))) inline void RangeMaskI32Avx512(
   }
 }
 
-__attribute__((target("avx512f"))) inline void BandEntryMaskI32Avx512(
-    const int32_t* v, std::size_t n, int32_t band, int32_t probe,
-    uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m512i vband = _mm512_set1_epi32(band);
-  const __m512i vprobe = _mm512_set1_epi32(probe);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i x = _mm512_loadu_si512(v + i);
-    const __m512i lo = _mm512_sub_epi32(x, vband);
-    const __m512i hi = _mm512_add_epi32(x, vband);
-    const __mmask16 ge = _mm512_cmp_epi32_mask(vprobe, lo, _MM_CMPINT_NLT);
-    const __mmask16 le = _mm512_cmp_epi32_mask(vprobe, hi, _MM_CMPINT_LE);
-    const uint32_t bits = static_cast<uint32_t>(ge & le);
-    mask[i >> 6] |= static_cast<uint64_t>(bits) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (probe >= WrapSub(v[i], band) && probe <= WrapAdd(v[i], band)) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
 __attribute__((target("avx512f"))) inline void EqMaskI32Avx512(
     const int32_t* v, std::size_t n, int32_t key, uint64_t* mask) {
   ZeroMask(mask, n);
@@ -635,8 +538,6 @@ struct SimdKernels {
                     uint64_t* mask);
   void (*range_f32)(const float* v, std::size_t n, float lo, float hi,
                     uint64_t* mask);
-  void (*band_entry_i32)(const int32_t* v, std::size_t n, int32_t band,
-                         int32_t probe, uint64_t* mask);
   void (*band_entry_f32)(const float* v, std::size_t n, float band,
                          float probe, uint64_t* mask);
   void (*eq_i32)(const int32_t* v, std::size_t n, int32_t key,
@@ -652,7 +553,6 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       "scalar",
       &simd_kernels::RangeMaskI32Scalar,
       &simd_kernels::RangeMaskF32Scalar,
-      &simd_kernels::BandEntryMaskI32Scalar,
       &simd_kernels::BandEntryMaskF32Scalar,
       &simd_kernels::EqMaskI32Scalar,
       &simd_kernels::EqMaskU64Scalar,
@@ -662,7 +562,6 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       "sse2",
       &simd_kernels::RangeMaskI32Sse2,
       &simd_kernels::RangeMaskF32Sse2,
-      &simd_kernels::BandEntryMaskI32Sse2,
       &simd_kernels::BandEntryMaskF32Sse2,
       &simd_kernels::EqMaskI32Sse2,
       &simd_kernels::EqMaskU64Sse2,
@@ -671,7 +570,6 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       "avx2",
       &simd_kernels::RangeMaskI32Avx2,
       &simd_kernels::RangeMaskF32Avx2,
-      &simd_kernels::BandEntryMaskI32Avx2,
       &simd_kernels::BandEntryMaskF32Avx2,
       &simd_kernels::EqMaskI32Avx2,
       &simd_kernels::EqMaskU64Avx2,
@@ -683,7 +581,6 @@ inline const SimdKernels& KernelsFor(SimdLevel level) {
       "avx512",
       &simd_kernels::RangeMaskI32Avx512,
       &simd_kernels::RangeMaskF32Avx2,
-      &simd_kernels::BandEntryMaskI32Avx512,
       &simd_kernels::BandEntryMaskF32Avx2,
       &simd_kernels::EqMaskI32Avx512,
       &simd_kernels::EqMaskU64Avx2,
@@ -755,13 +652,20 @@ struct SimdEntryLanes {
 /// the side where the scalar predicate computes it (bit-identical results):
 ///
 ///   kShape = kEqui:      eq_i32(entry.k0, Key(pred, probe))
-///   kShape = kBandEntry: band_entry_i32(entry.k0, Band0(pred), P0(probe))
+///   kShape = kBandEntry: range_i32(entry.k0, SaturateI32(P0 -+ Band0))
 ///                        [AND band_entry_f32(entry.k1, Band1, P1)]
-///                        — bounds arithmetic on the ENTRY side
+///                        — float bounds arithmetic on the ENTRY side
 ///   kShape = kBandProbe: range_i32(entry.k0, Lo0(pred,probe), Hi0(...))
 ///                        [AND range_f32(entry.k1, Lo1, Hi1)]
 ///                        — bounds arithmetic on the PROBE side, hoisted to
 ///                        scalars once per (probe, query)
+///
+/// Integer bounds are exact: e - b <= p <= e + b holds iff p - b <= e <=
+/// p + b, so the entry-side int band is swept as a range around the probe.
+/// Lo0/Hi0 and that range compute their bounds in int64 and saturate them
+/// to the int32 lane (SaturateI32), which is exact because every lane
+/// value lies in that range. Only the float term's rounding pins it to the
+/// side the scalar predicate computes it on.
 ///
 /// kUseF32 adds the float sweep; it requires SimdEntryLanes<Entry>::kHasF32.
 template <typename Pred, typename Probe, typename Entry>
@@ -770,5 +674,13 @@ struct SimdProbeTraits {
 };
 
 enum class SimdPredShape : uint8_t { kEqui, kBandEntry, kBandProbe };
+
+/// An int64 band bound clamped to the int32 lane range. A bound beyond the
+/// range admits or excludes every lane value exactly as the clamped bound
+/// does.
+constexpr int32_t SaturateI32(int64_t v) {
+  return static_cast<int32_t>(
+      std::clamp<int64_t>(v, INT32_MIN, INT32_MAX));
+}
 
 }  // namespace sjoin

@@ -375,10 +375,11 @@ class JoinShard {
   // sequence. A regression here is a routing bug (checked-contracts builds
   // abort naming it).
 
-  /// Stages one arrival of `kSide`, pushed under query epoch `epoch`.
+  /// Stages one arrival of `kSide`, pushed under query epoch `epoch` by
+  /// the push call that started at wall time `arrival_wall_ns`.
   template <StreamSide kSide>
   void StageArrival(const Tuple<kSide>& tuple, Seq seq, Timestamp ts,
-                    Epoch epoch) {
+                    Epoch epoch, int64_t arrival_wall_ns) {
     constexpr bool kIsR = kSide == StreamSide::kR;
     (kIsR ? r_arrival_order_ : s_arrival_order_)
         .AssertAdvance(static_cast<long long>(seq), "JoinShard",
@@ -389,7 +390,7 @@ class JoinShard {
     msg.seq = seq;
     msg.ts = ts;
     msg.epoch = epoch;
-    msg.arrival_wall_ns = NowNs();
+    msg.arrival_wall_ns = arrival_wall_ns;
     msg.payload = tuple;
     if constexpr (kIsR) {
       left_.push_back(msg);
@@ -1026,6 +1027,10 @@ class JoinSession {
     return admission_.shed_count(side);
   }
 
+  /// Pushed timestamps that ran behind the session's last one and were
+  /// raised to it (event time is monotonic across both sides).
+  uint64_t timestamps_clamped() const { return timestamps_clamped_; }
+
   /// Tuples reported lost to the handlers so far (sum of all delivered
   /// OnLoss bounds). Equals tuples_shed once the stream has drained — the
   /// exact-accounting invariant.
@@ -1054,7 +1059,9 @@ class JoinSession {
   /// the one router. It keeps the shard's latency histogram and the
   /// admission EWMA; punctuations and epoch drains are merged as the min
   /// over shards, so a handler never hears about a timestamp or an epoch
-  /// some other shard is still behind on. One clock read per burst.
+  /// some other shard is still behind on. One clock read per burst, and
+  /// one histogram add per run of equal `ready_wall_ns`: the results of one
+  /// span push share its stamp.
   struct ShardOutput : OutputHandler<R, S> {
     ShardOutput() = default;
     ShardOutput(const ShardOutput&) = delete;  // its shard holds its address
@@ -1069,12 +1076,22 @@ class JoinSession {
     void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) override {
       AdmissionController& admission = session->admission_;
       int64_t now = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (run[i].ready_wall_ns <= 0) continue;
-        if (now == 0) now = NowNs();
-        const int64_t latency_ns = now - run[i].ready_wall_ns;
-        latency.Add(latency_ns);
-        if (admission.enabled()) admission.ObserveResult(latency_ns, now);
+      std::size_t i = 0;
+      while (i < n) {
+        const int64_t ready = run[i].ready_wall_ns;
+        std::size_t end = i + 1;
+        while (end < n && run[end].ready_wall_ns == ready) ++end;
+        if (ready > 0) {
+          if (now == 0) now = NowNs();  // NOLINT(hot-path-clock): per burst
+          const int64_t latency_ns = now - ready;
+          latency.Add(latency_ns, end - i);
+          if (admission.enabled()) {
+            for (std::size_t k = i; k < end; ++k) {
+              admission.ObserveResult(latency_ns, now);
+            }
+          }
+        }
+        i = end;
       }
       session->router_.OnResultBurst(run, n);
     }
@@ -1214,23 +1231,26 @@ class JoinSession {
     }
     driver_role_.AssertHeld("JoinSession", "driver");
     EnsureStarted();
+    // The push call is the arrival: every tuple of the span carries the
+    // call's one wall stamp, for latency and admission alike.
+    const int64_t now = NowNs();  // NOLINT(hot-path-clock): once per call
     Seq& next_seq = kSide == StreamSide::kR ? r_seq_ : s_seq_;
     for (std::size_t i = 0; i < tuples.size(); ++i) {
       const Timestamp ts = Monotonic(tss[i]);
       StageTimeExpiries(ts);
       const Seq seq = next_seq++;
-      if (ShedAtIngest(kSide, seq)) continue;  // the tracker never sees it
+      if (ShedAtIngest(kSide, seq, now)) continue;  // the tracker never sees it
       StagePendingLoss(kSide);
       if (!Thinned(kSide)) {
         for (auto& shard : shards_) {
           shard->template StageArrival<kSide>(tuples[i], seq, ts,
-                                              current_epoch_);
+                                              current_epoch_, now);
         }
       } else {
         const int target = TargetShard<kSide>(tuples[i], seq);
         shards_[static_cast<std::size_t>(target)]
             ->template StageArrival<kSide>(tuples[i], seq, ts,
-                                           current_epoch_);
+                                           current_epoch_, now);
         (kSide == StreamSide::kR ? route_r_ : route_s_)
             .push_back(Route{seq, target});
       }
@@ -1256,7 +1276,10 @@ class JoinSession {
       shard->Deliver();
       delivered += shard->TakeDelivered();
     }
-    if (admission_.enabled()) admission_.ObserveDelivered(delivered, NowNs());
+    if (admission_.enabled()) {
+      const int64_t now = NowNs();  // NOLINT(hot-path-clock): once per call
+      admission_.ObserveDelivered(delivered, now);
+    }
   }
 
   // -- Partitioning ----------------------------------------------------------
@@ -1290,8 +1313,13 @@ class JoinSession {
 
   // -- Window bookkeeping over the global arrival order ----------------------
 
+  /// Event time never runs backwards: a timestamp below the last one is
+  /// raised to it, and counted (timestamps_clamped()).
   Timestamp Monotonic(Timestamp ts) {
-    if (ts < last_ts_) ts = last_ts_;
+    if (ts < last_ts_) {
+      ts = last_ts_;
+      ++timestamps_clamped_;
+    }
     last_ts_ = ts;
     return ts;
   }
@@ -1340,11 +1368,11 @@ class JoinSession {
   /// reaches a window store, so no expiry may ever reference it (an expiry
   /// for an absent tuple would tombstone-leak in LLHJ and stall the
   /// completion gate forever).
-  bool ShedAtIngest(StreamSide side, Seq seq) {
+  bool ShedAtIngest(StreamSide side, Seq seq, int64_t now) {
     if (!admission_.enabled() && !admission_.has_force_shed()) return false;
-    const int64_t now = NowNs();
-    // The push call IS the arrival (waited = 0); overload pressure shows up
-    // through the latency EWMA and the channel backlog instead.
+    // The push call IS the arrival (waited = 0): `now` is the call's one
+    // stamp. Overload pressure shows up through the latency EWMA and the
+    // channel backlog instead.
     if (!admission_.ShouldShed(side, seq, now, now, ingest_backlog())) {
       return false;
     }
@@ -1379,6 +1407,7 @@ class JoinSession {
   Seq r_seq_ = 0;
   Seq s_seq_ = 0;
   Timestamp last_ts_ = kMinTimestamp;
+  uint64_t timestamps_clamped_ = 0;
   Timestamp last_punctuation_ = kMinTimestamp;
   bool started_ = false;
   bool finished_ = false;

@@ -115,7 +115,7 @@ void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
       continue;
     }
     if (hot_) {
-      const Clock::time_point now = Clock::now();
+      const Clock::time_point now = Clock::now();  // NOLINT(hot-path-clock)
       if (backoff.attempts() == 0) park_at = now + kHotIdle;  // just idle
       if (now < park_at) {
         backoff.Spin();

@@ -157,8 +157,9 @@ class QueryRouter : public OutputHandler<R, S> {
     if (handler != nullptr) handler->OnResult(result);
   }
 
-  /// Membership is checked per result; each maximal run of routable
-  /// results of one query goes to its handler as one burst.
+  /// Each maximal run of routable results of one query goes to its
+  /// handler as one burst. Routable depends only on (query, epoch), so
+  /// membership is checked once per change of the pair, not per result.
   void OnResultBurst(const ResultMsg<R, S>* run, std::size_t n) override {
     std::size_t i = 0;
     while (i < n) {
@@ -168,8 +169,13 @@ class QueryRouter : public OutputHandler<R, S> {
         continue;
       }
       const QueryId q = run[i].query;
+      Epoch epoch = run[i].epoch;
       std::size_t end = i + 1;
-      while (end < n && run[end].query == q && Routable(run[end])) ++end;
+      for (; end < n && run[end].query == q; ++end) {
+        if (run[end].epoch == epoch) continue;
+        if (!Routable(run[end])) break;
+        epoch = run[end].epoch;
+      }
       counts_[q] += end - i;
       total_ += end - i;
       OutputHandler<R, S>* handler = handlers_[q];

@@ -107,8 +107,10 @@ class QuerySet {
     if constexpr (Traits::kShape == SimdPredShape::kEqui) {
       kernels.eq_i32(lanes.k0, n, Traits::Key(pred, probe), scratch->mask);
     } else if constexpr (Traits::kShape == SimdPredShape::kBandEntry) {
-      kernels.band_entry_i32(lanes.k0, n, Traits::Band0(pred),
-                             Traits::P0(probe), scratch->mask);
+      const int64_t p0 = Traits::P0(probe);
+      const int64_t band = Traits::Band0(pred);
+      kernels.range_i32(lanes.k0, n, SaturateI32(p0 - band),
+                        SaturateI32(p0 + band), scratch->mask);
       if constexpr (Traits::kUseF32) {
         kernels.band_entry_f32(lanes.k1, n, Traits::Band1(pred),
                                Traits::P1(probe), scratch->tmp);

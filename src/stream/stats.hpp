@@ -65,10 +65,11 @@ class RunningStat {
 /// style, O(1) Add, no allocation after construction, mergeable.
 class LatencyHistogram {
  public:
-  void Add(int64_t ns) {
+  /// Adds `times` samples of value `ns` (one bucket update for a run).
+  void Add(int64_t ns, uint64_t times = 1) {
     if (ns < 0) ns = 0;
-    ++counts_[BucketIndex(static_cast<uint64_t>(ns))];
-    ++count_;
+    counts_[BucketIndex(static_cast<uint64_t>(ns))] += times;
+    count_ += times;
   }
 
   void Merge(const LatencyHistogram& other) {

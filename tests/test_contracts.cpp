@@ -153,16 +153,16 @@ void DriveExternalArrivalRegression() {
   CollectingHandler<TR, TS> handler;
   JoinShard<TR, TS, KeyEq> shard(TinyConfig(), &handler);
   shard.Start(QuerySet<KeyEq>(KeyEq{}), {0});
-  shard.StageArrival<StreamSide::kR>(TR{1, 0}, /*seq=*/5, /*ts=*/0, 0);
-  shard.StageArrival<StreamSide::kR>(TR{2, 1}, /*seq=*/5, /*ts=*/1, 0);
+  shard.StageArrival<StreamSide::kR>(TR{1, 0}, /*seq=*/5, /*ts=*/0, 0, 1);
+  shard.StageArrival<StreamSide::kR>(TR{2, 1}, /*seq=*/5, /*ts=*/1, 0, 1);
 }
 
 void DriveExternalExpiryRegression() {
   CollectingHandler<TR, TS> handler;
   JoinShard<TR, TS, KeyEq> shard(TinyConfig(), &handler);
   shard.Start(QuerySet<KeyEq>(KeyEq{}), {0});
-  shard.StageArrival<StreamSide::kR>(TR{1, 0}, 0, 0, 0);
-  shard.StageArrival<StreamSide::kR>(TR{1, 1}, 1, 1, 0);
+  shard.StageArrival<StreamSide::kR>(TR{1, 0}, 0, 0, 0, 1);
+  shard.StageArrival<StreamSide::kR>(TR{1, 1}, 1, 1, 0, 1);
   shard.StageExpiry(StreamSide::kR, /*seq=*/1, /*ts=*/2, false);
   shard.StageExpiry(StreamSide::kR, /*seq=*/0, /*ts=*/3, false);  // regresses
 }

@@ -110,6 +110,7 @@ TEST(Facade, NonMonotonicTimestampsAreClamped) {
   joiner.PushS(TS{1, 1}, 50);  // clamped to 100 -> still joins
   joiner.FinishInput();
   EXPECT_EQ(handler.results().size(), 1u);
+  EXPECT_EQ(joiner.timestamps_clamped(), 1u);
 }
 
 TEST(Facade, PunctuatedOutput) {

@@ -361,6 +361,53 @@ TEST(QueryRouter, BurstPathMatchesPerResultPath) {
   EXPECT_EQ(b2.events, want_b);
 }
 
+// Membership is checked once per (query, epoch) change, not per result: a
+// burst mixing two epochs, two queries and misrouted results must still
+// count and route exactly like the per-result path, and split its runs
+// where a per-result membership check would.
+TEST(QueryRouter, RunLengthChecksMatchPerResultPath) {
+  auto make = [](QueryRouter<TR, TS>* router, BurstLog* a, BurstLog* b) {
+    router->Register(a);  // q0
+    router->Register(b);  // q1
+    router->BeginEpoch(0, {0, 1});
+    router->BeginEpoch(1, {0, 1});
+    router->BeginEpoch(2, {0}, /*removed=*/{1});
+  };
+  const std::vector<ResultMsg<TR, TS>> stream = {
+      Result(0, 0, 0), Result(1, 0, 1), Result(2, 0, 1),  // q0 over 2 epochs
+      Result(3, 1, 1),
+      Result(4, 1, 2),  // q1 is not a member of epoch 2: misrouted
+      Result(5, 1, 0), Result(6, 1, 1),
+      Result(7, 1, 2),  // misrouted mid-run of q1
+      Result(8, 1, 1), Result(9, 0, 2), Result(10, 0, 2),
+      Result(11, 0, 3)};  // undeclared epoch: misrouted at the run's tail
+
+  QueryRouter<TR, TS> per_result;
+  BurstLog a1, b1;
+  make(&per_result, &a1, &b1);
+  for (const auto& m : stream) per_result.OnResult(m);
+
+  QueryRouter<TR, TS> burst;
+  BurstLog a2, b2;
+  make(&burst, &a2, &b2);
+  burst.OnResultBurst(stream.data(), stream.size());
+
+  EXPECT_EQ(burst.misrouted(), 3u);
+  EXPECT_EQ(burst.misrouted(), per_result.misrouted());
+  EXPECT_EQ(burst.total_collected(), per_result.total_collected());
+  for (QueryId q = 0; q < 2; ++q) {
+    EXPECT_EQ(burst.collected(q), per_result.collected(q)) << "query " << q;
+  }
+  EXPECT_EQ(a2.seqs, a1.seqs);
+  EXPECT_EQ(b2.seqs, b1.seqs);
+  // An epoch change inside one query's run does not split it; a misrouted
+  // result does.
+  const std::vector<std::string> want_a = {"b0,1,2", "b9,10"};
+  EXPECT_EQ(a2.events, want_a);
+  const std::vector<std::string> want_b = {"b3", "b5,6", "b8"};
+  EXPECT_EQ(b2.events, want_b);
+}
+
 // A handler written against the per-result interface keeps working: the
 // default OnResultBurst feeds it every result, in order.
 TEST(OutputHandler, PerResultHandlerSeesEveryResultOfABurst) {

@@ -557,6 +557,72 @@ TEST(BatchPushApi, MismatchedSpansThrow) {
                std::invalid_argument);
 }
 
+// The push call is the arrival: every tuple of one span carries the call's
+// one wall stamp, so the results its tuples produce share one
+// ready_wall_ns, and a later call's results carry a later one.
+TEST(BatchPushApi, SpanResultsShareOneReadyStamp) {
+  JoinConfig config;
+  config.threaded = false;
+  config.parallelism = 2;
+  config.window_r = WindowSpec::Count(64);
+  config.window_s = WindowSpec::Count(64);
+  JoinSession<TR, TS, KeyEq> session(config);
+  CollectingHandler<TR, TS> handler;
+  session.AddQuery(KeyEq{}, &handler);
+  constexpr int kSpan = 16;
+  std::vector<TR> rs;
+  std::vector<TS> ss;
+  std::vector<Timestamp> tss;
+  for (int i = 0; i < kSpan; ++i) {
+    rs.push_back(TR{i, i});
+    ss.push_back(TS{i, i});
+    tss.push_back(i);
+  }
+  session.PushR(std::span<const TR>(rs), std::span<const Timestamp>(tss));
+  session.PushS(std::span<const TS>(ss), std::span<const Timestamp>(tss));
+  session.Poll();
+  ASSERT_EQ(handler.results().size(), static_cast<std::size_t>(kSpan));
+  const int64_t first = handler.results().front().ready_wall_ns;
+  EXPECT_GT(first, 0);
+  for (const auto& m : handler.results()) EXPECT_EQ(m.ready_wall_ns, first);
+
+  // A second S span: its results share a stamp of their own.
+  session.PushS(std::span<const TS>(ss), std::span<const Timestamp>(tss));
+  session.FinishInput();
+  ASSERT_EQ(handler.results().size(), static_cast<std::size_t>(2 * kSpan));
+  const int64_t second = handler.results().back().ready_wall_ns;
+  EXPECT_GT(second, first);
+  for (std::size_t i = kSpan; i < handler.results().size(); ++i) {
+    EXPECT_EQ(handler.results()[i].ready_wall_ns, second);
+  }
+  EXPECT_EQ(session.merged_latency_histogram().count(),
+            session.results_collected());
+}
+
+// A timestamp behind the session's last one (either side) is raised to it
+// and counted; an equal timestamp is not a regression.
+TEST(BatchPushApi, RegressingTimestampsAreCounted) {
+  JoinConfig config;
+  config.threaded = false;
+  JoinSession<TR, TS, KeyEq> session(config);
+  session.AddQuery(KeyEq{}, nullptr);
+  session.PushR(TR{1, 0}, 100);
+  session.PushS(TS{1, 0}, 100);  // equal: not clamped
+  EXPECT_EQ(session.timestamps_clamped(), 0u);
+  constexpr uint64_t kRegressing = 5;
+  for (uint64_t i = 0; i < kRegressing; ++i) {
+    session.PushS(TS{1, 1}, static_cast<Timestamp>(10 * i));
+  }
+  const std::vector<TR> rs(3, TR{1, 2});
+  const std::vector<Timestamp> tss = {99, 200, 150};  // 99 and 150 regress
+  session.PushR(std::span<const TR>(rs), std::span<const Timestamp>(tss));
+  session.FinishInput();
+  EXPECT_EQ(session.timestamps_clamped(), kRegressing + 2);
+  // Clamped tuples still join: the first pair, each later S with the first
+  // R, and each of the 3 later Rs with all 6 Ss.
+  EXPECT_EQ(session.results_collected(), 1u + kRegressing + 3 * 6);
+}
+
 // -- Routing details ---------------------------------------------------------
 
 TEST(SessionRouting, NullHandlerCountsOnly) {

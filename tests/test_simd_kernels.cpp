@@ -200,29 +200,6 @@ TEST(SimdKernels, RangeF32BoundaryValues) {
   }
 }
 
-TEST(SimdKernels, BandEntryI32MatchesScalar) {
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    Rng rng(13 + static_cast<uint64_t>(level));
-    for (std::size_t n : TailLengths()) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<int32_t> v(n);
-        for (auto& x : v) x = static_cast<int32_t>(rng.UniformInt(-100, 100));
-        const int32_t band = static_cast<int32_t>(rng.UniformInt(0, 20));
-        const int32_t probe = static_cast<int32_t>(rng.UniformInt(-120, 120));
-        MaskBuf want(n), got(n);
-        ref.band_entry_i32(v.data(), n, band, probe, want.data());
-        k.band_entry_i32(v.data(), n, band, probe, got.data());
-        ASSERT_EQ(want.Covered(n), got.Covered(n))
-            << ToString(level) << " n=" << n << " band=" << band
-            << " probe=" << probe;
-        ExpectTailZero(got.Covered(n), n);
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, BandEntryF32MatchesScalar) {
   const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
   for (SimdLevel level : SupportedSimdLevels()) {
@@ -249,38 +226,11 @@ TEST(SimdKernels, BandEntryF32MatchesScalar) {
   }
 }
 
-TEST(SimdKernels, BandEntryI32WrapsAtInt32Edges) {
-  // The band arithmetic is defined as two's-complement wraparound (matching
-  // _mm*_add/sub_epi32); entries at the int32 edges must produce the same
-  // mask on every level instead of tripping signed-overflow UB.
-  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
-  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
-  const std::vector<int32_t> v = {kMax, kMax - 1, kMin, kMin + 1, 0,
-                                  kMax, kMin,     1,    -1};
-  const SimdKernels& ref = KernelsFor(SimdLevel::kScalar);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    const SimdKernels& k = KernelsFor(level);
-    for (int32_t band : {0, 1, 100, kMax}) {
-      for (int32_t probe : {kMin, -1, 0, 1, kMax}) {
-        MaskBuf want(v.size()), got(v.size());
-        ref.band_entry_i32(v.data(), v.size(), band, probe, want.data());
-        k.band_entry_i32(v.data(), v.size(), band, probe, got.data());
-        ASSERT_EQ(want.Covered(v.size()), got.Covered(v.size()))
-            << ToString(level) << " band=" << band << " probe=" << probe;
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, BandEntryExactEdges) {
   // probe exactly on v - band and v + band must match (>= / <=).
-  const std::vector<int32_t> vi = {10, 10, 10, 20};
   const std::vector<float> vf = {10.0f, 10.0f, 10.0f, 20.0f};
   for (SimdLevel level : SupportedSimdLevels()) {
     const SimdKernels& k = KernelsFor(level);
-    MaskBuf mi(vi.size());
-    k.band_entry_i32(vi.data(), vi.size(), 3, 7, mi.data());  // 7 == 10-3
-    EXPECT_EQ(mi.Covered(vi.size())[0] & 0xfu, 0x7u) << ToString(level);
     MaskBuf mf(vf.size());
     k.band_entry_f32(vf.data(), vf.size(), 3.0f, 13.0f, mf.data());  // 10+3
     EXPECT_EQ(mf.Covered(vf.size())[0] & 0xfu, 0x7u) << ToString(level);
@@ -435,6 +385,70 @@ TEST(SimdMatchBatch, PaperSchemaProbeBoundsDirectionIdentical) {
     OverrideSimdLevel(level);
     EXPECT_EQ(CollectMatches<false>(store, queries, probes), oracle)
         << ToString(level);
+  }
+}
+
+TEST(SimdMatchBatch, PaperSchemaBandExactAtInt32Limits) {
+  // Keys within x_band of INT32_MIN/INT32_MAX: the int bounds s.a +- x_band
+  // leave the int32 range. Every level, both probe directions and the
+  // scalar predicate must agree with |r.x - s.a| <= x_band taken in int64.
+  LevelGuard guard;
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  const std::vector<int32_t> keys = {kMin,      kMin + 1, kMin + 5, kMin + 10,
+                                     kMin + 11, -1,       0,        1,
+                                     kMax - 11, kMax - 10, kMax - 5, kMax - 1,
+                                     kMax};
+  const std::vector<int32_t> bands = {0, 1, 10, kMax, -5};  // -5: empty
+  std::vector<BandPredicate> preds;
+  for (int32_t band : bands) preds.push_back(BandPredicate{band, 1.0f});
+  const QuerySet<BandPredicate> queries(preds);
+
+  VectorStore<STuple> s_store;
+  VectorStore<RTuple> r_store;
+  BandStore<RTuple, STuple, BandPredicate, StreamSide::kS> s_band(queries);
+  BandStore<RTuple, STuple, BandPredicate, StreamSide::kR> r_band(queries);
+  std::vector<Stamped<RTuple>> r_probes;
+  std::vector<Stamped<STuple>> s_probes;
+  std::multiset<Crossing> want_r;  // R probes the S window
+  std::multiset<Crossing> want_s;  // S probes the R window
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    STuple s;
+    s.a = keys[i];
+    RTuple r;
+    r.x = keys[i];
+    s_store.Insert(Stamped<STuple>{s, i, 0, 0}, false);
+    r_store.Insert(Stamped<RTuple>{r, i, 0, 0}, false);
+    s_band.Insert(Stamped<STuple>{s, i, 0, 0}, false);
+    r_band.Insert(Stamped<RTuple>{r, i, 0, 0}, false);
+    r_probes.push_back(Stamped<RTuple>{r, i, 0, 0});
+    s_probes.push_back(Stamped<STuple>{s, i, 0, 0});
+  }
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    for (std::size_t e = 0; e < keys.size(); ++e) {
+      const int64_t d = int64_t{keys[j]} - keys[e];
+      for (QueryId q = 0; q < bands.size(); ++q) {
+        if ((d < 0 ? -d : d) > bands[q]) continue;
+        want_r.insert({j, q, e});
+        want_s.insert({j, q, e});
+        EXPECT_TRUE(preds[q](r_probes[j].value, s_probes[e].value))
+            << "r.x=" << keys[j] << " s.a=" << keys[e]
+            << " band=" << bands[q];
+      }
+    }
+  }
+  ASSERT_EQ(OracleMatches<true>(s_store, queries, r_probes), want_r);
+  ASSERT_EQ(OracleMatches<false>(r_store, queries, s_probes), want_s);
+  for (SimdLevel level : SupportedSimdLevels()) {
+    OverrideSimdLevel(level);
+    EXPECT_EQ(CollectMatches<true>(s_store, queries, r_probes), want_r)
+        << ToString(level);
+    EXPECT_EQ(CollectMatches<false>(r_store, queries, s_probes), want_s)
+        << ToString(level);
+    EXPECT_EQ(CollectMatches<true>(s_band, queries, r_probes), want_r)
+        << ToString(level) << " BandStore";
+    EXPECT_EQ(CollectMatches<false>(r_band, queries, s_probes), want_s)
+        << ToString(level) << " BandStore";
   }
 }
 

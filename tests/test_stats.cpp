@@ -185,6 +185,27 @@ TEST(LatencyHistogram, MergeWithEmptyIsIdentityBothDirections) {
   EXPECT_EQ(empty.count(), 0u);  // source untouched
 }
 
+TEST(LatencyHistogram, RunAddEqualsRepeatedAdds) {
+  // Add(ns, k) is k calls of Add(ns): same count, same bucket, so every
+  // quantile agrees — including runs of one, negative values and a mix of
+  // run lengths over many octaves.
+  LatencyHistogram runs, singles;
+  for (int64_t v = -3; v <= 2'000; ++v) {
+    const int64_t sample = v * v * 37 % 5'000'011 - 2;
+    const uint64_t times = static_cast<uint64_t>((v + 3) % 7);  // 0..6
+    runs.Add(sample, times);
+    for (uint64_t k = 0; k < times; ++k) singles.Add(sample);
+  }
+  EXPECT_EQ(runs.count(), singles.count());
+  for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(runs.QuantileNs(q), singles.QuantileNs(q)) << "q=" << q;
+  }
+  LatencyHistogram merged;
+  merged.Merge(runs);
+  EXPECT_EQ(merged.count(), singles.count());
+  EXPECT_EQ(merged.QuantileNs(0.5), singles.QuantileNs(0.5));
+}
+
 TEST(LatencyHistogram, HandlesZeroAndNegativeAsFloor) {
   LatencyHistogram hist;
   hist.Add(0);

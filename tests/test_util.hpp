@@ -49,7 +49,8 @@ struct KeyEq {
 struct KeyBand {
   int32_t width = 1;
   bool operator()(const TR& r, const TS& s) const {
-    return r.key >= s.key - width && r.key <= s.key + width;
+    const int64_t key = s.key;
+    return r.key >= key - width && r.key <= key + width;
   }
 };
 
@@ -59,7 +60,8 @@ struct KeyBand {
 struct RangeBand {
   int32_t width = 1;
   bool operator()(const TR& r, const TS& s) const {
-    return r.key >= s.key - width && r.key <= s.key + width;
+    const int64_t key = s.key;
+    return r.key >= key - width && r.key <= key + width;
   }
 };
 
@@ -117,10 +119,10 @@ struct SimdProbeTraits<test::KeyBand, test::TS, test::TR> {
   static constexpr SimdPredShape kShape = SimdPredShape::kBandProbe;
   static constexpr bool kUseF32 = false;
   static int32_t Lo0(const test::KeyBand& p, const test::TS& s) {
-    return s.key - p.width;
+    return SaturateI32(int64_t{s.key} - p.width);
   }
   static int32_t Hi0(const test::KeyBand& p, const test::TS& s) {
-    return s.key + p.width;
+    return SaturateI32(int64_t{s.key} + p.width);
   }
 };
 
@@ -139,10 +141,10 @@ struct SimdProbeTraits<test::RangeBand, test::TS, test::TR> {
   static constexpr SimdPredShape kShape = SimdPredShape::kBandProbe;
   static constexpr bool kUseF32 = false;
   static int32_t Lo0(const test::RangeBand& p, const test::TS& s) {
-    return s.key - p.width;
+    return SaturateI32(int64_t{s.key} - p.width);
   }
   static int32_t Hi0(const test::RangeBand& p, const test::TS& s) {
-    return s.key + p.width;
+    return SaturateI32(int64_t{s.key} + p.width);
   }
 };
 

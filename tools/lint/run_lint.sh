@@ -14,8 +14,8 @@
 #      gating rules live in pass 2, which has no external dependency).
 #   2. tools/lint/sjoin_lint.py — the repo-specific rules (exhaustive
 #      MsgKind switches, hot-path container bans, env-knob discipline, raw
-#      new/delete, raw std::mutex, hot-path sleeps). Findings fail the
-#      run.
+#      new/delete, raw std::mutex, hot-path sleeps, unmarked hot-path
+#      clock reads). Findings fail the run.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/../.." && pwd)"

@@ -32,6 +32,12 @@ checks for:
                        push (src/runtime/doorbell.hpp); a timed sleep
                        there would quietly bring back sleep-polling.
                        A line marked NOLINT(hot-path-sleep) is exempt.
+  hot-path-clock       every NowNs( / ::now( call in the hot-path dirs
+                       must carry NOLINT(hot-path-clock) on its line. A
+                       clock read costs tens of ns; the sanctioned sites
+                       read it once per push call, once per result burst,
+                       or in an idle executor's loop, and a per-tuple or
+                       per-result read must not come back unnoticed.
 
 Scope: files under src/ reachable from compile_commands.json (headers
 discovered transitively through #include "..." of in-repo paths). Pure
@@ -71,6 +77,9 @@ SLEEP_CALL = re.compile(r"(?<![\w])(sleep_for|usleep|nanosleep)\s*\(")
 # Marks the one line a hot-path sleep is deliberate (a fallback where no
 # wake-up mechanism exists); the marker must sit on the call's own line.
 SLEEP_EXEMPT = "NOLINT(hot-path-sleep)"
+CLOCK_CALL = re.compile(r"((?<![\w])NowNs|::\s*now)\s*\(")
+# Marks a clock read taken at most once per call, burst or idle spin.
+CLOCK_EXEMPT = "NOLINT(hot-path-clock)"
 SWITCH_KIND = re.compile(r"\bswitch\s*\(")
 DEFAULT_LABEL = re.compile(r"(?<![\w_])default\s*:")
 LINT_AS = re.compile(r"//\s*LINT_AS:\s*(\S+)")
@@ -223,6 +232,18 @@ class Linter:
                     f"{m2.group(1)} in a hot-path dir; idle engine threads "
                     "park on their doorbell (src/runtime/doorbell.hpp), and "
                     "the one timed wait lives in src/runtime/backoff.hpp")
+
+        if hot:
+            raw_lines = raw.split("\n")
+            for m2 in CLOCK_CALL.finditer(code):
+                line = line_of(code, m2.start())
+                if CLOCK_EXEMPT in raw_lines[line - 1]:
+                    continue
+                self.report(
+                    "hot-path-clock", rel, line,
+                    "clock read in a hot-path dir; read the clock once per "
+                    "push call or result burst and pass the stamp down, "
+                    "then mark the line NOLINT(hot-path-clock)")
 
         if in_src and rel != "src/common/env.hpp":
             for m2 in GETENV.finditer(code):
