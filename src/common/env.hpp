@@ -1,31 +1,24 @@
 // Centralized environment-knob access (DESIGN.md Section 14). Every
-// SJOIN_* runtime knob is read through these parse-and-warn helpers: a
-// misspelled value must never silently select the wrong code path (a CI
+// SJOIN_* runtime knob is read through env::Raw and parsed by its caller:
+// a misspelled value must never silently select the wrong code path (a CI
 // leg that believes it forced scalar kernels or a synthetic topology has
-// to actually run them), so anything unrecognized warns on stderr and
-// falls back to the default. The lint pass (tools/lint/sjoin_lint.py)
-// rejects bare std::getenv anywhere in src/ outside this header, which
-// keeps ad-hoc knob reads from reappearing.
+// to actually run them), so anything unrecognized warns on stderr through
+// WarnUnrecognized and falls back to the default. The lint pass
+// (tools/lint/sjoin_lint.py) rejects bare std::getenv anywhere in src/
+// outside this header, and every env::Raw( call site must carry
+// NOLINT(env-knob) on its line, so adding a knob is a visible act.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 
 namespace sjoin {
 namespace env {
 
 /// Raw knob value, nullptr when unset. The only sanctioned std::getenv
-/// call site in src/; callers with bespoke grammars (topology shapes,
-/// SIMD level names) parse this and warn through WarnUnrecognized below.
+/// call site in src/; callers (topology shapes, SIMD level names) parse
+/// the value and warn through WarnUnrecognized below.
 inline const char* Raw(const char* name) { return std::getenv(name); }
-
-/// True when the knob is set to a non-empty value.
-inline bool Present(const char* name) {
-  const char* v = Raw(name);
-  return v != nullptr && v[0] != '\0';
-}
 
 /// Shared warn format so every knob misparse reads the same in CI logs.
 inline void WarnUnrecognized(const char* name, const char* value,
@@ -33,37 +26,6 @@ inline void WarnUnrecognized(const char* name, const char* value,
                              const char* fallback_desc) {
   std::fprintf(stderr, "sjoin: unrecognized %s=\"%s\" (%s); %s\n", name,
                value, expected, fallback_desc);
-}
-
-/// Boolean knob: "1"/"true" -> true, "0"/"false" -> false, unset/empty ->
-/// `def`, anything else warns and returns `def`.
-inline bool Flag(const char* name, bool def = false) {
-  const char* v = Raw(name);
-  if (v == nullptr || v[0] == '\0') return def;
-  if (std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0) return true;
-  if (std::strcmp(v, "0") == 0 || std::strcmp(v, "false") == 0) return false;
-  WarnUnrecognized(name, v, "use 1 or 0", def ? "keeping on" : "ignoring");
-  return def;
-}
-
-/// Integer knob: decimal parse, full-string match required. Unset/empty ->
-/// `def`; garbage or trailing characters warn and return `def`.
-inline long Int(const char* name, long def) {
-  const char* v = Raw(name);
-  if (v == nullptr || v[0] == '\0') return def;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') {
-    WarnUnrecognized(name, v, "want a decimal integer", "using default");
-    return def;
-  }
-  return parsed;
-}
-
-/// String knob: unset -> `def` (may be empty).
-inline std::string Str(const char* name, const std::string& def = {}) {
-  const char* v = Raw(name);
-  return (v == nullptr || v[0] == '\0') ? def : std::string(v);
 }
 
 }  // namespace env

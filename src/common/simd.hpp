@@ -107,7 +107,7 @@ namespace simd_internal {
 /// unrecognized warns on stderr and keeps the detected level.
 inline SimdLevel EnvSimdLevel() {
   SimdLevel level = DetectedSimdLevel();
-  const char* named = env::Raw("SJOIN_SIMD_LEVEL");
+  const char* named = env::Raw("SJOIN_SIMD_LEVEL");  // NOLINT(env-knob)
   if (named != nullptr && named[0] != '\0') {
     const std::string want(named);
     if (want == "scalar") {

@@ -344,7 +344,6 @@ class JoinShard {
                 8, static_cast<std::size_t>(window_tuples / 4)));
         hsj_lag_budget_ = std::max<std::size_t>(
             16, static_cast<std::size_t>(window_tuples / 2));
-        options.placement = Placement();
         hsj_ = std::make_unique<HsjPipeline<R, S, Pred>>(options, set,
                                                          std::move(ids));
         registry_ = hsj_->registry();
@@ -358,7 +357,6 @@ class JoinShard {
         options.channel_capacity = config_.channel_capacity;
         options.result_capacity = config_.result_capacity;
         options.punctuate = config_.punctuate;
-        options.placement = Placement();
         llhj_ = std::make_unique<Llhj>(options, set, std::move(ids));
         registry_ = llhj_->registry();
         collector_ = llhj_->MakeCollector(out_);
@@ -561,13 +559,17 @@ class JoinShard {
   /// threaded shard starts).
   const PlacementPlan& placement() const { return plan_; }
 
-  /// Times a node thread was woken from its doorbell, and times one
-  /// parked on it (ThreadedExecutor::wakes/parks); 0 when not threaded.
+  /// Times a node thread was woken from its doorbell, times one parked on
+  /// it, and times one found work after a park no push ended
+  /// (ThreadedExecutor::wakes/parks/missed_wakes); 0 when not threaded.
   uint64_t engine_wakes() const {
     return executor_ != nullptr ? executor_->wakes() : 0;
   }
   uint64_t engine_parks() const {
     return executor_ != nullptr ? executor_->parks() : 0;
+  }
+  uint64_t engine_missed_wakes() const {
+    return executor_ != nullptr ? executor_->missed_wakes() : 0;
   }
 
  private:
@@ -610,35 +612,20 @@ class JoinShard {
     return config_.hsj_window_tuples_hint;
   }
 
-  /// The shard's placement plan, built once from the configured (or
-  /// once-detected, then cached) topology and reused for the shard's
-  /// whole lifetime — the pipeline homes its channel memory with the SAME
-  /// plan the executor pins the node threads with.
-  const PlacementPlan& Placement() {
-    if (!placement_built_) {
-      placement_built_ = true;
-      if (config_.threaded) {
-        if (config_.topology == nullptr) {
-          config_.topology = std::make_shared<const Topology>(
-              Topology::Detect());
-        }
-        plan_ = PlacementPlan::Build(*config_.topology, config_.placement,
-                                     config_.parallelism, kHelperCount);
-      }
-      // Non-threaded shards keep the empty plan: everything runs on the
-      // caller's thread, so there is nothing to pin or bind.
-    }
-    return plan_;
-  }
-
   void SetUpExecutor(std::vector<Steppable*> nodes) {
-    // The session driver thread is the feeder and the polling thread the
-    // collector; both stay unpinned, but the result rings were homed on
-    // the plan's collector node — pull them to the actual polling thread
-    // now (before the node threads can produce).
+    // The session's caller polls the result rings: it writes their pages
+    // first, before any node thread can produce.
     collector_->PrefaultQueues();
     if (config_.threaded) {
-      executor_ = std::make_unique<ThreadedExecutor>(Placement());
+      // The plan only pins the node threads; each thread writes its own
+      // input rings' pages under the executor's start barrier.
+      if (config_.topology == nullptr) {
+        config_.topology =
+            std::make_shared<const Topology>(Topology::Detect());
+      }
+      plan_ = PlacementPlan::Build(*config_.topology, config_.placement,
+                                   config_.parallelism);
+      executor_ = std::make_unique<ThreadedExecutor>(plan_);
       for (Steppable* node : nodes) executor_->Add(node);
       executor_->Start();
     } else {
@@ -794,7 +781,6 @@ class JoinShard {
   JoinConfig config_;
   OutputHandler<R, S>* out_;
   PlacementPlan plan_;
-  bool placement_built_ = false;
 
   QueryEpochRegistry<Pred>* registry_ = nullptr;  // the engine's
 
@@ -1006,6 +992,15 @@ class JoinSession {
   uint64_t engine_parks() const {
     uint64_t n = 0;
     for (const auto& shard : shards_) n += shard->engine_parks();
+    return n;
+  }
+
+  /// Times an engine thread found work after a park that no push ended
+  /// (work that appeared without a ring waited for the timed fallback),
+  /// summed over every shard's nodes; 0 for a non-threaded session.
+  uint64_t engine_missed_wakes() const {
+    uint64_t n = 0;
+    for (const auto& shard : shards_) n += shard->engine_missed_wakes();
     return n;
   }
 

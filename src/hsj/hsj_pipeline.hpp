@@ -12,7 +12,6 @@
 #include "common/types.hpp"
 #include "hsj/hsj_node.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/placement.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "stream/collector.hpp"
 #include "stream/message.hpp"
@@ -37,12 +36,6 @@ class HsjPipeline {
     int64_t segment_capacity_s = 0;
     std::size_t channel_capacity = 1024;
     std::size_t result_capacity = kDefaultResultCapacity;
-    /// Hardware placement: channel rings are homed on their CONSUMER's
-    /// NUMA node (node k's input rings on k's node, result rings on the
-    /// collector's). An empty plan (default) binds nothing. Register the
-    /// node threads with the SAME plan (ThreadedExecutor) so threads and
-    /// memory agree.
-    PlacementPlan placement;
   };
 
   /// Fair-share segment capacity for a window of `window_tuples`.
@@ -70,18 +63,15 @@ class HsjPipeline {
       throw std::invalid_argument("pipeline needs >= 1 registered query");
     }
 
-    const int collector_home =
-        options_.placement.NodeForHelper(kCollectorHelper);
     for (int k = 0; k < n; ++k) {
-      // Both input rings of node k are consumed by node k's thread; the
-      // result ring by the collector.
-      const int home = options_.placement.NodeForPosition(k);
-      l2r_.push_back(std::make_unique<SpscQueue<FlowMsg<R>>>(
-          options_.channel_capacity, home));
-      r2l_.push_back(std::make_unique<SpscQueue<FlowMsg<S>>>(
-          options_.channel_capacity, home));
+      // Both input rings of node k are consumed (and first written) by
+      // node k's thread; the result ring by the collector's.
+      l2r_.push_back(
+          std::make_unique<SpscQueue<FlowMsg<R>>>(options_.channel_capacity));
+      r2l_.push_back(
+          std::make_unique<SpscQueue<FlowMsg<S>>>(options_.channel_capacity));
       result_queues_.push_back(std::make_unique<SpscQueue<ResultMsg<R, S>>>(
-          options_.result_capacity, collector_home));
+          options_.result_capacity));
       sinks_.push_back(std::make_unique<Sink>(result_queues_.back().get(),
                                               &result_stages_));
     }
@@ -135,16 +125,6 @@ class HsjPipeline {
   }
 
   const Options& options() const { return options_; }
-  /// The plan channel memory was homed with (empty = unplaced).
-  const PlacementPlan& placement() const { return options_.placement; }
-  /// Placement introspection for tests: the NUMA home assigned to node k's
-  /// input rings / the reported placement of its left input ring.
-  int channel_home(int k) const {
-    return l2r_[static_cast<std::size_t>(k)]->home_node();
-  }
-  ChannelPlacement channel_placement(int k) const {
-    return l2r_[static_cast<std::size_t>(k)]->placement();
-  }
   /// The epoch-0 set (what the pipeline started with).
   const QuerySet<Pred>& queries() const { return epoch0_->set; }
   /// Epoch registry shared with every node; a live session installs new

@@ -120,9 +120,10 @@ class LlhjNode : public Steppable {
         ws_(MakeStore<SStore>(registry)) {}
 
   /// Placement hook (runs on this node's pinned thread, before any
-  /// production anywhere — see ThreadedExecutor's start barrier): pull the
-  /// input rings onto this node's NUMA node and first-touch the owner-local
-  /// staging buffers here instead of on the pipeline-building thread.
+  /// production anywhere — see ThreadedExecutor's start barrier): write
+  /// the input rings' pages and the owner-local staging buffers first from
+  /// here, so they land on this node's NUMA node instead of the
+  /// pipeline-building thread's.
   void OnThreadStart() override {
     left_in_->PrefaultByConsumer();
     right_in_->PrefaultByConsumer();

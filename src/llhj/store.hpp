@@ -193,10 +193,6 @@ class VectorStore {
     return n;
   }
 
-  /// Which mempolicy rung backs the SoA key lanes (pages below the
-  /// huge-page threshold, THP/hugetlb above it; kNone before first Grow).
-  SlabBacking lane_backing() const { return lane_seq_.backing(); }
-
   // -- FIFO access (HSJ window segments ride on the same ring) ---------------
 
   const StoreEntry<T>& Front() const { return At(0); }
@@ -329,8 +325,8 @@ class VectorStore {
   std::vector<StoreEntry<T>> entries_;
   // SoA key lanes mirroring the ring (same indexing as entries_): the Seq
   // lane always (packed expiry search), the predicate key lanes only for
-  // types with a SimdEntryLanes mapping. Slab-backed (mempolicy ladder) so
-  // big windows sit on huge pages — fewer TLB misses on the block sweeps.
+  // types with a SimdEntryLanes mapping. Slab-backed so big windows
+  // sit on transparent huge pages — fewer TLB misses on the block sweeps.
   SlabArray<Seq> lane_seq_;
   SlabArray<int32_t> lane_k0_;
   SlabArray<float> lane_k1_;

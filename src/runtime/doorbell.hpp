@@ -28,7 +28,9 @@
 // The wait also times out after kParkTimeout: that covers the wake-ups no
 // push signals (output-side backpressure clearing, a registration racing a
 // push — see DoorbellSlot), so a missed wake can never cost more than the
-// timed fallback.
+// timed fallback. A timed-out Wait leaves the doorbell armed for the
+// owner's next look; work found there with no ring since is counted as a
+// missed wake (ThreadedExecutor::missed_wakes).
 //
 // Ownership and lifetime: the ThreadedExecutor owns one Doorbell per thread
 // and keeps it until the executor is destroyed. The thread binds it as its
@@ -87,11 +89,18 @@ class Doorbell {
   /// after this (and Disarm on finding some) before calling Wait.
   void Arm() { state_.exchange(kParked, std::memory_order_acq_rel); }
 
-  void Disarm() { state_.exchange(kAwake, std::memory_order_acquire); }
+  /// Returns true when no ring came since Arm: the doorbell was still
+  /// armed.
+  bool Disarm() {
+    return state_.exchange(kAwake, std::memory_order_acquire) == kParked;
+  }
 
-  /// Parks until rung or until kParkTimeout passes; leaves the doorbell
-  /// disarmed. Returns at once when a ring already disarmed it.
-  void Wait() {
+  /// Parks until rung or until kParkTimeout passes. Returns false when a
+  /// ring woke it (or had already disarmed it: then it returns at once),
+  /// leaving the doorbell disarmed. Returns true when it returned without
+  /// a ring, leaving the doorbell armed: the caller looks for work once
+  /// more, and Disarm then tells whether a ring came meanwhile.
+  bool Wait() {
     parks_.store(parks_.load(std::memory_order_relaxed) + 1,
                  std::memory_order_relaxed);
 #if defined(__linux__)
@@ -103,7 +112,16 @@ class Doorbell {
     // No futex: the timed fallback alone.
     std::this_thread::sleep_for(kParkTimeout);  // NOLINT(hot-path-sleep)
 #endif
-    Disarm();
+    // Acquire pairs with the ringer's exchange: a ring seen here makes the
+    // work it published visible to the caller's next look.
+    return state_.load(std::memory_order_acquire) == kParked;
+  }
+
+  /// Owner thread: counts a missed wake — work found after a Wait that
+  /// returned without a ring, with no ring since.
+  void CountMissedWake() {
+    missed_wakes_.store(missed_wakes_.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
   }
 
   /// Wakes the owner if it is parked or about to park. Call after the store
@@ -137,6 +155,11 @@ class Doorbell {
   /// state (readable from any thread).
   uint64_t wakes() const { return wakes_.load(std::memory_order_relaxed); }
 
+  /// Number of missed wakes counted so far (readable from any thread).
+  uint64_t missed_wakes() const {
+    return missed_wakes_.load(std::memory_order_relaxed);
+  }
+
  private:
   friend class DoorbellSlot;
 
@@ -162,6 +185,7 @@ class Doorbell {
   alignas(kCacheLineSize) std::atomic<uint32_t> state_{kAwake};
   std::atomic<uint64_t> parks_{0};
   std::atomic<uint64_t> wakes_{0};
+  std::atomic<uint64_t> missed_wakes_{0};
   std::vector<std::atomic<Doorbell*>*> slots_;  // owner thread only
 
   static inline constinit thread_local Doorbell* current_ = nullptr;

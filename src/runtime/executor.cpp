@@ -37,8 +37,7 @@ void ThreadedExecutor::Start() {
   stop_.store(false, std::memory_order_release);
   ready_.store(0, std::memory_order_release);
   if (!have_plan_) {
-    plan_ = PlacementPlan::Build(topology_, policy_, positions_,
-                                 /*helpers=*/0);
+    plan_ = PlacementPlan::Build(topology_, policy_, positions_);
     have_plan_ = true;
   }
   const std::size_t count = entries_.size();
@@ -127,14 +126,24 @@ void ThreadedExecutor::ThreadMain(const Entry& entry, Doorbell* bell,
     }
     // Park: arm the doorbell, then look once more — a push that raced the
     // arming is seen here or rings the doorbell (runtime/doorbell.hpp). A
-    // wake or timeout that finds no work parks again at once.
+    // rung wait goes back round the loop; a wait that timed out unrung
+    // stays armed and looks once more, and work found there with no ring
+    // since is a missed wake. A look that finds no work parks again.
     bell->Arm();
-    if (stop_.load(std::memory_order_acquire) || entry.steppable->Step()) {
-      bell->Disarm();
-      backoff.Reset();
-      continue;
+    bool unrung = false;  // the last Wait returned without a ring
+    for (;;) {
+      if (stop_.load(std::memory_order_acquire)) {
+        bell->Disarm();
+        break;
+      }
+      if (entry.steppable->Step()) {
+        if (bell->Disarm() && unrung) bell->CountMissedWake();
+        backoff.Reset();
+        break;
+      }
+      unrung = bell->Wait();
+      if (!unrung) break;
     }
-    bell->Wait();
   }
   bell->Release();
 }

@@ -22,8 +22,8 @@
 // its steppable's OnThreadStart() hook, and then waits on a start barrier
 // until ALL threads have done so; Start() returns only after the barrier
 // clears. Consumer-side placement hooks (SpscQueue::PrefaultByConsumer)
-// therefore always run before any producer pushes — no data race, no page
-// first-touched by the wrong thread.
+// therefore always run before any producer pushes — no data race, and
+// every ring page is first written by the thread that reads it.
 #pragma once
 
 #include <atomic>
@@ -90,8 +90,7 @@ class ThreadedExecutor {
                             PlacementPolicy policy = PlacementPolicy::kAuto)
       : topology_(std::move(topology)), policy_(policy) {}
 
-  /// Uses a prebuilt plan (the JoinSession path: the same plan also chose
-  /// the channel memory homes, so threads and memory agree).
+  /// Uses a prebuilt plan (the JoinSession path).
   explicit ThreadedExecutor(PlacementPlan plan)
       : plan_(std::move(plan)), have_plan_(true) {}
 
@@ -130,6 +129,15 @@ class ThreadedExecutor {
   uint64_t wakes() const {
     uint64_t n = 0;
     for (const auto& bell : doorbells_) n += bell->wakes();
+    return n;
+  }
+
+  /// Times one of this executor's threads found work after a park that
+  /// ended without a ring, with no ring since (diagnostics: work that
+  /// appeared without a push waited up to kParkTimeout for it).
+  uint64_t missed_wakes() const {
+    uint64_t n = 0;
+    for (const auto& bell : doorbells_) n += bell->missed_wakes();
     return n;
   }
 

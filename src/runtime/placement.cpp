@@ -17,26 +17,16 @@ PlacementPolicy ParsePlacementPolicy(const std::string& name) {
 
 PlacementPlan PlacementPlan::Build(const Topology& topology,
                                    PlacementPolicy policy,
-                                   int pipeline_positions, int helpers) {
+                                   int pipeline_positions) {
   if (pipeline_positions < 0) pipeline_positions = 0;
-  if (helpers < 0) helpers = 0;
 
   PlacementPlan plan;
   plan.policy_ = policy;
   plan.position_cpus_.assign(static_cast<std::size_t>(pipeline_positions), -1);
-  plan.position_nodes_.assign(static_cast<std::size_t>(pipeline_positions), -1);
-  plan.helper_cpus_.assign(static_cast<std::size_t>(helpers), -1);
-  plan.helper_nodes_.assign(static_cast<std::size_t>(helpers), -1);
   if (policy == PlacementPolicy::kNone) return plan;
 
   const std::vector<TopoCpu>& all = topology.entries();
   if (all.empty()) return plan;
-  std::vector<char> used(all.size(), 0);
-
-  auto take = [&](std::size_t i) {
-    used[i] = 1;
-    return std::pair<int, int>{all[i].cpu, all[i].node};
-  };
 
   if (policy == PlacementPolicy::kScatter) {
     // Deliberately locality-hostile: position i goes to node (i % nodes),
@@ -45,6 +35,7 @@ PlacementPlan PlacementPlan::Build(const Topology& topology,
     for (const TopoCpu& c : all) nodes.push_back(c.node);
     std::sort(nodes.begin(), nodes.end());
     nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    std::vector<char> used(all.size(), 0);
     for (int pos = 0; pos < pipeline_positions; ++pos) {
       const int want = nodes[static_cast<std::size_t>(pos) % nodes.size()];
       // Next unused CPU on the wanted node, else next unused anywhere
@@ -59,9 +50,8 @@ PlacementPlan PlacementPlan::Build(const Topology& topology,
         if (pick == all.size()) pick = i;
       }
       if (pick == all.size()) break;  // supply exhausted: rest unpinned
-      const auto [cpu, node] = take(pick);
-      plan.position_cpus_[static_cast<std::size_t>(pos)] = cpu;
-      plan.position_nodes_[static_cast<std::size_t>(pos)] = node;
+      used[pick] = 1;
+      plan.position_cpus_[static_cast<std::size_t>(pos)] = all[pick].cpu;
     }
   } else {
     // kAuto / kCompact: placement order IS the plan — one position per
@@ -69,36 +59,9 @@ PlacementPlan PlacementPlan::Build(const Topology& topology,
     for (int pos = 0;
          pos < pipeline_positions && static_cast<std::size_t>(pos) < all.size();
          ++pos) {
-      const auto [cpu, node] = take(static_cast<std::size_t>(pos));
-      plan.position_cpus_[static_cast<std::size_t>(pos)] = cpu;
-      plan.position_nodes_[static_cast<std::size_t>(pos)] = node;
+      plan.position_cpus_[static_cast<std::size_t>(pos)] =
+          all[static_cast<std::size_t>(pos)].cpu;
     }
-  }
-
-  // Helpers: leftover CPUs only, preferring the node adjacent to the
-  // helper's traffic. The feeder talks to both pipeline ends but enters at
-  // position 0's channel; the collector vacuums every node's result queue —
-  // anchor it at the far end so the two helpers spread out.
-  for (int h = 0; h < helpers; ++h) {
-    int prefer = -1;
-    if (h == kFeederHelper && pipeline_positions > 0) {
-      prefer = plan.position_nodes_.front();
-    } else if (h == kCollectorHelper && pipeline_positions > 0) {
-      prefer = plan.position_nodes_.back();
-    }
-    std::size_t pick = all.size();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      if (used[i]) continue;
-      if (prefer >= 0 && all[i].node == prefer) {
-        pick = i;
-        break;
-      }
-      if (pick == all.size()) pick = i;
-    }
-    if (pick == all.size()) continue;  // no leftover: helper stays unpinned
-    const auto [cpu, node] = take(pick);
-    plan.helper_cpus_[static_cast<std::size_t>(h)] = cpu;
-    plan.helper_nodes_[static_cast<std::size_t>(h)] = node;
   }
   return plan;
 }

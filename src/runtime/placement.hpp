@@ -1,9 +1,9 @@
-// Pluggable placement plans: how pipeline positions, helper threads, and
-// channel memory are laid over a Topology. This is the paper's Magny Cours
-// layout generalized — neighbouring pipeline nodes land on neighbouring
-// cores of the same NUMA node so every SPSC channel is a short
-// point-to-point link, helper threads take leftover cores near the pipeline
-// ends, and each channel ring's memory home is its *consumer's* node.
+// Pluggable placement plans: how pipeline positions are laid over a
+// Topology. This is the paper's Magny Cours layout generalized —
+// neighbouring pipeline nodes land on neighbouring cores of the same NUMA
+// node so every SPSC channel is a short point-to-point link. A plan only
+// pins threads; channel memory follows the threads, because each ring's
+// consumer writes its pages first (SpscQueue::PrefaultByConsumer).
 //
 // Policies:
 //   kAuto     — kCompact today; the indirection point for future
@@ -14,14 +14,12 @@
 //               only after every core has one position).
 //   kScatter  — round-robin positions across NUMA nodes (deliberately
 //               locality-hostile; the ablation baseline).
-//   kNone     — pin nothing, bind nothing (the scheduler decides).
+//   kNone     — pin nothing (the scheduler decides).
 //
 // Invariants (asserted by tests/test_runtime.cpp):
 //   * no two planned threads share a CPU;
 //   * under kCompact, the NUMA node sequence along pipeline positions is
-//     contiguous — neighbours are co-located before a remote node is used;
-//   * helpers spill to -1 (unpinned) when no leftover CPU remains, never
-//     onto a pipeline CPU.
+//     contiguous — neighbours are co-located before a remote node is used.
 #pragma once
 
 #include <cstdint>
@@ -57,33 +55,22 @@ constexpr const char* ToString(PlacementPolicy policy) {
 /// value (the JoinConfig validation discipline).
 PlacementPolicy ParsePlacementPolicy(const std::string& name);
 
-/// Well-known helper ordinals. Pipelines and executors agree on these so a
-/// plan built by the session places the same threads the executor runs.
-inline constexpr int kFeederHelper = 0;     ///< ingestion (left + right ports)
-inline constexpr int kCollectorHelper = 1;  ///< result vacuum
-inline constexpr int kHelperCount = 2;
-
-/// An immutable mapping of pipeline positions and helpers to CPUs and NUMA
-/// memory homes. A default-constructed plan is "unplaced": every lookup
-/// returns -1 (no pinning, no memory binding) — the non-threaded and
-/// policy-none configuration.
+/// An immutable mapping of pipeline positions to CPUs. A
+/// default-constructed plan is "unplaced": every lookup returns -1 (no
+/// pinning) — the non-threaded and policy-none configuration.
 class PlacementPlan {
  public:
   PlacementPlan() = default;
 
-  /// Lays `pipeline_positions` positions plus `helpers` helper threads over
-  /// `topology` under `policy`. Positions beyond the CPU supply are
-  /// unpinned (-1); helpers prefer leftover CPUs on the node adjacent to
-  /// their traffic (feeder -> the first position's node, collector -> the
-  /// last position's node) and spill to any leftover CPU, then to -1.
+  /// Lays `pipeline_positions` positions over `topology` under `policy`.
+  /// Positions beyond the CPU supply are unpinned (-1).
   static PlacementPlan Build(const Topology& topology, PlacementPolicy policy,
-                             int pipeline_positions, int helpers = kHelperCount);
+                             int pipeline_positions);
 
   PlacementPolicy policy() const { return policy_; }
-  bool empty() const { return position_cpus_.empty() && helper_cpus_.empty(); }
+  bool empty() const { return position_cpus_.empty(); }
 
   int positions() const { return static_cast<int>(position_cpus_.size()); }
-  int helpers() const { return static_cast<int>(helper_cpus_.size()); }
 
   /// CPU for pipeline position `pos`; -1 = leave unpinned.
   int CpuForPosition(int pos) const {
@@ -92,32 +79,9 @@ class PlacementPlan {
                : -1;
   }
 
-  /// NUMA memory home for state consumed at position `pos` (its input
-  /// channel rings, window stores); -1 = no binding.
-  int NodeForPosition(int pos) const {
-    return pos >= 0 && pos < positions()
-               ? position_nodes_[static_cast<std::size_t>(pos)]
-               : -1;
-  }
-
-  int CpuForHelper(int helper) const {
-    return helper >= 0 && helper < helpers()
-               ? helper_cpus_[static_cast<std::size_t>(helper)]
-               : -1;
-  }
-
-  int NodeForHelper(int helper) const {
-    return helper >= 0 && helper < helpers()
-               ? helper_nodes_[static_cast<std::size_t>(helper)]
-               : -1;
-  }
-
  private:
   PlacementPolicy policy_ = PlacementPolicy::kNone;
   std::vector<int> position_cpus_;
-  std::vector<int> position_nodes_;
-  std::vector<int> helper_cpus_;
-  std::vector<int> helper_nodes_;
 };
 
 }  // namespace sjoin

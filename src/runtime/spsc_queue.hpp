@@ -22,32 +22,6 @@
 
 namespace sjoin {
 
-/// Where a channel ring's slot pages ended up relative to the consumer's
-/// NUMA node (diagnostics; tests assert the placement hook ran).
-enum class ChannelPlacement : uint8_t {
-  kUnplaced = 0,     ///< no home node requested / hook not run yet
-  kBound = 1,        ///< mbind policy installed before first touch
-  kFirstTouched = 2, ///< slot construction deferred to the consumer thread
-  kMigrated = 3,     ///< pages migrated to the home node (move_pages)
-  kPrefaulted = 4,   ///< portable fallback: consumer warming pass only
-};
-
-constexpr const char* ToString(ChannelPlacement p) {
-  switch (p) {
-    case ChannelPlacement::kUnplaced:
-      return "unplaced";
-    case ChannelPlacement::kBound:
-      return "bound";
-    case ChannelPlacement::kFirstTouched:
-      return "first-touched";
-    case ChannelPlacement::kMigrated:
-      return "migrated";
-    case ChannelPlacement::kPrefaulted:
-      return "prefaulted";
-  }
-  return "?";
-}
-
 /// Wait-free bounded SPSC FIFO. T must be copyable (engines use PODs).
 ///
 /// Exactly one thread may call the producer API (TryPush/PushBurst) and one
@@ -62,18 +36,14 @@ constexpr const char* ToString(ChannelPlacement p) {
 ///
 /// NUMA placement: the consumer reads every slot the producer writes, and
 /// on a loaded link each slot is read soon after it is written — so the
-/// ring's memory home should be the CONSUMER's node (remote write / local
-/// read, the cheaper direction on ccNUMA interconnects, and the discipline
-/// the paper applies via libnuma). Pass the consumer's node as `home_node`
-/// and have the consumer thread call PrefaultByConsumer() before the
-/// producer starts (ThreadedExecutor's start barrier guarantees the
-/// ordering for pipeline threads). The placement ladder:
-///   1. mbind the slot pages before first touch (works no matter which
-///      thread constructs the slots);
-///   2. defer slot construction to the consumer thread entirely (true
-///      first-touch; only for trivially copyable+destructible T);
-///   3. move_pages migration from the consumer thread;
-///   4. portable fallback: a consumer-side warming pass.
+/// ring's pages belong on the CONSUMER's node (remote write / local read,
+/// the cheaper direction on ccNUMA interconnects, and the discipline the
+/// paper applies via libnuma). One rule gets them there: the consumer
+/// thread calls PrefaultByConsumer() before the producer's first push, and
+/// that call writes every slot page, so first touch maps each page on the
+/// consumer's node (ThreadedExecutor's start barrier orders the hook
+/// before any production for pipeline threads). A ring whose consumer
+/// never calls the hook is written by its first pushes.
 ///
 /// Wake-on-push (runtime/doorbell.hpp): the first time an executor thread
 /// finds the ring empty it registers its doorbell with the ring, and every
@@ -81,10 +51,10 @@ constexpr const char* ToString(ChannelPlacement p) {
 /// parked consumer wakes on the push instead of at its timed fallback.
 template <typename T>
 class SpscQueue {
-  // Slot construction may be deferred to the consumer thread only for
+  // Slot construction is left to the consumer's hook only for
   // implicit-lifetime types (aggregates with trivial destruction): for
-  // those, ::operator new already started the slots' lifetimes, so even a
-  // producer that runs before the deferred construction writes into valid
+  // those, ::operator new already started the slots' lifetimes, so a
+  // producer that pushes into a ring whose hook never ran writes into valid
   // objects — the SPSC protocol guarantees nothing reads a slot that was
   // not first produced.
   static constexpr bool kDeferrableInit =
@@ -92,29 +62,14 @@ class SpscQueue {
       std::is_trivially_destructible_v<T>;
 
  public:
-  /// Capacity is rounded up to a power of two (minimum 2). `home_node` >= 0
-  /// requests the slot pages on that NUMA node (see the placement ladder
-  /// above); -1 keeps the historical behaviour (pages land wherever the
-  /// constructing thread runs).
-  explicit SpscQueue(std::size_t capacity, int home_node = -1)
-      : home_node_(home_node) {
+  /// Capacity is rounded up to a power of two (minimum 2).
+  explicit SpscQueue(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;
     bytes_ = RoundUpToPage(cap * sizeof(T));
     slots_ = static_cast<T*>(AllocatePages(bytes_));
-    if (home_node_ >= 0 && BindMemoryToNode(slots_, bytes_, home_node_)) {
-      placement_.store(ChannelPlacement::kBound, std::memory_order_relaxed);
-    }
-    if (home_node_ >= 0 && !bound() && kDeferrableInit) {
-      // Rung 2: leave the pages untouched; PrefaultByConsumer constructs
-      // the slots on the consumer thread (true first-touch). Safe only
-      // because every planned-placement queue is drained through an
-      // executor whose start barrier runs the hook before any producer.
-      deferred_init_ = true;
-    } else {
-      ConstructSlots();
-    }
+    if constexpr (!kDeferrableInit) ConstructSlots();
   }
 
   ~SpscQueue() {
@@ -129,63 +84,17 @@ class SpscQueue {
 
   std::size_t capacity() const { return mask_ + 1; }
 
-  /// The NUMA node this ring's consumer lives on (-1 = unplaced).
-  int home_node() const { return home_node_; }
-
-  /// How the slot pages were placed (diagnostics; any value other than
-  /// kUnplaced means the placement hook completed).
-  ChannelPlacement placement() const {
-    return placement_.load(std::memory_order_acquire);
-  }
-
-  /// Consumer-side placement hook. MUST be called from the consumer thread
-  /// BEFORE the producer's first push (pipeline threads get this ordering
-  /// from ThreadedExecutor's start barrier; other owners call it right
-  /// after construction). Idempotent.
+  /// Consumer-side placement hook: writes every slot from the calling
+  /// thread, so the slot pages are first touched on the consumer's NUMA
+  /// node. MUST be called from the consumer thread BEFORE the producer's
+  /// first push (pipeline threads get this ordering from ThreadedExecutor's
+  /// start barrier; other owners call it right after construction). Writes
+  /// nothing once anything was pushed, and nothing for slots the
+  /// constructor already wrote.
   void PrefaultByConsumer() {
-    if (deferred_init_) {
-      deferred_init_ = false;
-      // Construct only while nothing was produced yet (the executor start
-      // barrier guarantees this for pipeline threads); a producer that
-      // somehow got ahead already first-touched the slots it wrote.
-      if (tail_->load(std::memory_order_acquire) == 0) {
-        ConstructSlots();  // true first-touch on the consumer thread
-        placement_.store(ChannelPlacement::kFirstTouched,
-                         std::memory_order_release);
-        return;
-      }
+    if constexpr (kDeferrableInit) {
+      if (tail_->load(std::memory_order_acquire) == 0) ConstructSlots();
     }
-    // The planned home is a prediction; the actual consumer is whoever
-    // calls this. When they disagree — an unpinned polling thread, a plan
-    // over a synthetic topology whose node ids do not match the hardware —
-    // re-home the ring to where the reads will really happen. This is what
-    // keeps a session's result rings with its (unpinned) polling thread
-    // instead of stuck on the plan's collector node.
-    if (home_node_ >= 0) {
-      const int here = CurrentNumaNode();
-      if (here >= 0 && here != home_node_ &&
-          MoveMemoryToNode(slots_, bytes_, here)) {
-        home_node_ = here;
-        placement_.store(ChannelPlacement::kMigrated,
-                         std::memory_order_release);
-        return;
-      }
-    }
-    if (bound()) return;  // pages already fault onto the home node
-    if (home_node_ >= 0 && MoveMemoryToNode(slots_, bytes_, home_node_)) {
-      placement_.store(ChannelPlacement::kMigrated, std::memory_order_release);
-      return;
-    }
-    // Portable fallback: walk the pages so they are resident and warm in
-    // this thread's caches/TLB before steady state.
-    const volatile unsigned char* base =
-        reinterpret_cast<const volatile unsigned char*>(slots_);
-    unsigned char sink = 0;
-    for (std::size_t off = 0; off < bytes_; off += kMemPageSize) {
-      sink ^= base[off];
-    }
-    (void)sink;
-    placement_.store(ChannelPlacement::kPrefaulted, std::memory_order_release);
   }
 
   /// Producer: returns false when full.
@@ -328,11 +237,6 @@ class SpscQueue {
   bool EmptyApprox() const { return SizeApprox() == 0; }
 
  private:
-  bool bound() const {
-    return placement_.load(std::memory_order_relaxed) ==
-           ChannelPlacement::kBound;
-  }
-
   void ConstructSlots() {
     for (std::size_t i = 0; i <= mask_; ++i) new (slots_ + i) T();
   }
@@ -340,10 +244,6 @@ class SpscQueue {
   T* slots_ = nullptr;        // page-aligned, bytes_ long (see placement)
   std::size_t bytes_ = 0;
   std::size_t mask_ = 0;
-  int home_node_ = -1;
-  bool deferred_init_ = false;
-  // Written before the start barrier / read by diagnostics on any thread.
-  std::atomic<ChannelPlacement> placement_{ChannelPlacement::kUnplaced};
 
   // Producer side.
   CachePadded<std::atomic<std::size_t>> tail_{};

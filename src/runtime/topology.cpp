@@ -273,7 +273,7 @@ Topology Topology::Detect() {
   // Env override first (synthetic shapes for CI legs on single-socket
   // runners). Unrecognized values warn and fall through to real detection —
   // a leg that believes it forced a shape must not silently run flat.
-  const char* spec = env::Raw("SJOIN_TOPOLOGY");
+  const char* spec = env::Raw("SJOIN_TOPOLOGY");  // NOLINT(env-knob)
   if (spec != nullptr && spec[0] != '\0') {
     const std::string v(spec);
     SyntheticShape shape;

@@ -99,11 +99,12 @@ class Collector : public Steppable {
 
   bool Step() override { return VacuumOnce() > 0; }
 
-  /// Placement hook: pulls every result ring onto the calling (consumer)
-  /// thread's NUMA node. Runs automatically via OnThreadStart when the
-  /// collector lives on an executor thread; owners that vacuum from their
-  /// own thread (JoinSession, benches) call it once before the pipeline
-  /// starts producing.
+  /// Placement hook: writes every result ring's pages from the calling
+  /// (consumer) thread, so they are first touched on its NUMA node. Runs
+  /// automatically via OnThreadStart when the collector lives on an
+  /// executor thread; owners that vacuum from their own thread
+  /// (JoinSession, benches) call it once before the pipeline starts
+  /// producing.
   void PrefaultQueues() {
     for (auto* queue : queues_) queue->PrefaultByConsumer();
   }

@@ -38,15 +38,16 @@ struct OverflowCase {
 inline constexpr int kOverflowSpan = 64;
 
 /// The session test matrix: engine x threaded x result_capacity, with
-/// 16-slot rings that fill on every batch and default rings that fill at
-/// this window too.
+/// 2-, 4- and 16-slot rings that fill on every batch and default rings
+/// that fill at this window too.
 using OverflowParam = std::tuple<Algorithm, bool, std::size_t>;
 
 inline auto OverflowMatrix() {
   return ::testing::Combine(
       ::testing::Values(Algorithm::kLowLatency, Algorithm::kHandshake),
       ::testing::Bool(),
-      ::testing::Values(std::size_t{16}, kDefaultResultCapacity));
+      ::testing::Values(std::size_t{2}, std::size_t{4}, std::size_t{16},
+                        kDefaultResultCapacity));
 }
 
 /// gtest parameter name, e.g. "llhj_threaded_ring16".
@@ -94,8 +95,8 @@ void PushOverflowPairs(Session& session, int pairs, AfterPair after_pair) {
 
 /// Runs `c` against the Kang reference and checks it: the exact multiset
 /// is delivered when FinishInput returns, with no punctuation violation
-/// and no anomaly; LLHJ emits punctuations; a threaded 16-slot ring really
-/// fills.
+/// and no anomaly; LLHJ emits punctuations; a threaded ring of 16 slots or
+/// fewer really fills.
 /// Returns the most results one round produced (reference count).
 inline uint64_t RunOverflowCase(const OverflowCase& c) {
   LivePunctuationChecker<RTuple, STuple> want;

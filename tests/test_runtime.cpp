@@ -1,6 +1,6 @@
 // Tests for topology (sysfs parsing, synthetic shapes, env override),
-// placement planning, channel memory placement, affinity, backoff, and the
-// two executors.
+// placement planning, the channel placement hook, slabs, affinity,
+// backoff, doorbells, and the two executors.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -234,8 +234,7 @@ Topology TwoNodeTopo() {
 
 TEST(PlacementPlan, CompactCoLocatesNeighboursBeforeRemoteNodes) {
   Topology topo = TwoNodeTopo();
-  PlacementPlan plan =
-      PlacementPlan::Build(topo, PlacementPolicy::kCompact, 6, 2);
+  PlacementPlan plan = PlacementPlan::Build(topo, PlacementPolicy::kCompact, 6);
 
   // No two planned threads share a CPU.
   std::set<int> cpus;
@@ -244,75 +243,44 @@ TEST(PlacementPlan, CompactCoLocatesNeighboursBeforeRemoteNodes) {
     ASSERT_GE(cpu, 0);
     EXPECT_TRUE(cpus.insert(cpu).second) << "duplicate cpu " << cpu;
   }
-  for (int h = 0; h < plan.helpers(); ++h) {
-    const int cpu = plan.CpuForHelper(h);
-    if (cpu >= 0) {
-      EXPECT_TRUE(cpus.insert(cpu).second);
-    }
-  }
 
   // Node sequence along the pipeline is contiguous: a node is never
   // revisited once left (neighbours co-located before a remote node).
   std::vector<int> node_seq;
   for (int pos = 0; pos < plan.positions(); ++pos) {
-    node_seq.push_back(plan.NodeForPosition(pos));
+    node_seq.push_back(topo.NodeOfCpu(plan.CpuForPosition(pos)));
   }
   EXPECT_EQ(node_seq, (std::vector<int>{0, 0, 0, 0, 1, 1}));
-
-  // Helpers take leftover cores near their pipeline end; never -1 while
-  // CPUs remain.
-  EXPECT_GE(plan.CpuForHelper(kFeederHelper), 0);
-  EXPECT_GE(plan.CpuForHelper(kCollectorHelper), 0);
-  // The collector-adjacent node (last position's) is node 1.
-  EXPECT_EQ(plan.NodeForHelper(kCollectorHelper), 1);
-}
-
-TEST(PlacementPlan, HelperSpillReturnsUnpinned) {
-  Topology topo = Topology::Synthetic(4);
-  PlacementPlan plan =
-      PlacementPlan::Build(topo, PlacementPolicy::kCompact, 4, 2);
-  // All four CPUs go to pipeline positions; helpers must spill to -1 and
-  // never onto a pipeline CPU.
-  EXPECT_EQ(plan.CpuForHelper(kFeederHelper), -1);
-  EXPECT_EQ(plan.CpuForHelper(kCollectorHelper), -1);
-  EXPECT_EQ(plan.NodeForHelper(kCollectorHelper), -1);
 }
 
 TEST(PlacementPlan, PositionsBeyondSupplyAreUnpinned) {
   Topology topo = Topology::Synthetic(2);
-  PlacementPlan plan =
-      PlacementPlan::Build(topo, PlacementPolicy::kAuto, 5, 1);
+  PlacementPlan plan = PlacementPlan::Build(topo, PlacementPolicy::kAuto, 5);
   EXPECT_GE(plan.CpuForPosition(0), 0);
   EXPECT_GE(plan.CpuForPosition(1), 0);
   for (int pos = 2; pos < 5; ++pos) {
     EXPECT_EQ(plan.CpuForPosition(pos), -1);
-    EXPECT_EQ(plan.NodeForPosition(pos), -1);
   }
-  EXPECT_EQ(plan.CpuForHelper(0), -1);
 }
 
 TEST(PlacementPlan, ScatterRoundRobinsNodes) {
   Topology topo = TwoNodeTopo();
-  PlacementPlan plan =
-      PlacementPlan::Build(topo, PlacementPolicy::kScatter, 4, 0);
-  EXPECT_EQ(plan.NodeForPosition(0), 0);
-  EXPECT_EQ(plan.NodeForPosition(1), 1);
-  EXPECT_EQ(plan.NodeForPosition(2), 0);
-  EXPECT_EQ(plan.NodeForPosition(3), 1);
+  PlacementPlan plan = PlacementPlan::Build(topo, PlacementPolicy::kScatter, 4);
+  std::vector<int> node_seq;
   std::set<int> cpus;
   for (int pos = 0; pos < 4; ++pos) {
+    node_seq.push_back(topo.NodeOfCpu(plan.CpuForPosition(pos)));
     EXPECT_TRUE(cpus.insert(plan.CpuForPosition(pos)).second);
   }
+  EXPECT_EQ(node_seq, (std::vector<int>{0, 1, 0, 1}));
 }
 
 TEST(PlacementPlan, NonePlacesNothing) {
   Topology topo = TwoNodeTopo();
-  PlacementPlan plan = PlacementPlan::Build(topo, PlacementPolicy::kNone, 4, 2);
+  PlacementPlan plan = PlacementPlan::Build(topo, PlacementPolicy::kNone, 4);
   for (int pos = 0; pos < 4; ++pos) {
     EXPECT_EQ(plan.CpuForPosition(pos), -1);
-    EXPECT_EQ(plan.NodeForPosition(pos), -1);
   }
-  EXPECT_EQ(plan.CpuForHelper(0), -1);
 }
 
 TEST(PlacementPlan, ParsePolicyNamesOffendingValue) {
@@ -336,12 +304,12 @@ struct PodSlot {
   int b = 0;
 };
 
-TEST(ChannelPlacement, HookRunsAndRecordsHomeNode) {
-  SpscQueue<PodSlot> queue(64, /*home_node=*/0);
-  EXPECT_EQ(queue.home_node(), 0);
-  queue.PrefaultByConsumer();
-  EXPECT_NE(queue.placement(), ChannelPlacement::kUnplaced);
-  // The ring must still behave: fill, drain, wrap.
+// The consumer's hook writes the slot pages on its own thread before the
+// first push; the ring then behaves: fill, drain, wrap.
+TEST(ConsumerPrefault, HookOnConsumerThreadThenFillDrainWrap) {
+  SpscQueue<PodSlot> queue(64);
+  std::thread consumer([&queue] { queue.PrefaultByConsumer(); });
+  consumer.join();
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 60; ++i) {
       ASSERT_TRUE(queue.TryPush(PodSlot{i, round}));
@@ -355,26 +323,16 @@ TEST(ChannelPlacement, HookRunsAndRecordsHomeNode) {
   }
 }
 
-TEST(ChannelPlacement, NonexistentNodeFallsDownTheLadder) {
-  // Node 1023 exists on no test host: mbind fails at construction, so the
-  // consumer-side hook must take a fallback rung (deferred first-touch for
-  // implicit-lifetime slots), never kBound.
-  SpscQueue<PodSlot> queue(16, /*home_node=*/1023);
-  queue.PrefaultByConsumer();
-  EXPECT_NE(queue.placement(), ChannelPlacement::kUnplaced);
-  EXPECT_NE(queue.placement(), ChannelPlacement::kBound);
-  PodSlot out;
+// A hook that comes after the first push (a ring its pushes wrote) must
+// not overwrite what was pushed.
+TEST(ConsumerPrefault, HookAfterFirstPushWritesNothing) {
+  SpscQueue<PodSlot> queue(16);
   ASSERT_TRUE(queue.TryPush(PodSlot{7, 9}));
+  queue.PrefaultByConsumer();
+  PodSlot out;
   ASSERT_TRUE(queue.TryPop(&out));
   EXPECT_EQ(out.a, 7);
-}
-
-TEST(ChannelPlacement, UnplacedQueueStaysUnplacedUntilHook) {
-  SpscQueue<PodSlot> queue(16);
-  EXPECT_EQ(queue.home_node(), -1);
-  EXPECT_EQ(queue.placement(), ChannelPlacement::kUnplaced);
-  queue.PrefaultByConsumer();
-  EXPECT_EQ(queue.placement(), ChannelPlacement::kPrefaulted);
+  EXPECT_EQ(out.b, 9);
 }
 
 TEST(Topology, DetectFindsAtLeastOneCpu) {
@@ -483,90 +441,42 @@ TEST(Affinity, PinToFirstCpuSucceedsOnLinux) {
 
 TEST(Affinity, PinToInvalidCpuFails) { EXPECT_FALSE(PinThisThread(-1)); }
 
-// -- Slab allocation and the huge-page ladder ---------------------------------
-
-/// Saves/restores one env knob (same shape as ScopedTopologyEnv) so the
-/// slab tests compose with CI legs that set the huge-page knobs globally.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(Slab, BackingNamesAreStable) {
-  EXPECT_STREQ(ToString(SlabBacking::kNone), "none");
-  EXPECT_STREQ(ToString(SlabBacking::kPages), "pages");
-  EXPECT_STREQ(ToString(SlabBacking::kTransparentHuge), "thp");
-  EXPECT_STREQ(ToString(SlabBacking::kHugeTlb), "hugetlb");
-}
+// -- Slab allocation -----------------------------------------------------------
 
 TEST(Slab, SmallAllocationUsesPlainPagesAndIsWritable) {
-  ScopedEnv on("SJOIN_HUGE_PAGES", "1");
-  ScopedEnv thresh("SJOIN_HUGE_PAGE_MIN_BYTES", nullptr);
   Slab slab = AllocateSlab(4096);
   ASSERT_NE(slab.addr, nullptr);
-  EXPECT_EQ(slab.backing, SlabBacking::kPages);  // below the 2 MB threshold
-  EXPECT_GE(slab.bytes, 4096u);
+  EXPECT_EQ(slab.bytes, 4096u);  // below kHugePageSize: whole small pages
   auto* p = static_cast<unsigned char*>(slab.addr);
   for (std::size_t i = 0; i < 4096; ++i) p[i] = static_cast<unsigned char>(i);
   EXPECT_EQ(p[4095], static_cast<unsigned char>(4095));
   FreeSlab(&slab);
   EXPECT_EQ(slab.addr, nullptr);
-  EXPECT_EQ(slab.backing, SlabBacking::kNone);
+  EXPECT_EQ(slab.bytes, 0u);
 }
 
 TEST(Slab, ZeroBytesYieldsEmptySlab) {
   Slab slab = AllocateSlab(0);
   EXPECT_EQ(slab.addr, nullptr);
   EXPECT_EQ(slab.bytes, 0u);
-  EXPECT_EQ(slab.backing, SlabBacking::kNone);
   FreeSlab(&slab);  // no-op, must be safe
 }
 
-TEST(Slab, KnobDisablesHugeRungsEvenForBigRequests) {
-  ScopedEnv off("SJOIN_HUGE_PAGES", "0");
-  Slab slab = AllocateSlab(4 * kHugePageSize);
+// A slab of at least kHugePageSize is rounded up to whole huge pages and
+// round-trips like any other (whether THP backs it is the kernel's call).
+TEST(Slab, HugeSlabRoundTrip) {
+  const std::size_t want = kHugePageSize + 1;
+  Slab slab = AllocateSlab(want);
   ASSERT_NE(slab.addr, nullptr);
-  EXPECT_EQ(slab.backing, SlabBacking::kPages);
-  FreeSlab(&slab);
-}
-
-// With the threshold lowered, a modest allocation climbs the ladder. Which
-// rung it lands on depends on host policy (hugetlb pool may be empty, THP
-// may be disabled), so the assertion is: a valid rung, usable memory, and
-// honest reporting (never kNone for a live slab).
-TEST(Slab, LoweredThresholdClimbsLadderGracefully) {
-  ScopedEnv on("SJOIN_HUGE_PAGES", "1");
-  ScopedEnv thresh("SJOIN_HUGE_PAGE_MIN_BYTES", "65536");
-  EXPECT_EQ(HugePageThresholdBytes(), 65536u);
-  Slab slab = AllocateSlab(256 * 1024);
-  ASSERT_NE(slab.addr, nullptr);
-  EXPECT_NE(slab.backing, SlabBacking::kNone);
+  EXPECT_EQ(slab.bytes, 2 * kHugePageSize);
   auto* p = static_cast<unsigned char*>(slab.addr);
   p[0] = 1;
-  p[256 * 1024 - 1] = 2;
-  EXPECT_EQ(p[0] + p[256 * 1024 - 1], 3);
+  p[want - 1] = 2;
+  p[slab.bytes - 1] = 3;
+  EXPECT_EQ(p[0] + p[want - 1] + p[slab.bytes - 1], 6);
   FreeSlab(&slab);
+  EXPECT_EQ(slab.addr, nullptr);
+  EXPECT_EQ(slab.bytes, 0u);
 }
 
 TEST(Slab, SlabArrayResetMoveAndIndexing) {
@@ -824,6 +734,36 @@ TEST(Doorbell, PushesIntoParkedRingWakeTheConsumer) {
   exec.Stop();
   EXPECT_GE(wakes, kPushes / 2) << "pushes did not ring the doorbell";
   EXPECT_LE(wakes, kPushes);
+}
+
+/// Finds work that appears without a push: Step takes a flag the test sets
+/// directly, so nothing ever rings the executor thread's doorbell.
+class FlagSteppable : public Steppable {
+ public:
+  bool Step() override {
+    if (!work.exchange(false, std::memory_order_acq_rel)) return false;
+    taken.fetch_add(1, std::memory_order_release);
+    return true;
+  }
+  std::atomic<bool> work{false};
+  std::atomic<uint64_t> taken{0};
+};
+
+// Work that appears without a push is found only when a park times out;
+// the executor counts that as a missed wake.
+TEST(Doorbell, WorkWithoutAPushCountsAMissedWake) {
+  FlagSteppable flag;
+  ThreadedExecutor exec(Topology::Synthetic(1));
+  exec.Add(&flag);
+  exec.Start();
+  ASSERT_TRUE(WaitFor([&] { return exec.parks() > 0; },
+                      std::chrono::seconds(10)));
+  EXPECT_EQ(exec.missed_wakes(), 0u);
+  flag.work.store(true, std::memory_order_release);
+  ASSERT_TRUE(WaitFor([&] { return flag.taken.load() == 1; },
+                      std::chrono::seconds(10)));
+  exec.Stop();  // joins the thread: its count is final
+  EXPECT_GE(exec.missed_wakes(), 1u);
 }
 
 // Pushes spaced well inside the hot window (kHotIdle) find the consumer

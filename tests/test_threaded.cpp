@@ -34,22 +34,20 @@ using test::TS;
 /// Runs a pipeline's nodes threaded while the test thread replays the
 /// script and collects, as a session's driver thread does; returns once the
 /// replay finished and the system quiesced. Results go to `handler`.
+/// A non-empty `plan` pins the node threads.
 template <typename Pipeline>
 void RunThreaded(Pipeline& pipeline, const DriverScript<TR, TS>& script,
                  std::size_t batch, OutputHandler<TR, TS>* handler,
-                 const HighWaterMarks* expiry_gate = nullptr) {
+                 const HighWaterMarks* expiry_gate = nullptr,
+                 const PlacementPlan& plan = {}) {
   test::Replay::Options options;
   options.batch = batch;
   options.expiry_gate = expiry_gate;
   test::Replay replay(pipeline.ports(), script, options);
   auto collector = pipeline.MakeCollector(handler);
 
-  // A pipeline built with a placement plan gets its node threads placed by
-  // the SAME plan, so threads and channel memory agree.
-  auto exec_owner = pipeline.placement().empty()
-                        ? std::make_unique<ThreadedExecutor>()
-                        : std::make_unique<ThreadedExecutor>(
-                              pipeline.placement());
+  auto exec_owner = plan.empty() ? std::make_unique<ThreadedExecutor>()
+                                 : std::make_unique<ThreadedExecutor>(plan);
   ThreadedExecutor& exec = *exec_owner;
   for (auto* node : pipeline.nodes()) exec.Add(node);
   collector->PrefaultQueues();
@@ -209,43 +207,28 @@ TEST(ThreadedResultRingOverflow, DefaultRingsOverflowBetweenPollsAndStayExact) {
   EXPECT_GT(max_per_pair / static_cast<uint64_t>(c.parallelism), 65'536u);
 }
 
-// Channel rings of a planned pipeline are homed on their CONSUMER's NUMA
-// node and the consumer-side placement hook runs on every ring before
-// steady state — observed here through the pipeline's placement
-// introspection on a synthetic two-node topology (so the test exercises the
-// multi-node paths even on single-socket hosts), with the result set still
-// exactly the oracle's.
+// A plan over a synthetic two-node topology pins the node threads across
+// both nodes (so the test exercises the multi-node paths even on
+// single-socket hosts); each thread writes its own input rings first, and
+// the result set is still exactly the oracle's.
 TEST(ThreadedPlacement, ChannelsHomedOnConsumersUnderSyntheticTopology) {
   Topology::SyntheticShape shape;
   shape.nodes_per_package = 2;
   shape.cores_per_node = 2;
   Topology topo = Topology::Synthetic(shape);  // cpus 0-3 over nodes {0, 1}
-  PlacementPlan plan =
-      PlacementPlan::Build(topo, PlacementPolicy::kCompact, 4, kHelperCount);
+  PlacementPlan plan = PlacementPlan::Build(topo, PlacementPolicy::kCompact, 4);
+  EXPECT_EQ(topo.NodeOfCpu(plan.CpuForPosition(0)), 0);
+  EXPECT_EQ(topo.NodeOfCpu(plan.CpuForPosition(3)), 1);  // multi-node plan
 
   auto script = ThreadedScript(8, true);
   auto oracle = RunKangOracle<TR, TS, KeyEq>(script);
 
   typename LlhjPipeline<TR, TS, KeyEq>::Options options;
   options.nodes = 4;
-  options.placement = plan;
   LlhjPipeline<TR, TS, KeyEq> pipeline(options);
-  // Construction already recorded each ring's home = its consumer's node.
-  for (int k = 0; k < options.nodes; ++k) {
-    EXPECT_EQ(pipeline.channel_home(k), plan.NodeForPosition(k)) << "node " << k;
-  }
-  EXPECT_EQ(plan.NodeForPosition(0), 0);
-  EXPECT_EQ(plan.NodeForPosition(3), 1);  // genuinely multi-node plan
-
   CollectingHandler<TR, TS> handler;
-  RunThreaded(pipeline, script, /*batch=*/8, &handler, &pipeline.hwm());
+  RunThreaded(pipeline, script, /*batch=*/8, &handler, &pipeline.hwm(), plan);
   EXPECT_TRUE(SameResultSet(oracle, handler.results()));
-  // The hook ran on every ring (which rung it reached depends on the host;
-  // kUnplaced would mean placement was skipped entirely).
-  for (int k = 0; k < options.nodes; ++k) {
-    EXPECT_NE(pipeline.channel_placement(k), ChannelPlacement::kUnplaced)
-        << "node " << k;
-  }
 }
 
 // All four placement policies must produce the exact oracle result set —
@@ -261,24 +244,25 @@ TEST(ThreadedPlacement, AllPoliciesProduceIdenticalResults) {
   for (PlacementPolicy policy :
        {PlacementPolicy::kAuto, PlacementPolicy::kCompact,
         PlacementPolicy::kScatter, PlacementPolicy::kNone}) {
-    PlacementPlan plan =
-        PlacementPlan::Build(topo, policy, 4, kHelperCount);
+    PlacementPlan plan = PlacementPlan::Build(topo, policy, 4);
     typename LlhjPipeline<TR, TS, KeyEq>::Options options;
     options.nodes = 4;
-    options.placement = plan;
     LlhjPipeline<TR, TS, KeyEq> pipeline(options);
     CollectingHandler<TR, TS> handler;
-    RunThreaded(pipeline, script, /*batch=*/8, &handler, &pipeline.hwm());
+    RunThreaded(pipeline, script, /*batch=*/8, &handler, &pipeline.hwm(),
+                plan);
     EXPECT_TRUE(SameResultSet(oracle, handler.results()))
         << "policy " << ToString(policy);
   }
 }
 
-// A session's engine wake and park counters sum its node threads'
-// doorbells and read 0 without engine threads. A threaded 3-node band
-// session fed one tuple at a time, with every node parked again before the
-// next push, is woken by the pushes (a push rings the entry node, each
-// forward the next node) and delivers exactly the reference results.
+// A session's engine wake, park and missed-wake counters sum its node
+// threads' doorbells and read 0 without engine threads. A threaded 3-node
+// band session fed one tuple at a time, with every node parked again
+// before the next push, is woken by the pushes (a push rings the entry
+// node, each forward the next node) and delivers exactly the reference
+// results. No result ring can fill here, so no work appears without a
+// push: no wake is missed.
 TEST(ThreadedSession, IdlePipelineWokenPushByPushStaysExact) {
   TraceConfig tc;
   tc.events = 150;
@@ -296,6 +280,7 @@ TEST(ThreadedSession, IdlePipelineWokenPushByPushStaysExact) {
     JoinSession<TR, TS, test::RangeBand> session(config);
     EXPECT_EQ(session.engine_wakes(), 0u);
     EXPECT_EQ(session.engine_parks(), 0u);
+    EXPECT_EQ(session.engine_missed_wakes(), 0u);
     CollectingHandler<TR, TS> handler;
     session.AddQuery(test::RangeBand{1}, &handler);
     session.Start();
@@ -324,9 +309,11 @@ TEST(ThreadedSession, IdlePipelineWokenPushByPushStaysExact) {
     if (threaded) {
       EXPECT_GT(session.engine_parks(), trace.size());
       EXPECT_GT(session.engine_wakes(), 0u) << "no push woke a parked node";
+      EXPECT_EQ(session.engine_missed_wakes(), 0u);
     } else {
       EXPECT_EQ(session.engine_wakes(), 0u);
       EXPECT_EQ(session.engine_parks(), 0u);
+      EXPECT_EQ(session.engine_missed_wakes(), 0u);
     }
   }
 }

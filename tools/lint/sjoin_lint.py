@@ -13,13 +13,15 @@ checks for:
                        pointer-chased layouts defeat the prefetcher; use
                        VecDeque / flat_hash / sorted vectors.
   env-knob             no bare std::getenv outside src/common/env.hpp — env
-                       knobs are read through the parse-and-warn helpers so
-                       a misspelled value never silently selects the wrong
-                       code path.
+                       knobs are read through env::Raw and parsed with a
+                       warning on unrecognized values, so a misspelled
+                       value never silently selects the wrong code path.
+                       Every env::Raw( call site must carry
+                       NOLINT(env-knob) on its line, so that adding a knob
+                       is a visible act.
   raw-new-delete       no raw new/delete expressions outside
                        src/runtime/mempolicy.cpp — page-granular
-                       allocations must flow through AllocatePages/
-                       FreePages where the NUMA policy calls can see them.
+                       allocations flow through AllocatePages/FreePages.
                        (Placement-new is allowed: it starts object
                        lifetimes in already-owned storage.)
   raw-mutex            no std::mutex / std::lock_guard outside
@@ -64,6 +66,9 @@ HOT_PATH_DIRS = ("src/core", "src/llhj", "src/hsj", "src/runtime",
 
 BANNED_CONTAINERS = re.compile(r"\bstd\s*::\s*(deque|map|unordered_map)\s*<")
 GETENV = re.compile(r"(\bstd\s*::\s*getenv\b)|(?<![\w:])getenv\s*\(")
+ENV_RAW = re.compile(r"\benv\s*::\s*Raw\s*\(")
+# Marks a sanctioned knob read; the marker must sit on the call's own line.
+ENV_EXEMPT = "NOLINT(env-knob)"
 # `new` not followed by `(` — placement-new `new (addr) T` is allowed; the
 # explicit ::operator new/delete forms are caught separately.
 RAW_NEW = re.compile(r"(?<![\w_])new\s+[A-Za-z_:]")
@@ -249,8 +254,18 @@ class Linter:
             for m2 in GETENV.finditer(code):
                 self.report(
                     "env-knob", rel, line_of(code, m2.start()),
-                    "bare getenv; read knobs through the sjoin::env "
-                    "parse-and-warn helpers (src/common/env.hpp)")
+                    "bare getenv; read knobs through sjoin::env::Raw "
+                    "(src/common/env.hpp)")
+            raw_lines = raw.split("\n")
+            for m2 in ENV_RAW.finditer(code):
+                line = line_of(code, m2.start())
+                if ENV_EXEMPT in raw_lines[line - 1]:
+                    continue
+                self.report(
+                    "env-knob", rel, line,
+                    "unmarked env::Raw knob read; a new knob must earn its "
+                    "place — mark the line NOLINT(env-knob) and document "
+                    "the knob in CMakeLists.txt")
 
         if in_src and rel != "src/runtime/mempolicy.cpp":
             for m2 in OPERATOR_NEW.finditer(code):
