@@ -138,10 +138,11 @@ struct JoinConfig {
   bool threaded = true;
 
   /// Hardware placement policy for threaded pipelines (see
-  /// runtime/placement.hpp): where node threads are pinned and which NUMA
-  /// node each channel ring is homed on (always the consumer's). kAuto
-  /// degrades to flat sibling-order pinning on single-socket hosts;
-  /// kNone pins and binds nothing. Ignored when threaded == false.
+  /// runtime/placement.hpp): where node threads are pinned. Channel rings
+  /// need no policy: each ring's consumer writes its pages first, so they
+  /// land on the consumer's NUMA node. kAuto degrades to flat
+  /// sibling-order pinning on single-socket hosts; kNone pins nothing.
+  /// Ignored when threaded == false.
   PlacementPolicy placement = PlacementPolicy::kAuto;
 
   /// Hardware model to place over. Null = detect once at session start
@@ -344,11 +345,8 @@ class JoinShard {
                 8, static_cast<std::size_t>(window_tuples / 4)));
         hsj_lag_budget_ = std::max<std::size_t>(
             16, static_cast<std::size_t>(window_tuples / 2));
-        hsj_ = std::make_unique<HsjPipeline<R, S, Pred>>(options, set,
-                                                         std::move(ids));
-        registry_ = hsj_->registry();
-        collector_ = hsj_->MakeCollector(out_);
-        SetUpExecutor(hsj_->nodes());
+        engine_ = std::make_unique<HsjPipeline<R, S, Pred>>(options, set,
+                                                            std::move(ids));
         break;
       }
       case Algorithm::kLowLatency: {
@@ -357,13 +355,12 @@ class JoinShard {
         options.channel_capacity = config_.channel_capacity;
         options.result_capacity = config_.result_capacity;
         options.punctuate = config_.punctuate;
-        llhj_ = std::make_unique<Llhj>(options, set, std::move(ids));
-        registry_ = llhj_->registry();
-        collector_ = llhj_->MakeCollector(out_);
-        SetUpExecutor(llhj_->nodes());
+        engine_ = std::make_unique<Llhj>(options, set, std::move(ids));
         break;
       }
     }
+    collector_ = engine_->MakeCollector(out_);
+    SetUpExecutor(engine_->nodes());
   }
 
   // -- Staging (driver order) ------------------------------------------------
@@ -422,11 +419,12 @@ class JoinShard {
     // the victim while the expiry chase is bounced off a concurrent segment
     // relocation. Close (a) by draining the channels before the expiry
     // enters, and (b) by letting the pipeline settle afterwards.
-    const bool hsj_guard = hsj_ != nullptr && thinned && config_.threaded;
-    if (hsj_ != nullptr) {
+    const bool hsj = IsHandshake();
+    const bool hsj_guard = hsj && thinned && config_.threaded;
+    if (hsj) {
       Deliver();
       Backoff backoff;
-      while (hsj_guard && hsj_->ApproxChannelBacklog() > 0) {
+      while (hsj_guard && engine_->ApproxChannelBacklog() > 0) {
         AwaitProgress(&backoff);
       }
     }
@@ -436,7 +434,7 @@ class JoinShard {
       left_.push_back(MakeExpiry<R>(side, seq, ts, next_seq_r_));
     }
     if (seq >= first_staged_[static_cast<int>(side)]) gated_ = true;
-    if (hsj_ != nullptr) {
+    if (hsj) {
       Deliver();
       if (hsj_guard) AwaitHsjSettled();
     }
@@ -455,7 +453,8 @@ class JoinShard {
   /// Installs the next query epoch at the current stream position: the
   /// in-band kEpochChange punctuation goes on both flows.
   void StageEpoch(QuerySet<Pred> set, std::vector<QueryId> ids) {
-    const Epoch e = registry_->Install(std::move(set), std::move(ids));
+    const Epoch e =
+        engine_->registry()->Install(std::move(set), std::move(ids));
     FlowMsg<R> left;
     left.kind = MsgKind::kEpochChange;
     left.epoch = e;
@@ -469,7 +468,7 @@ class JoinShard {
   /// End of input: the handshake join flushes its pipeline so pairs still
   /// separated inside it meet.
   void StageFlush() {
-    if (hsj_ == nullptr) return;
+    if (!IsHandshake()) return;
     FlowMsg<R> left;
     left.kind = MsgKind::kFlush;
     left_.push_back(left);
@@ -491,8 +490,7 @@ class JoinShard {
   void Deliver() {
     if (left_.empty() && right_.empty()) return;
     delivered_ += left_.size() + right_.size();
-    const PipelinePorts<R, S> ports =
-        OnEngine([](auto& engine) { return engine.ports(); });
+    const PipelinePorts<R, S> ports = engine_->ports();
     if (gated_ == (staged_side_ == StreamSide::kR)) {
       DeliverFlow(&left_, ports.left);
       DeliverFlow(&right_, ports.right);
@@ -542,17 +540,17 @@ class JoinShard {
   /// their occupancy is the application's polling cadence, not pipeline
   /// pressure).
   std::size_t backlog() const {
-    return OnEngine([](auto& engine) { return engine.ApproxChannelBacklog(); });
+    return engine_ != nullptr ? engine_->ApproxChannelBacklog() : 0;
   }
 
   uint64_t anomalies() const {
-    return OnEngine([](auto& engine) { return engine.total_anomalies(); });
+    return engine_ != nullptr ? engine_->total_anomalies() : 0;
   }
 
   /// Times a node of this shard deferred arrivals on its full result ring
   /// (one per fill; thread-safe).
   uint64_t result_ring_stalls() const {
-    return OnEngine([](auto& engine) { return engine.ResultRingStalls(); });
+    return engine_ != nullptr ? engine_->ResultRingStalls() : 0;
   }
 
   /// Placement plan the pipeline threads were pinned with (empty until a
@@ -595,12 +593,8 @@ class JoinShard {
     return msg;
   }
 
-  /// `f` applied to the engine, HSJ or LLHJ; a zero result before Start.
-  template <typename F>
-  auto OnEngine(F f) const {
-    if (hsj_ != nullptr) return f(*hsj_);
-    if (llhj_ != nullptr) return f(*llhj_);
-    return decltype(f(*llhj_)){};
+  bool IsHandshake() const {
+    return config_.algorithm == Algorithm::kHandshake;
   }
 
   int64_t HsjWindowTuples() const {
@@ -650,13 +644,13 @@ class JoinShard {
       // Bounded-lag enforcement for the handshake join: do not let the
       // driver run more than ~half a window ahead of the pipeline, wherever
       // the backlog sits (entry or interior channels).
-      if (hsj_ != nullptr && config_.threaded) {
-        while (hsj_->ApproxChannelBacklog() > hsj_lag_budget_) {
+      if (IsHandshake() && config_.threaded) {
+        while (engine_->ApproxChannelBacklog() > hsj_lag_budget_) {
           AwaitProgress(&backoff);
         }
       }
       std::size_t run = stage->size() - head;
-      if (llhj_ != nullptr) {
+      if (!IsHandshake()) {
         // LLHJ expiry gate: an expiry enters the pipeline only after its
         // tuple finished travelling (end nodes publish completion through
         // the high-water marks), so no opposite tuple pushed behind the
@@ -664,7 +658,7 @@ class JoinShard {
         // stop at the first expiry whose tuple has not completed its
         // expedition yet (messages behind a gated expiry wait with it —
         // flow order preserved).
-        const HighWaterMarks& hwm = llhj_->hwm();
+        const HighWaterMarks& hwm = engine_->hwm();
         run = 0;
         while (head + run < stage->size()) {
           const FlowMsg<T>& m = (*stage)[head + run];
@@ -717,9 +711,7 @@ class JoinShard {
   /// the rings are left to the next Poll, which keeps the waits off the
   /// rings' cache lines. Returns true when results were delivered.
   bool ServeStagedNodes() {
-    const std::size_t staged =
-        OnEngine([](auto& engine) { return engine.StagedResultNodes(); });
-    return staged != 0 && collector_->VacuumOnce() > 0;
+    return engine_->StagedResultNodes() != 0 && collector_->VacuumOnce() > 0;
   }
 
   void AwaitHsjSettled() {
@@ -730,13 +722,13 @@ class JoinShard {
     // which a single instantaneous backlog read could miss). A caller-side
     // wait, not engine idling.
     constexpr auto kPause = std::chrono::microseconds(20);
-    uint64_t last_processed = hsj_->TotalProcessed();
+    uint64_t last_processed = engine_->TotalProcessed();
     int stable_rounds = 0;
     while (stable_rounds < 3) {
       std::this_thread::sleep_for(kPause);  // NOLINT(hot-path-sleep)
       ServeStagedNodes();
-      const bool empty = hsj_->ApproxChannelBacklog() == 0;
-      const uint64_t processed = hsj_->TotalProcessed();
+      const bool empty = engine_->ApproxChannelBacklog() == 0;
+      const uint64_t processed = engine_->TotalProcessed();
       if (empty && processed == last_processed) {
         ++stable_rounds;
       } else {
@@ -757,10 +749,8 @@ class JoinShard {
     int stable_rounds = 0;
     while (stable_rounds < 5) {
       const bool delivered = collector_->VacuumOnce() > 0;
-      const std::size_t backlog =
-          OnEngine([](auto& engine) { return engine.ApproxBacklog(); });
-      const uint64_t processed =
-          OnEngine([](auto& engine) { return engine.TotalProcessed(); });
+      const std::size_t backlog = engine_->ApproxBacklog();
+      const uint64_t processed = engine_->TotalProcessed();
       const uint64_t collected = collector_->total_collected();
       if (backlog == 0 && processed == last_processed &&
           collected == last_collected) {
@@ -782,8 +772,6 @@ class JoinShard {
   OutputHandler<R, S>* out_;
   PlacementPlan plan_;
 
-  QueryEpochRegistry<Pred>* registry_ = nullptr;  // the engine's
-
   // The staged run: both flows in driver order, the lowest arrival seq
   // staged per side (kNoSeq: none), the side of the staged arrivals, and
   // whether an expiry waits on one of them.
@@ -803,8 +791,7 @@ class JoinShard {
   [[no_unique_address]] contracts::Monotone r_expiry_order_;
   [[no_unique_address]] contracts::Monotone s_expiry_order_;
 
-  std::unique_ptr<HsjPipeline<R, S, Pred>> hsj_;
-  std::unique_ptr<Llhj> llhj_;
+  std::unique_ptr<Pipeline<R, S, Pred>> engine_;  // HSJ or LLHJ
   std::unique_ptr<Collector<R, S>> collector_;
   std::unique_ptr<ThreadedExecutor> executor_;
   SequentialExecutor sequential_;
@@ -1121,8 +1108,8 @@ class JoinSession {
 
   /// Builds the shards, spreading threaded ones over the NUMA nodes of the
   /// configured (or detected) topology round-robin: shard k runs on node
-  /// k mod nodes, so its PlacementPlan pins pipeline, helpers and channel
-  /// memory onto that node alone. Shards sharing a node split its cores
+  /// k mod nodes, so its PlacementPlan pins the pipeline's threads onto
+  /// that node alone. Shards sharing a node split its cores
   /// between them (Topology::OnNode's slice form) instead of each taking
   /// the whole node, where every shard's position 0 would land on the
   /// node's first CPU. A single shard keeps the caller's topology.

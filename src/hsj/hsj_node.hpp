@@ -50,29 +50,25 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "common/seq_ring.hpp"
 #include "common/types.hpp"
 #include "llhj/store.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/spsc_queue.hpp"
-#include "runtime/staged_channel.hpp"
 #include "stream/message.hpp"
+#include "stream/node_chassis.hpp"
 #include "stream/query_set.hpp"
-#include "stream/sink.hpp"
 
 namespace sjoin {
 
-/// Free slots required on an outbound channel before an arrival is consumed
-/// (forward + acknowledgement + headroom for a chasing expiry).
-inline constexpr std::size_t kArrivalSlack = 4;
-
 template <typename R, typename S, typename Pred, typename Sink>
-class HsjNode : public Steppable {
+class HsjNode : public NodeChassis<HsjNode<R, S, Pred, Sink>, R, S, Pred,
+                                   Sink, VectorStore<R>, VectorStore<S>> {
+  using Chassis =
+      NodeChassis<HsjNode, R, S, Pred, Sink, VectorStore<R>, VectorStore<S>>;
+  friend Chassis;
+
  public:
   struct Config {
     NodeId id = 0;
@@ -88,101 +84,29 @@ class HsjNode : public Steppable {
     /// The end node of each stream never relocates.
     int64_t segment_capacity_r = 0;
     int64_t segment_capacity_s = 0;
-    /// Hop budget for chasing expiries before declaring an anomaly.
-    int max_expiry_hops = 0;  // 0 = derive from pipeline length
   };
 
-  struct Counters {
-    uint64_t relocated_r = 0;
-    uint64_t relocated_s = 0;
-    uint64_t expiry_bounces = 0;
-    uint64_t anomalies = 0;  ///< must stay 0; checked by tests
-  };
-
-  /// `registry` holds one frozen QuerySet per epoch (epoch 0 = the set the
-  /// pipeline started with); snapshots are cached node-locally and the
-  /// registry mutex is touched only on epoch switches.
+  /// See NodeChassis for `registry` and the channels; the segments ride on
+  /// the same ring store as the LLHJ windows (SoA key lanes included), so
+  /// HSJ scans share the SIMD probe path.
   HsjNode(const Config& config, const QueryEpochRegistry<Pred>* registry,
           Sink* sink,
           SpscQueue<FlowMsg<R>>* left_in, SpscQueue<FlowMsg<R>>* right_out,
           SpscQueue<FlowMsg<S>>* right_in, SpscQueue<FlowMsg<S>>* left_out)
-      : config_(config),
-        snaps_(registry),
-        sink_(sink),
-        left_in_(left_in),
-        right_in_(right_in),
-        right_out_(right_out),
-        left_out_(left_out) {
-    if (config_.max_expiry_hops == 0) {
-      config_.max_expiry_hops = 16 * config_.nodes + 64;
-    }
-  }
+      : Chassis(config.id, config.nodes, registry, sink, left_in, right_out,
+                right_in, left_out),
+        capacity_r_(config.segment_capacity_r),
+        capacity_s_(config.segment_capacity_s) {}
 
-  /// Placement hook (runs on this node's pinned thread, before any
-  /// production anywhere — see ThreadedExecutor's start barrier): write
-  /// the input rings' pages and the owner-local staging buffers first from
-  /// here, so they land on this node's NUMA node instead of the
-  /// pipeline-building thread's.
-  void OnThreadStart() override {
-    left_in_->PrefaultByConsumer();
-    right_in_->PrefaultByConsumer();
-    right_out_.Prewarm(kStagePrewarm);
-    left_out_.Prewarm(kStagePrewarm);
-    if constexpr (requires(Sink* s) { s->Prewarm(kStagePrewarm); }) {
-      sink_->Prewarm(kStagePrewarm);
-    }
-    own_thread_ = true;
-  }
-
-  bool Step() override {
-    bool progress = right_out_.Drain() | left_out_.Drain();
-    if constexpr (requires(Sink* s) { s->Drain(); }) {
-      progress |= sink_->Drain();
-    }
-    // Input messages are consumed as bursts: processed in place off
-    // PeekBurst spans and retired with one ConsumeBurst index update per
-    // run instead of an acquire/release pair per message. Per-channel FIFO
-    // order and the arrival backpressure gate are unchanged.
-    const std::size_t consumed = ProcessLeftBurst() + ProcessRightBurst();
-    if (consumed > 0) {
-      progress = true;
-      processed_.fetch_add(consumed, std::memory_order_relaxed);
-    }
-    // Retry relocations deferred by a momentarily full channel, and any
-    // rebalancing triggered by neighbour size changes.
-    progress |= RelocateROverflow();
-    progress |= RelocateSOverflow();
-    PublishSizes();
-    // Epoch punctuations held back for pre-boundary residents may now be
-    // releasable (residents relocated or expired above).
-    progress |= ReleaseEpochPuncts();
-    progress |= right_out_.Drain() | left_out_.Drain();
-    return progress;
-  }
-
-  /// Messages consumed so far; safe to read from other threads (used for
-  /// distributed quiescence detection).
-  uint64_t processed_count() const {
-    return processed_.load(std::memory_order_relaxed);
-  }
-
-  const Counters& counters() const { return counters_; }
   std::size_t resident_r() const { return wr_.size(); }
   std::size_t resident_s() const { return ws_.size(); }
-  std::size_t inflight_s() const { return iws_.size(); }
-
-  /// Introspection for tests/diagnostics (single-threaded access only).
-  /// The segments ride on the same ring store as the LLHJ windows (SoA key
-  /// lanes included), so HSJ scans share the SIMD probe path.
-  const VectorStore<R>& window_r() const { return wr_; }
-  const VectorStore<S>& window_s() const { return ws_; }
 
   /// Published segment sizes for neighbour self-balancing (thread-safe).
   const std::atomic<std::size_t>& published_r_size() const {
-    return r_size_pub_->value;
+    return r_size_pub_.value;
   }
   const std::atomic<std::size_t>& published_s_size() const {
-    return s_size_pub_->value;
+    return s_size_pub_.value;
   }
 
   /// Wires the neighbour segment sizes the balancing rule compares against
@@ -195,65 +119,34 @@ class HsjNode : public Steppable {
   }
 
  private:
-  bool IsLeftmost() const { return config_.id == 0; }
-  bool IsRightmost() const { return config_.id == config_.nodes - 1; }
+  using Chassis::counters_, Chassis::right_out_, Chassis::left_out_,
+      Chassis::wr_, Chassis::ws_, Chassis::iws_, Chassis::probe_r_,
+      Chassis::probe_s_, Chassis::IsLeftmost, Chassis::IsRightmost;
 
-  /// Bounded result staging (DESIGN.md Section 6): while results wait
-  /// behind the full result ring, arrivals are deferred, so the stage holds
-  /// at most one batch's results; control messages are still consumed. An
-  /// end node (`end`: no forward channel for this flow) defers only on its
-  /// own executor thread. Under a sequential driver it consumes
-  /// unconditionally and never waits on the collector.
-  bool ResultsBacklogged(bool end) {
-    if constexpr (requires(Sink* s) { s->DeferArrivals(); }) {
-      return (!end || own_thread_) && sink_->DeferArrivals();
-    }
-    return false;
-  }
-
-  /// Consumes up to kMsgsPerStep left-input messages as bursts. Runs of
-  /// consecutive arrivals (fresh, relocated or dying) are probed against
-  /// the local segment in a single pass; control messages go one by one.
-  std::size_t ProcessLeftBurst() {
-    return DrainBurstBudgetBatched(
-        left_in_, kMsgsPerStep,
-        IsArrival<R>,
-        [this](FlowMsg<R>* msgs, std::size_t run) {
-          return HandleLeftArrivals(msgs, run);
-        },
-        [this](FlowMsg<R>* msg) { return HandleLeft(msg); });
-  }
-
-  /// Consumes up to kMsgsPerStep right-input messages as bursts.
-  std::size_t ProcessRightBurst() {
-    return DrainBurstBudgetBatched(
-        right_in_, kMsgsPerStep,
-        IsArrival<S>,
-        [this](FlowMsg<S>* msgs, std::size_t run) {
-          return HandleRightArrivals(msgs, run);
-        },
-        [this](FlowMsg<S>* msg) { return HandleRight(msg); });
+  /// Step after the bursts: retry relocations deferred by a momentarily
+  /// full channel, and any rebalancing triggered by neighbour size changes;
+  /// then release epoch punctuations held back for pre-boundary residents
+  /// (residents relocated or expired above).
+  bool AfterBursts() {
+    bool progress = RelocateROverflow();
+    progress |= RelocateSOverflow();
+    PublishSizes();
+    progress |= ReleaseEpochPuncts();
+    return progress;
   }
 
   // -- Left input: R arrivals/relocations, acks of S, expiries, R flushes. --
 
-  /// Consumes a run of left-input R arrivals as one batch: one scan of the
-  /// local S segment (and in-flight buffer) for all k probes, then the
-  /// per-tuple rest/forward bookkeeping in flow order. Returns the number
-  /// consumed; fewer than `run` when backpressure caps the batch.
+  /// Consumes a run of left-input R arrivals (fresh, relocated or dying) as
+  /// one batch: one scan of the local S segment (and in-flight buffer) for
+  /// all k probes, then the per-tuple rest/forward bookkeeping in flow
+  /// order. Returns the number consumed; fewer than `run` when
+  /// backpressure caps the batch.
   std::size_t HandleLeftArrivals(FlowMsg<R>* msgs, std::size_t run) {
-    if (ResultsBacklogged(IsRightmost())) return 0;
-    std::size_t k = run;
-    if (!IsRightmost()) {
-      k = std::min(run, right_out_.ArrivalBudget(kArrivalSlack));
-      if (k == 0) return 0;  // backpressure: retry once downstream drains
-    }
-    probe_r_.clear();
-    for (std::size_t j = 0; j < k; ++j) {
-      probe_r_.push_back(Stamped<R>{msgs[j].payload, msgs[j].seq, msgs[j].ts,
-                                    msgs[j].arrival_wall_ns, msgs[j].epoch});
-    }
-    ScanBatchAgainstS(probe_r_.data(), k);
+    const std::size_t k = this->ArrivalBudget(run, IsRightmost(), right_out_);
+    if (k == 0) return 0;  // backpressure: retry once downstream drains
+    this->StampProbes(msgs, k, &probe_r_);
+    this->ScanBatchAgainstS(probe_r_.data(), k);
     for (std::size_t j = 0; j < k; ++j) {
       const Seq seq = probe_r_[j].seq;
       next_r_in_ = std::max(next_r_in_, seq + 1);
@@ -288,7 +181,7 @@ class HsjNode : public Steppable {
   bool HandleLeft(FlowMsg<R>* msg) {
     switch (msg->kind) {
       case MsgKind::kAck: {
-        EraseIws(msg->seq);
+        iws_.Erase(msg->seq);
         if (Kill* kill = FindKill(StreamSide::kS, msg->seq)) {
           kill->acked = true;
           if (kill->chased) EraseKill(StreamSide::kS, msg->seq);
@@ -307,19 +200,15 @@ class HsjNode : public Steppable {
         // Arrival on the left flow: upstream promises no more pre-boundary
         // R probes. Cascade is deferred until our own R segment holds no
         // pre-boundary tuple (see ReleaseEpochPuncts).
-        OnEpochPunctuation(/*left_flow=*/true, msg->epoch);
+        this->OnEpochPunctuation(/*left_flow=*/true, msg->epoch);
         if (!IsRightmost()) pending_epoch_r_.push_back(msg->epoch);
         ReleaseEpochPuncts();
         return true;
       }
       case MsgKind::kLossPunctuation: {
-        // Shed-at-ingest loss bound (DESIGN.md Section 12): the shed
-        // tuples never entered the pipeline — no segment holds them and no
-        // expiry will chase them — so unlike kEpochChange there is nothing
-        // to hold the punctuation for. Republish the bound into the result
-        // queue (exactly once: no cascade).
-        sink_->Emit(MakeLossMark<R, S>(msg->ref_side, msg->seq,
-                                       LossPunctCount(*msg), config_.id));
+        // Unlike kEpochChange there is nothing to hold the punctuation for:
+        // no segment holds a shed tuple and no expiry chases one.
+        this->EmitLossMark(*msg);
         return true;
       }
       // No default: the switch is deliberately exhaustive so adding a
@@ -338,24 +227,13 @@ class HsjNode : public Steppable {
   // -- Right input: S arrivals/relocations, expiries, S flushes. ------------
 
   /// Consumes a run of right-input S arrivals as one batch; mirrors
-  /// HandleLeftArrivals. Only the forward (relocation) direction is gated;
-  /// acknowledgements stage when their channel is momentarily full. Gating
-  /// both directions would close a neighbour wait-for cycle (deadlock at
-  /// small channel capacities).
+  /// HandleLeftArrivals. Acknowledgements stage when their channel is
+  /// momentarily full.
   std::size_t HandleRightArrivals(FlowMsg<S>* msgs, std::size_t run) {
-    if (ResultsBacklogged(IsLeftmost())) return 0;
-    std::size_t k = run;
-    if (!IsLeftmost()) {
-      k = std::min(run, left_out_.ArrivalBudget(kArrivalSlack));
-      if (k == 0) return 0;
-    }
-    probe_s_.clear();
-    for (std::size_t j = 0; j < k; ++j) {
-      probe_s_.push_back(Stamped<S>{msgs[j].payload, msgs[j].seq, msgs[j].ts,
-                                    msgs[j].arrival_wall_ns, msgs[j].epoch});
-    }
-    ScanBatchAgainstR(probe_s_.data(), k);
-    ack_buf_.clear();
+    const std::size_t k = this->ArrivalBudget(run, IsLeftmost(), left_out_);
+    if (k == 0) return 0;
+    this->StampProbes(msgs, k, &probe_s_);
+    this->ScanBatchAgainstR(probe_s_.data(), k);
     bool rested = false;
     for (std::size_t j = 0; j < k; ++j) {
       const Stamped<S>& s = probe_s_[j];
@@ -384,18 +262,9 @@ class HsjNode : public Steppable {
         ws_.Insert(s, /*expedited=*/false);
         rested = true;
       }
-      if (!IsRightmost()) {
-        FlowMsg<R> ack;
-        ack.kind = MsgKind::kAck;
-        ack.ref_side = StreamSide::kS;
-        ack.seq = s.seq;
-        ack_buf_.push_back(ack);
-      }
     }
-    if (!ack_buf_.empty()) {
-      right_out_.PushBurst(std::span<const FlowMsg<R>>(ack_buf_));
-    }
-    if (k > 0) PrunePendingKills(StreamSide::kS, probe_s_[k - 1].seq);
+    this->AckS(probe_s_.data(), k);
+    PrunePendingKills(StreamSide::kS, probe_s_[k - 1].seq);
     if (rested) RelocateSOverflow();
     return k;
   }
@@ -412,15 +281,13 @@ class HsjNode : public Steppable {
         return true;
       }
       case MsgKind::kEpochChange: {
-        OnEpochPunctuation(/*left_flow=*/false, msg->epoch);
+        this->OnEpochPunctuation(/*left_flow=*/false, msg->epoch);
         if (!IsLeftmost()) pending_epoch_s_.push_back(msg->epoch);
         ReleaseEpochPuncts();
         return true;
       }
       case MsgKind::kLossPunctuation: {
-        // See HandleLeft: republish the bound, exactly once, no cascade.
-        sink_->Emit(MakeLossMark<R, S>(msg->ref_side, msg->seq,
-                                       LossPunctCount(*msg), config_.id));
+        this->EmitLossMark(*msg);
         return true;
       }
       // No default (see HandleLeft): exhaustive so -Wswitch flags new kinds.
@@ -434,152 +301,13 @@ class HsjNode : public Steppable {
     return true;
   }
 
-  // -- Matching --------------------------------------------------------------
-  //
-  // Every crossing pair is evaluated under the query-set snapshot of
-  // max(probe epoch, entry epoch) — the epoch of the later-pushed input.
-  // Outside an epoch transition this costs one compare per batch plus one
-  // per emitted match.
-
-  using Snapshot = QueryEpochSnapshot<Pred>;
-
-  const Snapshot* SnapshotFor(Epoch e) {
-    const Snapshot* snap = snaps_.Get(e);
-    if (snap == nullptr) ++counters_.anomalies;  // never-installed epoch
-    return snap;
-  }
-
-  /// Emits one result tagged with the session-wide query id that matched.
-  void EmitResult(const Stamped<R>& r, const Stamped<S>& s, QueryId q) {
-    if ((!kills_r_.empty() || !kills_s_.empty()) && CrossedAfterExpiry(r, s)) {
-      return;
-    }
-    ResultMsg<R, S> m = MakeResult(r, s, config_.id);
-    m.query = q;
-    sink_->Emit(m);
-  }
-
-  /// Evaluates the pair's epoch snapshot on the crossing pair, emitting one
-  /// tagged result per matching query.
-  void EmitMatches(const Stamped<R>& r, const Stamped<S>& s) {
-    const Snapshot* snap = SnapshotFor(r.epoch > s.epoch ? r.epoch : s.epoch);
-    if (snap == nullptr) return;
-    snap->set.Match(r.value, s.value, [&](QueryId lane) {
-      EmitResult(r, s, snap->GlobalId(lane));
-    });
-  }
-
-  /// One pass over the local S segment (entry-major: each resident tuple is
-  /// loaded once and tested against the whole probe run and every query —
-  /// on the packed-compare kernels when the schema has a SIMD mapping).
-  /// HSJ probe runs can straddle an epoch boundary (relocations), so the
-  /// run is split into same-epoch groups first.
-  void ScanBatchAgainstS(const Stamped<R>* rs, std::size_t k) {
-    ForEachEpochGroup(rs, k, [&](const Stamped<R>* g, std::size_t n) {
-      ScanGroupAgainstS(g, n);
-    });
-  }
-
-  void ScanGroupAgainstS(const Stamped<R>* rs, std::size_t k) {
-    const Epoch pe = rs[0].epoch;
-    const Snapshot* snap = SnapshotFor(pe);
-    if (snap != nullptr) {
-      ws_.template MatchBatch<true>(
-          snap->set, rs, k,
-          [&](std::size_t j, QueryId lane, const StoreEntry<S>& entry) {
-            if (entry.tuple.epoch > pe) return;  // newer entries swept below
-            EmitResult(rs[j], entry.tuple, snap->GlobalId(lane));
-          });
-    }
-    // Entries stored under a later epoch than the probe: evaluate under the
-    // entry's snapshot (free outside transitions via max_epoch early-out).
-    // Every store visits these newest-first (descending Seq — pinned by
-    // test_stores.cpp); emission here is order-independent regardless, as
-    // each entry is evaluated against all k probes in isolation and the
-    // collector orders results by (probe seq, entry seq), not visit order.
-    ws_.ForEachEpochAfter(pe, [&](const StoreEntry<S>& entry) {
-      const Snapshot* es = SnapshotFor(entry.tuple.epoch);
-      if (es == nullptr) return;
-      for (std::size_t j = 0; j < k; ++j) {
-        es->set.Match(rs[j].value, entry.tuple.value, [&](QueryId lane) {
-          EmitResult(rs[j], entry.tuple, es->GlobalId(lane));
-        });
-      }
-    });
-    // Forwarded-but-unacked S tuples are virtually still resident here
-    // (a handful of entries — scalar evaluation, per-pair epoch).
-    iws_.ForEach([&](const Stamped<S>& s) {
-      for (std::size_t j = 0; j < k; ++j) EmitMatches(rs[j], s);
-    });
-  }
-
-  void ScanBatchAgainstR(const Stamped<S>* ss, std::size_t k) {
-    ForEachEpochGroup(ss, k, [&](const Stamped<S>* g, std::size_t n) {
-      ScanGroupAgainstR(g, n);
-    });
-  }
-
-  void ScanGroupAgainstR(const Stamped<S>* ss, std::size_t k) {
-    const Epoch pe = ss[0].epoch;
-    const Snapshot* snap = SnapshotFor(pe);
-    if (snap != nullptr) {
-      wr_.template MatchBatch<false>(
-          snap->set, ss, k,
-          [&](std::size_t j, QueryId lane, const StoreEntry<R>& entry) {
-            if (entry.tuple.epoch > pe) return;
-            EmitResult(entry.tuple, ss[j], snap->GlobalId(lane));
-          });
-    }
-    // Newest-first per the store epoch-walk contract; order-independent
-    // here (see the ws_ sweep above).
-    wr_.ForEachEpochAfter(pe, [&](const StoreEntry<R>& entry) {
-      const Snapshot* es = SnapshotFor(entry.tuple.epoch);
-      if (es == nullptr) return;
-      for (std::size_t j = 0; j < k; ++j) {
-        es->set.Match(entry.tuple.value, ss[j].value, [&](QueryId lane) {
-          EmitResult(entry.tuple, ss[j], es->GlobalId(lane));
-        });
-      }
-    });
-  }
-
-  /// Splits a probe run into maximal same-epoch groups.
-  template <typename T, typename F>
-  static void ForEachEpochGroup(const Stamped<T>* probes, std::size_t k,
-                                F&& f) {
-    std::size_t i = 0;
-    while (i < k) {
-      std::size_t run = 1;
-      while (i + run < k && probes[i + run].epoch == probes[i].epoch) ++run;
-      f(probes + i, run);
-      i += run;
-    }
+  /// The emission filter (NodeChassis::EmitResult): no pair whose one tuple
+  /// expired before the other was pushed.
+  bool Admits(const Stamped<R>& r, const Stamped<S>& s) const {
+    return (kills_r_.empty() && kills_s_.empty()) || !CrossedAfterExpiry(r, s);
   }
 
   // -- Epoch punctuations ------------------------------------------------------
-
-  /// Punctuation of `epoch` ARRIVED on one flow. Once both flows have seen
-  /// it, the upstream neighbours (or the driver) have promised no further
-  /// pre-boundary probes in either direction, so this node can never again
-  /// emit a result of an earlier epoch: publish the epoch marker.
-  void OnEpochPunctuation(bool left_flow, Epoch epoch) {
-    Epoch& side = left_flow ? left_epoch_ : right_epoch_;
-    if (epoch > side) side = epoch;
-    const Epoch both = std::min(left_epoch_, right_epoch_);
-    while (marker_epoch_ < both) {
-      ++marker_epoch_;
-      ResultMsg<R, S> mark;
-      mark.query = kEpochMarkQuery;
-      mark.epoch = marker_epoch_;
-      mark.origin = config_.id;
-      sink_->Emit(mark);
-    }
-    // All future probes here carry an epoch >= `both` (the no-old-probes
-    // promise from both upstream sides), and the max(probe, entry) rule
-    // then never selects an older snapshot — safe to trim the MRU cache
-    // (the registry keeps every epoch).
-    snaps_.PruneBelow(both);
-  }
 
   /// Cascades held punctuations onward once the local segment holds no
   /// pre-boundary tuple of that stream. Relocations leave oldest-first and
@@ -616,33 +344,22 @@ class HsjNode : public Steppable {
 
   // -- Relocation (the "handshake" movement) ---------------------------------
 
-  bool ShouldRelocateR() const {
-    if (config_.segment_capacity_r > 0) {
-      return static_cast<int64_t>(wr_.size()) > config_.segment_capacity_r;
-    }
-    // Self-balancing: keep within one tuple of the right neighbour.
-    const std::size_t neighbor =
-        neighbor_r_size_ == nullptr
-            ? 0
-            : neighbor_r_size_->load(std::memory_order_relaxed);
-    return wr_.size() > neighbor + 1;
-  }
-
-  bool ShouldRelocateS() const {
-    if (config_.segment_capacity_s > 0) {
-      return static_cast<int64_t>(ws_.size()) > config_.segment_capacity_s;
-    }
-    const std::size_t neighbor =
-        neighbor_s_size_ == nullptr
-            ? 0
-            : neighbor_s_size_->load(std::memory_order_relaxed);
-    return ws_.size() > neighbor + 1;
+  /// True when a segment of `size` tuples passes its oldest on: above its
+  /// static `capacity`, or (self-balancing, capacity 0) more than one tuple
+  /// above the next neighbour's segment.
+  static bool Overfull(std::size_t size, int64_t capacity,
+                       const std::atomic<std::size_t>* neighbor) {
+    if (capacity > 0) return static_cast<int64_t>(size) > capacity;
+    const std::size_t next =
+        neighbor == nullptr ? 0 : neighbor->load(std::memory_order_relaxed);
+    return size > next + 1;
   }
 
   bool RelocateROverflow() {
     if (IsRightmost()) return false;
     bool progress = false;
-    while (wr_.size() > 0 && ShouldRelocateR() && right_out_.Available(1)) {
+    while (wr_.size() > 0 && Overfull(wr_.size(), capacity_r_, neighbor_r_size_) &&
+           right_out_.Available(1)) {
       ForwardOldestR();
       progress = true;
     }
@@ -661,7 +378,8 @@ class HsjNode : public Steppable {
   bool RelocateSOverflow() {
     if (IsLeftmost()) return false;
     bool progress = false;
-    while (ws_.size() > 0 && ShouldRelocateS() && left_out_.Available(1)) {
+    while (ws_.size() > 0 && Overfull(ws_.size(), capacity_s_, neighbor_s_size_) &&
+           left_out_.Available(1)) {
       ForwardOldestS();
       progress = true;
     }
@@ -670,8 +388,8 @@ class HsjNode : public Steppable {
   }
 
   void PublishSizes() {
-    r_size_pub_->value.store(wr_.size(), std::memory_order_relaxed);
-    s_size_pub_->value.store(ws_.size(), std::memory_order_relaxed);
+    r_size_pub_.value.store(wr_.size(), std::memory_order_relaxed);
+    s_size_pub_.value.store(ws_.size(), std::memory_order_relaxed);
   }
 
   void ForwardOldestS() {
@@ -785,12 +503,11 @@ class HsjNode : public Steppable {
   template <typename T>
   void ForwardExpiry(const FlowMsg<T>& expiry, int dir, Seq horizon) {
     if (dir == 0) return;
-    const uint16_t hops = expiry.hops;
-    if (hops >= config_.max_expiry_hops) {
+    // Hop budget of a chase before it is declared an anomaly.
+    if (expiry.hops >= 16 * this->nodes_ + 64) {
       ++counters_.anomalies;
       return;
     }
-    if (hops >= 1) ++counters_.expiry_bounces;
     if ((dir > 0 && IsRightmost()) || (dir < 0 && IsLeftmost())) {
       // Nothing beyond the pipeline end; the FIFO argument makes this
       // unreachable.
@@ -888,29 +605,14 @@ class HsjNode : public Steppable {
     return false;
   }
 
-  bool EraseIws(Seq seq) { return iws_.Erase(seq); }
+  const int64_t capacity_r_;  // static segment capacities (0: balancing)
+  const int64_t capacity_s_;
 
-  Config config_;
-  EpochSnapshotCache<Pred> snaps_;
-  Sink* sink_;
-
-  SpscQueue<FlowMsg<R>>* left_in_;
-  SpscQueue<FlowMsg<S>>* right_in_;
-  StagedChannel<FlowMsg<R>> right_out_;  // disconnected on rightmost node
-  StagedChannel<FlowMsg<S>> left_out_;   // disconnected on leftmost node
-
-  // Epoch punctuation bookkeeping: highest epoch ARRIVED per flow, highest
-  // marker published, and punctuations held until the local segment clears
-  // of pre-boundary tuples (see ReleaseEpochPuncts).
-  Epoch left_epoch_ = 0;
-  Epoch right_epoch_ = 0;
-  Epoch marker_epoch_ = 0;
+  // Punctuations held until the local segment clears of pre-boundary
+  // tuples (see ReleaseEpochPuncts).
   std::vector<Epoch> pending_epoch_r_;
   std::vector<Epoch> pending_epoch_s_;
 
-  VectorStore<R> wr_;        // front = oldest (ring store with SoA lanes)
-  VectorStore<S> ws_;
-  SeqRing<Stamped<S>> iws_;  // forwarded to the left, not yet acked
   std::vector<Kill> kills_r_;  // expiries that passed without their tuple
   std::vector<Kill> kills_s_;
   // One past the highest seq received / passed on per side (ChaseDirection).
@@ -919,25 +621,11 @@ class HsjNode : public Steppable {
   Seq next_s_in_ = 0;
   Seq next_s_out_ = 0;
 
-  // Scratch buffers of the batch arrival paths (reused across steps).
-  std::vector<Stamped<R>> probe_r_;
-  std::vector<Stamped<S>> probe_s_;
-  std::vector<FlowMsg<R>> ack_buf_;
-
-  // Published segment sizes (self-balancing). Heap-allocated so the node
-  // stays movable while neighbours hold stable pointers.
-  std::unique_ptr<CachePadded<std::atomic<std::size_t>>> r_size_pub_ =
-      std::make_unique<CachePadded<std::atomic<std::size_t>>>();
-  std::unique_ptr<CachePadded<std::atomic<std::size_t>>> s_size_pub_ =
-      std::make_unique<CachePadded<std::atomic<std::size_t>>>();
+  // Published segment sizes (self-balancing); neighbours hold pointers.
+  CachePadded<std::atomic<std::size_t>> r_size_pub_;
+  CachePadded<std::atomic<std::size_t>> s_size_pub_;
   const std::atomic<std::size_t>* neighbor_r_size_ = nullptr;
   const std::atomic<std::size_t>* neighbor_s_size_ = nullptr;
-
-  Counters counters_;
-  // Set by OnThreadStart: this node runs on its own executor thread, so its
-  // end-of-flow arrivals may wait on the collector (ResultsBacklogged).
-  bool own_thread_ = false;
-  std::atomic<uint64_t> processed_{0};
 };
 
 }  // namespace sjoin

@@ -1,13 +1,9 @@
-// Assembly of a complete low-latency handshake join pipeline: n nodes wired
-// with neighbour FIFO channels, one result queue per node, shared
-// high-water marks, and a collector factory. The pipeline is
-// executor-agnostic — register `nodes()` (plus feeder and collector) with a
-// SequentialExecutor for deterministic runs or a ThreadedExecutor for
-// deployment.
+// A complete low-latency handshake join pipeline: the shared assembly
+// (stream/pipeline.hpp) with LlhjNodes, wired to the high-water marks the
+// collector's punctuations and the driver's expiry gate read.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -15,29 +11,22 @@
 #include "llhj/home_policy.hpp"
 #include "llhj/llhj_node.hpp"
 #include "llhj/store.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/spsc_queue.hpp"
-#include "stream/collector.hpp"
-#include "stream/hwm.hpp"
-#include "stream/message.hpp"
-#include "stream/ports.hpp"
+#include "stream/pipeline.hpp"
 #include "stream/query_set.hpp"
-#include "stream/sink.hpp"
 
 namespace sjoin {
 
 template <typename R, typename S, typename Pred,
           typename RStore = VectorStore<R>, typename SStore = VectorStore<S>>
-class LlhjPipeline {
+class LlhjPipeline : public Pipeline<R, S, Pred> {
+  using Base = Pipeline<R, S, Pred>;
+
  public:
-  using Sink = StagedQueueSink<R, S>;
+  using Sink = typename Base::Sink;
   using Node = LlhjNode<R, S, Pred, Sink, RStore, SStore>;
 
-  struct Options {
-    int nodes = 4;
-    std::size_t channel_capacity = 1024;
-    std::size_t result_capacity = kDefaultResultCapacity;
-    bool punctuate = false;
+  struct Options : Base::Options {
+    bool punctuate = false;  ///< the collector emits punctuations
   };
 
   explicit LlhjPipeline(const Options& options, Pred pred = Pred{})
@@ -50,144 +39,26 @@ class LlhjPipeline {
   /// identity). Live sessions install later epochs through `registry()`.
   LlhjPipeline(const Options& options, const QuerySet<Pred>& queries,
                std::vector<QueryId> query_ids = {})
-      : options_(options),
-        registry_(queries, std::move(query_ids)),
-        epoch0_(registry_.Get(0)) {
-    const int n = options_.nodes;
-    if (n < 1) throw std::invalid_argument("pipeline needs >= 1 node");
-    if (epoch0_->set.empty()) {
-      throw std::invalid_argument("pipeline needs >= 1 registered query");
-    }
-
-    l2r_.reserve(static_cast<std::size_t>(n));
-    r2l_.reserve(static_cast<std::size_t>(n));
-    for (int k = 0; k < n; ++k) {
-      // Both input rings of node k are consumed (and first written) by
-      // node k's thread; the result ring by the collector's.
-      l2r_.push_back(
-          std::make_unique<SpscQueue<FlowMsg<R>>>(options_.channel_capacity));
-      r2l_.push_back(
-          std::make_unique<SpscQueue<FlowMsg<S>>>(options_.channel_capacity));
-      result_queues_.push_back(std::make_unique<SpscQueue<ResultMsg<R, S>>>(
-          options_.result_capacity));
-      sinks_.push_back(std::make_unique<Sink>(result_queues_.back().get(),
-                                              &result_stages_));
-    }
-
-    for (int k = 0; k < n; ++k) {
+      : Base(options, options.punctuate, queries, std::move(query_ids)) {
+    for (int k = 0; k < options.nodes; ++k) {
       typename Node::Config config;
       config.id = k;
-      config.nodes = n;
-      config.home = HomeAssigner(n);
-      nodes_.push_back(std::make_unique<Node>(
-          config, &registry_, sinks_[static_cast<std::size_t>(k)].get(),
-          /*left_in=*/l2r_[static_cast<std::size_t>(k)].get(),
-          /*right_out=*/k + 1 < n ? l2r_[static_cast<std::size_t>(k) + 1].get()
-                                  : nullptr,
-          /*right_in=*/r2l_[static_cast<std::size_t>(k)].get(),
-          /*left_out=*/k > 0 ? r2l_[static_cast<std::size_t>(k) - 1].get()
-                             : nullptr,
-          &hwm_));
+      config.nodes = options.nodes;
+      config.home = HomeAssigner(options.nodes);
+      this->template AddNode<Node>(config, &this->hwm_);
     }
   }
 
-  /// Driver-facing input queues.
-  PipelinePorts<R, S> ports() {
-    return PipelinePorts<R, S>{l2r_.front().get(), r2l_.back().get()};
-  }
-
-  /// Pipeline nodes in left-to-right order (register with an executor).
-  std::vector<Steppable*> nodes() {
-    std::vector<Steppable*> out;
-    out.reserve(nodes_.size());
-    for (auto& node : nodes_) out.push_back(node.get());
-    return out;
-  }
-
-  /// Builds the collector for this pipeline (caller owns it). Punctuation
-  /// generation follows Options::punctuate.
-  std::unique_ptr<Collector<R, S>> MakeCollector(OutputHandler<R, S>* handler) {
-    std::vector<SpscQueue<ResultMsg<R, S>>*> queues;
-    queues.reserve(result_queues_.size());
-    for (auto& q : result_queues_) queues.push_back(q.get());
-    return std::make_unique<Collector<R, S>>(std::move(queues), handler,
-                                             &hwm_, options_.punctuate,
-                                             &result_stages_);
-  }
-
-  const HighWaterMarks& hwm() const { return hwm_; }
-  const Options& options() const { return options_; }
-  /// The epoch-0 set (what the pipeline started with).
-  const QuerySet<Pred>& queries() const { return epoch0_->set; }
-  /// Epoch registry shared with every node; a live session installs new
-  /// epochs here before pushing the matching kEpochChange punctuation.
-  QueryEpochRegistry<Pred>* registry() { return &registry_; }
-  const Node& node(int k) const { return *nodes_[static_cast<std::size_t>(k)]; }
-
-  /// Sum of anomaly counters across nodes — tests require 0.
-  uint64_t total_anomalies() const {
-    uint64_t n = 0;
-    for (const auto& node : nodes_) n += node->counters().anomalies;
-    return n;
-  }
-
-  /// Approximate number of messages sitting in channels and result queues,
-  /// plus one per node holding staged results (atomically readable from any
-  /// thread; used for quiescence detection).
-  std::size_t ApproxBacklog() const {
-    std::size_t n = ApproxChannelBacklog() + StagedResultNodes();
-    for (const auto& q : result_queues_) n += q->SizeApprox();
-    return n;
-  }
-
-  /// Nodes whose results are staged behind their full result ring
-  /// (thread-safe).
-  std::size_t StagedResultNodes() const { return result_stages_.Get(); }
-
-  /// Times a node deferred arrivals on its full result ring, summed over
-  /// the nodes (one per fill; thread-safe).
-  uint64_t ResultRingStalls() const {
-    uint64_t n = 0;
-    for (const auto& sink : sinks_) n += sink->stalls();
-    return n;
-  }
-
-  /// Channel-only backlog — excludes result queues, whose occupancy depends
-  /// on how often the application polls the collector.
-  std::size_t ApproxChannelBacklog() const {
-    std::size_t n = 0;
-    for (const auto& q : l2r_) n += q->SizeApprox();
-    for (const auto& q : r2l_) n += q->SizeApprox();
-    return n;
-  }
-
-  /// Total messages consumed by all nodes (thread-safe, monotonic).
-  uint64_t TotalProcessed() const {
-    uint64_t n = 0;
-    for (const auto& node : nodes_) n += node->processed_count();
-    return n;
-  }
+  const Node& node(int k) const { return this->template NodeAs<Node>(k); }
 
   /// Total tuples resident in node-local windows (diagnostics).
   std::size_t resident_tuples() const {
     std::size_t n = 0;
-    for (const auto& node : nodes_) {
-      n += node->r_store().size() + node->s_store().size();
+    for (int k = 0; k < this->node_count(); ++k) {
+      n += node(k).r_store().size() + node(k).s_store().size();
     }
     return n;
   }
-
- private:
-  Options options_;
-  QueryEpochRegistry<Pred> registry_;
-  std::shared_ptr<const QueryEpochSnapshot<Pred>> epoch0_;
-  std::vector<std::unique_ptr<SpscQueue<FlowMsg<R>>>> l2r_;
-  std::vector<std::unique_ptr<SpscQueue<FlowMsg<S>>>> r2l_;
-  std::vector<std::unique_ptr<SpscQueue<ResultMsg<R, S>>>> result_queues_;
-  ResultStageCount result_stages_;
-  std::vector<std::unique_ptr<Sink>> sinks_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  HighWaterMarks hwm_;
 };
 
 /// LLHJ with key-bucketed node stores for joins whose predicate declares

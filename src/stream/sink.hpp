@@ -17,8 +17,8 @@
 
 namespace sjoin {
 
-/// Default result ring size of a pipeline node, in results (JoinConfig,
-/// LlhjPipeline::Options and HsjPipeline::Options). A full ring is a
+/// Default result ring size of a pipeline node, in results (JoinConfig and
+/// Pipeline::Options). A full ring is a
 /// normal state: the node stages one batch's results and defers arrivals
 /// until the collector has made room (see JoinConfig::result_capacity).
 inline constexpr std::size_t kDefaultResultCapacity = 4096;

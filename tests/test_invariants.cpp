@@ -245,5 +245,74 @@ TEST(Invariants, HsjSurvivesAlternatingBurstTraffic) {
   EXPECT_TRUE(test::SameResultSet(oracle, results));
 }
 
+// Fault counting, the same for both engines: a message a node must never
+// see is counted as an anomaly and emits nothing.
+template <typename Engine>
+class FaultCounting : public ::testing::Test {
+ protected:
+  FaultCounting() : pipeline_(MakeOptions()) {
+    collector_ = pipeline_.MakeCollector(&handler_);
+    for (Steppable* node : pipeline_.nodes()) executor_.Add(node);
+    executor_.Add(collector_.get());
+  }
+
+  static typename Engine::Options MakeOptions() {
+    typename Engine::Options options;
+    options.nodes = 3;
+    return options;
+  }
+
+  /// Pushes one message into an entry port and runs until quiescent.
+  template <typename T>
+  void Inject(SpscQueue<FlowMsg<T>>* port, const FlowMsg<T>& msg) {
+    ASSERT_TRUE(port->TryPush(msg));
+    executor_.RunUntilQuiescent();
+  }
+
+  template <typename T>
+  static FlowMsg<T> Arrival(Seq seq, Epoch epoch) {
+    FlowMsg<T> msg;
+    msg.seq = seq;
+    msg.epoch = epoch;
+    msg.payload = T{1, static_cast<int32_t>(seq)};
+    return msg;
+  }
+
+  void ExpectFaultWithoutResults() {
+    EXPECT_GE(pipeline_.total_anomalies(), 1u);
+    EXPECT_TRUE(handler_.results().empty());
+  }
+
+  Engine pipeline_;
+  CollectingHandler<TR, TS> handler_;
+  std::unique_ptr<Collector<TR, TS>> collector_;
+  SequentialExecutor executor_;
+};
+
+using FaultPipelines =
+    ::testing::Types<LlhjPipeline<TR, TS, KeyEq>, HsjPipeline<TR, TS, KeyEq>>;
+TYPED_TEST_SUITE(FaultCounting, FaultPipelines);
+
+TYPED_TEST(FaultCounting, OutOfRangeKind) {
+  FlowMsg<TR> msg;
+  msg.kind = static_cast<MsgKind>(200);
+  this->Inject(this->pipeline_.ports().left, msg);
+  this->ExpectFaultWithoutResults();
+}
+
+TYPED_TEST(FaultCounting, ExpeditionEndOnLeftFlow) {
+  FlowMsg<TR> msg;
+  msg.kind = MsgKind::kExpeditionEnd;
+  this->Inject(this->pipeline_.ports().left, msg);
+  this->ExpectFaultWithoutResults();
+}
+
+TYPED_TEST(FaultCounting, NeverInstalledEpoch) {
+  this->Inject(this->pipeline_.ports().right, this->template Arrival<TS>(0, 0));
+  EXPECT_EQ(this->pipeline_.total_anomalies(), 0u);
+  this->Inject(this->pipeline_.ports().left, this->template Arrival<TR>(0, 7));
+  this->ExpectFaultWithoutResults();
+}
+
 }  // namespace
 }  // namespace sjoin

@@ -285,7 +285,7 @@ TEST(BandStore, RadiusZeroKeepsExactBucketsThroughChurn) {
 // later than `e`, NEWEST-FIRST (strictly descending Seq), on every store
 // type. The nodes tolerate any order (each entry is evaluated in
 // isolation), but the contract is pinned so stores stay interchangeable —
-// see llhj_node.hpp / hsj_node.hpp epoch re-sweep call sites.
+// see the epoch re-sweeps in stream/node_chassis.hpp.
 template <typename T>
 Stamped<T> MakeEpoch(int32_t key, Seq seq, Epoch epoch) {
   Stamped<T> t = Make<T>(key, seq);
